@@ -12,10 +12,13 @@ Loaded features are standardized per column (constant columns become zeros)
 unless the config says ``standardize = false``.  Labels are mapped to {0, 1}:
 two distinct values map low to 0 and high to 1; an integer multi-class label
 column becomes one-vs-rest with the most frequent class as the positive one.
-Anything else is a reported error, never a silent guess.
+Anything else is a reported error, never a silent guess; so is a ``nan`` or
+``inf`` field, which standardization would otherwise zero without a trace.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -131,6 +134,14 @@ def _standardize(A):
     return out
 
 
+def _check_finite(values, path, lineno):
+    """Raise DATASET_PARSE on the first NaN or Inf among parsed values."""
+    for v in values:
+        if not math.isfinite(v):
+            raise BenchError("DATASET_PARSE",
+                             f"{path}: line {lineno}: non-finite value {v!r}")
+
+
 def _load_csv(path, delimiter):
     rows = []
     width = None
@@ -153,10 +164,12 @@ def _load_csv(path, delimiter):
                     f"{path}: line {lineno}: expected {width} fields, got "
                     f"{len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                values = [float(p) for p in parts]
             except ValueError as exc:
                 raise BenchError("DATASET_PARSE",
                                  f"{path}: line {lineno}: {exc}")
+            _check_finite(values, path, lineno)
+            rows.append(values)
     if not rows:
         raise BenchError("DATASET_PARSE", f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
@@ -180,6 +193,7 @@ def _load_libsvm(path):
                 raise BenchError(
                     "DATASET_PARSE",
                     f"{path}: line {lineno}: bad label {parts[0]!r}")
+            _check_finite([labels[-1]], path, lineno)
             for token in parts[1:]:
                 if ":" not in token:
                     raise BenchError(
@@ -194,6 +208,7 @@ def _load_libsvm(path):
                     raise BenchError(
                         "DATASET_PARSE",
                         f"{path}: line {lineno}: bad feature {token!r}")
+                _check_finite([val], path, lineno)
                 if idx < 1:
                     raise BenchError(
                         "DATASET_PARSE",

@@ -86,7 +86,7 @@ def _run_cells(worker, cells, n_workers):
     """Evaluate ``worker(cell)`` over all cells, preserving cell order."""
     if n_workers <= 1 or len(cells) <= 1:
         return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
         return list(pool.map(worker, cells))
 
 

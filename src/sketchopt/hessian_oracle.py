@@ -169,6 +169,9 @@ class FiniteSumProblem:
         self.labels = np.asarray(self.labels, dtype=float)
         if self.A.ndim != 2 or self.labels.shape != (self.A.shape[0],):
             raise ValueError("FiniteSumProblem: A must be n x d with n labels")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.labels).all()):
+            raise ValueError("FiniteSumProblem: A and labels must be finite "
+                             "(found NaN or Inf)")
         if self.ridge_lambda < 0:
             raise ValueError("FiniteSumProblem: ridge_lambda must be >= 0")
 
@@ -253,40 +256,82 @@ def _plan_parts(sketch):
     return np.asarray(det, dtype=int), rows, np.asarray(weights)
 
 
+@dataclass(frozen=True)
+class SketchedHessian:
+    """The sketched Hessian at one iterate, gathered once for many products.
+
+    Holds the deterministic rows ``A_det`` (weight 1) and the sampled rows
+    ``A_rows`` of the design together with their coefficients w^2 * f''
+    (``c_det``, ``c_rows``), so a product only does the two small
+    matrix-vector passes.  Build it with ``sketched_hessian``.
+    """
+
+    n: int
+    ridge_lambda: float
+    A_det: np.ndarray
+    c_det: np.ndarray
+    A_rows: np.ndarray
+    c_rows: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        """Total number of rows t the sketch touches."""
+        return self.A_det.shape[0] + self.A_rows.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """lambda v + sum over both row sets of A_s^T (c_s * (A_s v)) / n."""
+        out = self.ridge_lambda * v
+        n = self.n
+        if self.A_det.shape[0]:
+            out = out + self.A_det.T @ (self.c_det * (self.A_det @ v)) / n
+        if self.A_rows.shape[0]:
+            out = out + self.A_rows.T @ (self.c_rows * (self.A_rows @ v)) / n
+        return out
+
+
+def sketched_hessian(problem: FiniteSumProblem, x, sketch,
+                     dvec=None) -> SketchedHessian:
+    """Gather the rows and w^2 f'' coefficients of ``sketch`` at iterate x.
+
+    ``sketch`` may be a SamplingSketch or a hybrid plan carrying both
+    deterministic rows (weight 1) and sampled picks.  The weighted rows fold
+    as w_j^2 * f''_{p_j} regardless of the curvature sign, so the operator is
+    real even where D^{1/2} would be imaginary.  If ``dvec`` (the d_diag
+    vector at x) is given, only slices of it are used; otherwise the needed
+    entries are evaluated locally.  Building charges no meter units: the
+    per-product charge of ``hessp_sketched`` covers the t rows touched.
+    """
+    x = np.asarray(x, dtype=float)
+    det, rows, weights = _plan_parts(sketch)
+
+    def _gather(idx):
+        Asub = problem.A[idx]
+        if dvec is not None:
+            return Asub, dvec[idx]
+        return Asub, problem.loss.f2(Asub @ x, problem.labels[idx])
+
+    A_det, c_det = _gather(det)
+    A_rows, d_rows = _gather(rows)
+    return SketchedHessian(n=problem.n, ridge_lambda=problem.ridge_lambda,
+                           A_det=A_det, c_det=c_det, A_rows=A_rows,
+                           c_rows=weights**2 * d_rows)
+
+
 def hessp_sketched(problem: FiniteSumProblem, x, v, sketch,
                    meter: OracleMeter | None = None, dvec=None) -> np.ndarray:
     """Sketched Hessian-vector product; charges ceil(2 t / n) units.
 
-    ``sketch`` may be a SamplingSketch or a hybrid plan carrying both
-    deterministic rows (weight 1) and sampled picks.  The weighted rows fold
-    as w_j^2 * f''_{p_j} regardless of the curvature sign, so the computation
-    is real even where D^{1/2} would be imaginary.  If ``dvec`` (the d_diag
-    vector at x) is given, only slices of it are used; otherwise the needed
-    entries are evaluated locally without an extra meter charge (the sketched
-    charge already covers the t rows touched).
+    ``sketch`` is either a SketchedHessian prepared by ``sketched_hessian``
+    (then ``x`` and ``dvec`` are ignored: the operator already holds the
+    iterate's curvature) or anything ``sketched_hessian`` accepts, in which
+    case the operator is built for this one product.
     """
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    det, rows, weights = _plan_parts(sketch)
-    n = problem.n
-    t_total = det.size + rows.size
-    _charge(meter, math.ceil(2 * t_total / n) if t_total else 0)
-    out = problem.ridge_lambda * v
-
-    def _rows_term(idx, w2):
-        Asub = problem.A[idx]
-        if dvec is not None:
-            dsub = dvec[idx]
-        else:
-            dsub = problem.loss.f2(Asub @ x, problem.labels[idx])
-        coef = w2 * dsub * (Asub @ v)
-        return Asub.T @ coef
-
-    if det.size:
-        out = out + _rows_term(det, 1.0) / n
-    if rows.size:
-        out = out + _rows_term(rows, weights**2) / n
-    return out
+    if not isinstance(sketch, SketchedHessian):
+        sketch = sketched_hessian(problem, x, sketch, dvec=dvec)
+    t_total = sketch.rows
+    _charge(meter, math.ceil(2 * t_total / problem.n) if t_total else 0)
+    return sketch.apply(v)
 
 
 def convex_ridge_lambda(problem: FiniteSumProblem, h: float | None = None) -> float:

@@ -29,6 +29,7 @@ from .hessian_oracle import (
     grad,
     hessp_full,
     hessp_sketched,
+    sketched_hessian,
     value,
 )
 from .hybrid_sampling import ls_det_fraction_plan
@@ -276,7 +277,8 @@ def _make_hessp(problem: FiniteSumProblem, x, config: OptConfig, seed,
                 meter: OracleMeter, cache: dict, trace: OptTrace):
     """Closure v -> H_sketched v at iterate x, charged to the meter."""
     if config.scheme == "full":
-        return lambda v: hessp_full(problem, x, v, meter=meter)
+        dvec = problem.loss.f2(problem.A @ x, problem.labels)
+        return lambda v: hessp_full(problem, x, v, meter=meter, dvec=dvec)
     if config.scheme == "ls-det":
         dvec = problem.d_diag(x, meter=meter)
         B = np.sqrt(np.abs(dvec))[:, None] * problem.A
@@ -291,18 +293,27 @@ def _make_hessp(problem: FiniteSumProblem, x, config: OptConfig, seed,
             B, budget=config.sample_size, fraction=config.ls_det_fraction,
             remainder_mode=config.remainder_mode, seed=seed,
         )
-        return lambda v: hessp_sketched(problem, x, v, plan, meter=meter,
-                                        dvec=dvec)
+        op = sketched_hessian(problem, x, plan, dvec=dvec)
+        return lambda v: hessp_sketched(problem, x, v, op, meter=meter)
     result = scheme_probabilities(problem, x, config.scheme, meter=meter,
                                   cache=cache)
     if result.fell_back:
         trace.flags.append(f"scheme_{config.scheme}_fell_back_to_uniform")
     sketch = build_sampling_sketch(result.probs, config.sample_size, seed=seed)
-    return lambda v: hessp_sketched(problem, x, v, sketch, meter=meter)
+    op = sketched_hessian(problem, x, sketch)
+    return lambda v: hessp_sketched(problem, x, v, op, meter=meter)
 
 
-def _spawned_seeds(config: OptConfig):
-    return np.random.SeedSequence(config.seed).spawn(config.max_outer)
+def _iteration_seed(root: np.random.SeedSequence, k: int):
+    """The seed of outer iteration k, equal to ``root.spawn(max_outer)[k-1]``.
+
+    Derived from the index rather than by a stateful ``spawn(1)``: trust
+    region draws a seed only when it rebuilds the sketch, and the skipped
+    indices must not shift the later children.
+    """
+    return np.random.SeedSequence(root.entropy,
+                                  spawn_key=root.spawn_key + (k - 1,),
+                                  pool_size=root.pool_size)
 
 
 def _within_budget(config: OptConfig, meter: OracleMeter) -> bool:
@@ -325,7 +336,7 @@ def newton_cg(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     meter = OracleMeter()
     trace = OptTrace(algorithm="newton_cg")
     cache: dict = {}
-    seeds = _spawned_seeds(config)
+    root = np.random.SeedSequence(config.seed)
     x = np.zeros(problem.d)
     F = value(problem, x, meter=meter)
     g = grad(problem, x, meter=meter)
@@ -340,7 +351,8 @@ def newton_cg(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
         if not _within_budget(config, meter):
             status = "budget"
             break
-        hp = _make_hessp(problem, x, config, seeds[k - 1], meter, cache, trace)
+        hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
+                         meter, cache, trace)
         p = cg_solve(hp, g, cap=config.inner_cap, tol=config.inner_tol)
         slope = float(p @ g)
         alpha = 1.0
@@ -379,7 +391,7 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     meter = OracleMeter()
     trace = OptTrace(algorithm="newton_mr")
     cache: dict = {}
-    seeds = _spawned_seeds(config)
+    root = np.random.SeedSequence(config.seed)
     x = np.zeros(problem.d)
     g = grad(problem, x, meter=meter)
     trace.record(0, meter.function_evals, value(problem, x),
@@ -394,7 +406,8 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
         if not _within_budget(config, meter):
             status = "budget"
             break
-        hp = _make_hessp(problem, x, config, seeds[k - 1], meter, cache, trace)
+        hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
+                         meter, cache, trace)
         p = minnorm_lsq(hp, g, cap=config.inner_cap, tol=config.inner_tol)
         slope = float(p @ np.asarray(hp(g)))
         gsq = float(g @ g)
@@ -435,7 +448,7 @@ def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     meter = OracleMeter()
     trace = OptTrace(algorithm="trust_region")
     cache: dict = {}
-    seeds = _spawned_seeds(config)
+    root = np.random.SeedSequence(config.seed)
     x = np.zeros(problem.d)
     F = value(problem, x, meter=meter)
     g = grad(problem, x, meter=meter)
@@ -457,8 +470,8 @@ def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
             trace.flags.append(f"radius_underflow_iter_{k}")
             break
         if hp is None:
-            hp = _make_hessp(problem, x, config, seeds[k - 1], meter, cache,
-                             trace)
+            hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
+                             meter, cache, trace)
         p = cg_steihaug(hp, g, delta, cap=config.inner_cap,
                         tol=config.inner_tol)
         m = float(g @ p + 0.5 * p @ np.asarray(hp(p)))

@@ -8,6 +8,8 @@ and the statistical behavior each experiment is meant to expose.
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,21 @@ class TestDatasets:
         with pytest.raises(BenchError, match="label"):
             load_dataset(frac, "csv")
 
+    def test_csv_nonfinite_field_rejected(self, tmp_path):
+        # standardization would zero a NaN column and the run would then
+        # report convergence at gradient norm 0
+        path = _write(tmp_path / "n.csv", "1,2,0\n3,nan,1\n5,6,0\n")
+        with pytest.raises(BenchError, match="line 2") as err:
+            load_dataset(path, "csv")
+        assert err.value.code == "DATASET_PARSE"
+
+    def test_libsvm_nonfinite_field_rejected(self, tmp_path):
+        for text in ("1 1:0.5\n0 1:inf\n", "inf 1:0.5\n0 1:1.0\n"):
+            path = _write(tmp_path / "n.svm", text)
+            with pytest.raises(BenchError) as err:
+                load_dataset(path, "libsvm")
+            assert err.value.code == "DATASET_PARSE"
+
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(BenchError) as err:
             load_dataset(tmp_path / "gone.csv", "csv")
@@ -304,6 +321,31 @@ class TestRunOptimize:
         # the errored trace file still exists, header-only
         trace = open(out / "trace_ls_seed0.csv").read().splitlines()
         assert len(trace) == 1 and trace[0].startswith("iter,")
+
+    def test_worker_threads_bounded_by_cell_count(self, monkeypatch):
+        from sketchopt.bench import runners as runners_mod
+
+        requested = []
+
+        class RecordingExecutor:
+            # runs the cells inline, so no thread is ever started
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runners_mod, "ThreadPoolExecutor",
+                            RecordingExecutor)
+        out = runners_mod._run_cells(lambda c: 2 * c, [1, 2, 3], 10_000)
+        assert out == [2, 4, 6]
+        assert requested == [3]
 
     def test_nonpositive_or_missing_sample_size_rejected_upfront(
             self, tmp_path):
@@ -498,6 +540,18 @@ class TestCli:
         rc = main(["scores", "--config", cfgp])
         assert rc != 0
         assert capsys.readouterr().err.startswith("ERROR DATASET_NOT_FOUND:")
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "sketchopt.bench.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgp = _write(tmp_path / "e.cfg",

@@ -4,6 +4,8 @@ Independent oracles: central finite differences of the loss, the gradient,
 and dense Monte Carlo means for sketched products.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from sketchopt.hessian_oracle import (
     hessp_full,
     hessp_sketched,
     make_loss,
+    sketched_hessian,
     value,
 )
 from sketchopt.sketch_sampling import (
@@ -217,6 +220,16 @@ def test_meter_hand_computed_script():
     assert meter.function_evals == 6
 
 
+def test_problem_rejects_nonfinite_data():
+    A = np.ones((3, 2))
+    labels = np.zeros(3)
+    for bad_A, bad_labels in ((np.where(np.eye(3, 2), np.nan, A), labels),
+                              (A, np.array([0.0, np.inf, 1.0]))):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSumProblem(A=bad_A, labels=bad_labels,
+                             loss=make_loss("quadratic"))
+
+
 def test_meter_monotone_and_rejects_negative():
     meter = OracleMeter()
     meter.add(3)
@@ -307,3 +320,89 @@ def test_sketched_product_with_hybrid_plan_maps_remainder_indices():
     expect = expect + A[det].T @ (dvec[det] * (A[det] @ v)) / 30
     expect = expect + A[picks].T @ (w2 * dvec[picks] * (A[picks] @ v)) / 30
     np.testing.assert_allclose(got, expect, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# prepared sketched-Hessian operator
+
+
+def _per_product_reference(problem, x, v, sketch, dvec=None):
+    """The per-product formula: gather rows and f'' afresh for every v."""
+    det = np.asarray(getattr(sketch, "deterministic_rows", np.empty(0, int)),
+                     dtype=int)
+    sampled = getattr(sketch, "sampled", sketch)
+    rows = np.asarray(sampled.rows, dtype=int)
+    remainder = getattr(sketch, "remainder", None)
+    if remainder is not None and rows.size:
+        rows = np.asarray(remainder, dtype=int)[rows]
+    n = problem.n
+    out = problem.ridge_lambda * v
+
+    def rows_term(idx, w2):
+        Asub = problem.A[idx]
+        if dvec is not None:
+            dsub = dvec[idx]
+        else:
+            dsub = problem.loss.f2(Asub @ x, problem.labels[idx])
+        return Asub.T @ (w2 * dsub * (Asub @ v))
+
+    if det.size:
+        out = out + rows_term(det, 1.0) / n
+    if rows.size:
+        out = out + rows_term(rows, np.asarray(sampled.weights) ** 2) / n
+    return out
+
+
+def _operator_cases():
+    from sketchopt.hybrid_sampling import ls_det_fraction_plan
+
+    rng = np.random.default_rng(78)
+    A = rng.standard_normal((40, 5))
+    A[7] *= 30.0
+    problem = FiniteSumProblem(
+        A=A, labels=rng.integers(0, 2, size=40).astype(float),
+        loss=make_loss("nlls_classification"), ridge_lambda=0.05,
+    )
+    probs = exact_leverage_scores(problem.A)
+    sketches = {"sampling": build_sampling_sketch(probs / probs.sum(), t=25,
+                                                  seed=3)}
+    for fraction in (0.0, 0.5, 1.0):
+        sketches[f"hybrid-{fraction}"] = ls_det_fraction_plan(
+            problem.A, budget=25, fraction=fraction, seed=4)
+    return problem, sketches
+
+
+def test_prepared_operator_matches_per_product_formula_bitwise():
+    problem, sketches = _operator_cases()
+    assert sketches["hybrid-1.0"].sampled.rows.size == 0
+    assert sketches["hybrid-0.0"].deterministic_rows.size == 0
+    rng = np.random.default_rng(79)
+    x = 0.3 * rng.standard_normal(problem.d)
+    dvec = d_diag(problem, x)
+    for name, sketch in sketches.items():
+        for dv in (None, dvec):
+            op = sketched_hessian(problem, x, sketch, dvec=dv)
+            for _ in range(3):
+                v = rng.standard_normal(problem.d)
+                expect = _per_product_reference(problem, x, v, sketch, dv)
+                assert np.array_equal(op.apply(v), expect), name
+                assert np.array_equal(
+                    hessp_sketched(problem, x, v, op), expect), name
+                assert np.array_equal(
+                    hessp_sketched(problem, x, v, sketch, dvec=dv),
+                    expect), name
+
+
+def test_prepared_operator_meter_charges_per_product_only():
+    problem, sketches = _operator_cases()
+    x = np.full(problem.d, 0.1)
+    v = np.ones(problem.d)
+    for name, sketch in sketches.items():
+        meter = OracleMeter()
+        op = sketched_hessian(problem, x, sketch)
+        assert meter.function_evals == 0
+        t = op.rows
+        assert t == 25, name
+        for calls in range(1, 4):
+            hessp_sketched(problem, x, v, op, meter=meter)
+            assert meter.function_evals == calls * math.ceil(2 * t / problem.n)

@@ -9,6 +9,7 @@ from sketchopt.hessian_oracle import (
     convex_ridge_lambda,
     make_loss,
 )
+from sketchopt import optimizers as optimizers_mod
 from sketchopt.optimizers import (
     OptConfig,
     OptTrace,
@@ -380,3 +381,97 @@ def test_ls_det_scheme_runs_end_to_end():
     assert trace.status in ("converged", "max_outer")
     F = accepted(trace, "objective")
     assert F[-1] < F[0]
+
+
+@pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "ls-det"])
+def test_iterate_operator_matches_per_product_oracles(scheme):
+    from sketchopt.hessian_oracle import OracleMeter, hessp_full, \
+        hessp_sketched
+
+    rng = np.random.default_rng(75)
+    problem = nlls_problem(rng, n=120, d=4, lam=0.01)
+    x = 0.5 * rng.standard_normal(4)
+    cfg = OptConfig(scheme=scheme, sample_size=30, ls_det_fraction=0.5)
+    seed = np.random.SeedSequence(3)
+    meter = OracleMeter()
+    hp = optimizers_mod._make_hessp(problem, x, cfg, seed, meter, {},
+                                    OptTrace("test"))
+    # the sketch the operator was built from, drawn again from the same seed
+    if scheme == "full":
+        def reference(v):
+            return hessp_full(problem, x, v)
+    elif scheme == "ls-det":
+        from sketchopt.hybrid_sampling import ls_det_fraction_plan
+        dvec = problem.d_diag(x)
+        plan = ls_det_fraction_plan(np.sqrt(np.abs(dvec))[:, None] * problem.A,
+                                    budget=30, fraction=0.5,
+                                    remainder_mode=cfg.remainder_mode,
+                                    seed=seed)
+
+        def reference(v):
+            return hessp_sketched(problem, x, v, plan, dvec=dvec)
+    else:
+        from sketchopt.sketch_sampling import (build_sampling_sketch,
+                                               scheme_probabilities)
+        probs = scheme_probabilities(problem, x, scheme).probs
+        sketch = build_sampling_sketch(probs, 30, seed=seed)
+
+        def reference(v):
+            return hessp_sketched(problem, x, v, sketch)
+    built = meter.function_evals
+    per_product = 2 if scheme == "full" else 1
+    for j in range(1, 4):
+        v = rng.standard_normal(4)
+        assert np.array_equal(hp(v), reference(v))
+        assert meter.function_evals == built + j * per_product
+
+
+# ---------------------------------------------------------------------------
+# per-iteration seeds
+# ---------------------------------------------------------------------------
+
+
+def test_iteration_seed_equals_eager_spawn():
+    max_outer = 300
+    for seed in (0, 9, 2**40):
+        root = np.random.SeedSequence(seed)
+        children = np.random.SeedSequence(seed).spawn(max_outer)
+        for k in range(1, max_outer + 1):
+            lazy = optimizers_mod._iteration_seed(root, k)
+            child = children[k - 1]
+            assert lazy.entropy == child.entropy
+            assert lazy.spawn_key == child.spawn_key
+            assert lazy.pool_size == child.pool_size
+            assert np.array_equal(lazy.generate_state(4),
+                                  child.generate_state(4))
+        assert root.n_children_spawned == 0
+
+
+def _trace_bytes(trace):
+    return (np.asarray(trace.rows(), dtype=float).tobytes(),
+            trace.x_final.tobytes(), trace.status, tuple(trace.flags))
+
+
+@pytest.mark.parametrize("algo, budget", [(newton_cg, 100), (newton_mr, 100),
+                                          (trust_region, 200)])
+def test_budget_stopped_trace_independent_of_max_outer(algo, budget,
+                                                       monkeypatch):
+    rng = np.random.default_rng(70)
+    problem = nlls_problem(rng, n=400, d=6, lam=0.01)
+    problem.labels[:40] = 1.0 - problem.labels[:40]
+    kw = dict(scheme="uniform", sample_size=8, grad_tol=1e-14,
+              tr_delta0=100.0, seed=1, max_oracle_calls=budget)
+    lazy = algo(problem, OptConfig(max_outer=100_000, **kw))
+    # reference: the seeds spawned eagerly, max_outer of them up front
+    cfg = OptConfig(max_outer=200, **kw)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.max_outer)
+    monkeypatch.setattr(optimizers_mod, "_iteration_seed",
+                        lambda root, k: children[k - 1])
+    eager = algo(problem, cfg)
+    assert lazy.status == "budget"
+    assert _trace_bytes(lazy) == _trace_bytes(eager)
+    if algo is trust_region:
+        # the sketch rebuilt after an accept that followed rejections
+        # draws a seed index past the skipped ones
+        flags = "".join("A" if a else "R" for a in lazy.accepted)
+        assert "RA" in flags[:-1]

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from ..hessian_oracle import FiniteSumProblem, convex_ridge_lambda, make_loss
 from ..lp_regression import complex_lp_solve, sketch_and_solve
 from ..optimizers import OptConfig, newton_cg, newton_mr, trust_region
-from ..sketch_sampling import (approx_leverage_scores, exact_leverage_scores,
+from ..sketch_sampling import (SAMPLING_SCHEMES, approx_leverage_scores,
+                               canonical_scheme, exact_leverage_scores,
                                scheme_probabilities)
 from ..vmv_sketch import estimate
 from .config import BenchError
@@ -35,7 +37,6 @@ __all__ = ["run_optimize", "run_lpreg", "run_vmv", "run_scores"]
 
 ALGORITHMS = {"newton_cg": newton_cg, "newton_mr": newton_mr,
               "trust_region": trust_region}
-SAMPLING_SCHEMES = ("uniform", "ls", "rn", "ls-mx", "rn-mx")
 
 # Named sub-streams of the master seed, so instances, solver cells, and
 # reference computations never share randomness.
@@ -124,25 +125,22 @@ def _pnorm(residual, p):
 
 
 def _parse_scheme_token(token):
-    """Split ``ls-det@0.25`` style tokens into (scheme, fraction)."""
-    token = token.strip().lower()
-    if "@" in token:
-        base, frac_s = token.split("@", 1)
-        if base != "ls-det":
-            raise BenchError("CONFIG_INVALID",
-                             f"scheme {token!r}: only ls-det takes @fraction")
-        try:
-            fraction = float(frac_s)
-        except ValueError:
-            raise BenchError("CONFIG_INVALID",
-                             f"scheme {token!r}: bad fraction {frac_s!r}")
-        if not 0.0 <= fraction <= 1.0:
-            raise BenchError("CONFIG_INVALID",
-                             f"scheme {token!r}: fraction must be in [0, 1]")
-        return base, fraction
-    if token not in ("full",) + SAMPLING_SCHEMES + ("ls-det",):
-        raise BenchError("CONFIG_INVALID", f"unknown scheme {token!r}")
-    return token, None
+    """Split ``ls-det@0.25`` style tokens into (scheme, fraction).
+
+    The scheme name and the fraction are checked by ``OptConfig``.
+    """
+    base, at, frac_s = token.partition("@")
+    if not at:
+        return base, None
+    if canonical_scheme(base) != "ls-det":
+        raise BenchError("CONFIG_INVALID",
+                         f"scheme {token!r}: only ls-det takes @fraction")
+    try:
+        fraction = float(frac_s)
+    except ValueError:
+        raise BenchError("CONFIG_INVALID",
+                         f"scheme {token!r}: bad fraction {frac_s!r}")
+    return base, fraction
 
 
 def _sanitize(token):
@@ -167,10 +165,13 @@ def run_optimize(config, master_seed, out_dir, svg=False):
 
     Config keys: ``dataset``, ``algorithm`` (newton_cg | newton_mr |
     trust_region), ``schemes`` (comma list; ``ls-det@F`` pins the
-    deterministic fraction), ``sample_size`` or a swept ``sample_sizes``
-    list, ``seeds``, ``loss``, ``lambda_policy`` (+ ``ridge_lambda`` /
-    ``lambda_scale``), and optimizer knobs ``max_outer``,
-    ``max_oracle_calls``, ``grad_tol``, ``inner_cap``, ``inner_tol``.
+    deterministic fraction; ``_`` and ``-`` are interchangeable),
+    ``sample_size`` or a swept ``sample_sizes`` list, ``seeds``, ``loss``,
+    ``lambda_policy`` (+ ``ridge_lambda`` / ``lambda_scale``), and optimizer
+    knobs ``max_outer``, ``max_oracle_calls``, ``grad_tol``, ``inner_cap``,
+    ``inner_tol``, ``tr_delta0``, ``tr_eta``, ``tr_gamma``.  Every cell's
+    ``OptConfig`` is built before any cell runs, so a bad scheme, size or
+    knob is a ``CONFIG_INVALID`` error rather than a column of error cells.
     """
     algorithm = config.get_str("algorithm", "newton_mr")
     if algorithm not in ALGORITHMS:
@@ -188,23 +189,9 @@ def run_optimize(config, master_seed, out_dir, svg=False):
     multi_size = "sample_sizes" in config.options
     sizes = (config.get_int_list("sample_sizes")
              if multi_size else [config.get_int("sample_size")])
-    scheme_tokens = config.schemes
-    parsed = [_parse_scheme_token(tok) for tok in scheme_tokens]
     size_key = "sample_sizes" if multi_size else "sample_size"
     if any(size is not None and size < 1 for size in sizes):
         raise BenchError("CONFIG_INVALID", f"key '{size_key}': must be >= 1")
-    if (any(scheme != "full" for scheme, _ in parsed)
-            and any(size is None for size in sizes)):
-        raise BenchError("CONFIG_INVALID",
-                         f"key '{size_key}': required by sampled schemes")
-    n_seeds = config.seeds
-
-    cells = []
-    for token, (scheme, fraction) in zip(scheme_tokens, parsed):
-        for size in sizes:
-            for seed_idx in range(n_seeds):
-                cells.append((token, scheme, fraction, size, seed_idx))
-
     opt_keys = dict(
         max_outer=config.get_int("max_outer", 100),
         max_oracle_calls=config.get_int("max_oracle_calls"),
@@ -215,17 +202,25 @@ def run_optimize(config, master_seed, out_dir, svg=False):
         tr_eta=config.get_float("tr_eta", 0.8),
         tr_gamma=config.get_float("tr_gamma", 1.2),
     )
+    cells = []
+    for token in config.schemes:
+        scheme, fraction = _parse_scheme_token(token)
+        keys = dict(opt_keys, scheme=scheme)
+        if fraction is not None:
+            keys["ls_det_fraction"] = fraction
+        for size in sizes:
+            try:
+                oc = OptConfig(sample_size=size, **keys)
+            except ValueError as exc:
+                raise BenchError("CONFIG_INVALID", str(exc))
+            cells += [(token, oc, size, seed_idx)
+                      for seed_idx in range(config.seeds)]
 
     def worker(indexed):
-        index, (token, scheme, fraction, size, seed_idx) = indexed
+        index, (token, oc, size, seed_idx) = indexed
         cell_seed = _derived_seed(master_seed, _STREAM_CELL, index)
-        kwargs = dict(opt_keys)
-        if fraction is not None:
-            kwargs["ls_det_fraction"] = fraction
         try:
-            oc = OptConfig(scheme=scheme, sample_size=size, seed=cell_seed,
-                           **kwargs)
-            trace = runner(problem, oc)
+            trace = runner(problem, replace(oc, seed=cell_seed))
             if not all(np.isfinite(row).all() for row in trace.rows()):
                 return ("error_NONFINITE", [])
             return (trace.status, trace.rows())
@@ -239,8 +234,7 @@ def run_optimize(config, master_seed, out_dir, svg=False):
     trace_header = ["iter", "oracle_calls", "objective", "grad_norm",
                     "step_or_radius", "accepted"]
     summary_rows = []
-    for (token, scheme, fraction, size, seed_idx), (status, rows) in zip(
-            cells, results):
+    for (token, _, size, seed_idx), (status, rows) in zip(cells, results):
         name = f"trace_{_sanitize(token)}"
         if multi_size:
             name += f"_m{size}"
@@ -263,8 +257,7 @@ def run_optimize(config, master_seed, out_dir, svg=False):
 
     if svg:
         series = []
-        for (token, scheme, fraction, size, seed_idx), path in zip(
-                cells, written):
+        for (token, _, size, seed_idx), path in zip(cells, written):
             _, rows = _read_csv(path)
             if not rows:
                 continue
@@ -474,22 +467,19 @@ def run_scores(config, master_seed, out_dir, svg=False):
     ratio = np.where(both_zero, 1.0,
                      approx / np.maximum(exact, 1e-300))
 
-    probs = {}
-    for scheme in SAMPLING_SCHEMES:
-        probs[scheme] = scheme_probabilities(problem, x0, scheme).probs
+    probs = {scheme: scheme_probabilities(problem, x0, scheme).probs
+             for scheme in SAMPLING_SCHEMES}
 
-    rows = []
-    for i in range(problem.n):
-        rows.append([i, exact[i], approx[i], ratio[i],
-                     probs["uniform"][i], probs["ls"][i], probs["rn"][i],
-                     probs["ls-mx"][i], probs["rn-mx"][i]])
+    rows = [[i, exact[i], approx[i], ratio[i]]
+            + [probs[scheme][i] for scheme in SAMPLING_SCHEMES]
+            for i in range(problem.n)]
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "scores.csv")
     written = [_write_csv(
         path,
-        ["row", "exact", "approx", "ratio", "p_uniform", "p_ls", "p_rn",
-         "p_ls_mx", "p_rn_mx"],
+        ["row", "exact", "approx", "ratio"]
+        + ["p_" + scheme.replace("-", "_") for scheme in SAMPLING_SCHEMES],
         rows)]
 
     if svg:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .core_complex import lift_matrix, phi, unphi
-from .sketch_sampling import _rng
+from .sketch_sampling import _rng, exact_leverage_scores, span_basis
 
 __all__ = [
     "BlockSketch",
@@ -200,17 +200,8 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     if not (1.0 <= p < np.inf):
         raise ValueError("lp_leverage_scores: p must be finite and >= 1")
     n, k = M.shape
-
-    def _span_basis():
-        U, sv, _ = np.linalg.svd(M, full_matrices=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return U[:, :0]
-        rank = int(np.sum(sv > max(n, k) * np.finfo(float).eps * sv[0]))
-        return U[:, :rank]
-
     if p == 2.0:
-        U = _span_basis()
-        return np.sum(U * U, axis=1)
+        return exact_leverage_scores(M)
 
     if embed_rows is None:
         embed_rows = 4 * k
@@ -219,7 +210,7 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     R = np.linalg.qr(S @ M, mode="r")
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
-        U = _span_basis()
+        U = span_basis(M)
     else:
         U = np.linalg.solve(R.T, M.T).T
     return np.sum(np.abs(U) ** p, axis=1)

@@ -1,19 +1,23 @@
 """Newton-type optimizers driven by full or sketched Hessian-vector products.
 
-Three outer loops share one configuration type and one trace type:
+One outer-loop driver, ``_drive``, runs the three solvers under one
+configuration type and one trace type.  It owns the oracle meter, the
+trace, the per-iteration seeds, the grad_tol and budget stops and the final
+status, and builds the Hessian operator at the current iterate, from the
+configured scheme, when a step first asks for it.  Each solver supplies only
+its step-and-accept rule:
 
-- ``newton_cg``: conjugate-gradient Newton steps with Armijo backtracking on
-  the objective.
-- ``newton_mr``: minimum-norm least-squares steps (suitable for indefinite or
-  singular Hessians) with backtracking on the squared gradient norm.
-- ``trust_region``: CG-Steihaug subproblem steps with ratio-based
-  accept/reject and geometric radius updates.
+- ``newton_cg``: a conjugate-gradient Newton step with Armijo backtracking
+  on the objective.
+- ``newton_mr``: a minimum-norm least-squares step (suitable for indefinite
+  or singular Hessians) with backtracking on the squared gradient norm.
+- ``trust_region``: a CG-Steihaug step with ratio-based accept/reject and
+  geometric radius updates.  A rejected step keeps the iterate and so its
+  operator, and the acceptance ratio compares like with like.
 
-Each outer iteration rebuilds the Hessian sketch at the current iterate from
-the configured sampling scheme (rejected trust-region steps reuse the sketch
-so the acceptance ratio compares like with like).  All oracle work is charged
-to an OracleMeter in function-evaluation units; traces record the cumulative
-meter alongside objective and gradient-norm values.
+All oracle work is charged to an OracleMeter in function-evaluation units;
+traces record the cumulative meter alongside objective and gradient-norm
+values.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ from .hessian_oracle import (
     sketched_hessian,
     value,
 )
-from .hybrid_sampling import ls_det_fraction_plan
-from .sketch_sampling import build_sampling_sketch, scheme_probabilities
-
-_SAMPLING_SCHEMES = ("uniform", "ls", "rn", "ls-mx", "rn-mx")
-_ALL_SCHEMES = ("full",) + _SAMPLING_SCHEMES + ("ls-det",)
+from .hybrid_sampling import _REMAINDER_MODES, ls_det_fraction_plan
+from .sketch_sampling import (SAMPLING_SCHEMES, build_sampling_sketch,
+                              canonical_scheme, scheme_probabilities)
 
 _MAX_HALVINGS = 30
 _RADIUS_FLOOR = 1e-16
@@ -44,12 +46,13 @@ _RADIUS_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Shared knobs for the three outer loops.
+    """Shared knobs for the three solvers.
 
     ``scheme`` picks the Hessian estimator: "full" (exact products), one of
     the sampling schemes ("uniform", "ls", "rn", "ls-mx", "rn-mx"), or
     "ls-det" (deterministic top-leverage rows plus sampled remainder, split
-    by ``ls_det_fraction``).  Sampling schemes require ``sample_size``.
+    by ``ls_det_fraction``), spelled as by ``canonical_scheme`` (``_``
+    reads as ``-``).  Sampling schemes require ``sample_size``.
     """
 
     scheme: str = "full"
@@ -69,10 +72,10 @@ class OptConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        scheme = self.scheme.strip().lower().replace("_", "-")
-        object.__setattr__(self, "scheme", scheme)
-        if scheme not in _ALL_SCHEMES:
+        scheme = canonical_scheme(self.scheme)
+        if scheme not in ("full", "ls-det") + SAMPLING_SCHEMES:
             raise ValueError(f"OptConfig: unknown scheme {self.scheme!r}")
+        object.__setattr__(self, "scheme", scheme)
         if scheme != "full" and (self.sample_size is None or self.sample_size < 1):
             raise ValueError(
                 f"OptConfig: scheme {scheme!r} requires sample_size >= 1"
@@ -81,12 +84,23 @@ class OptConfig:
             raise ValueError("OptConfig: line_search_rho must be in (0, 1)")
         if not 0.0 < self.tr_eta < 1.0:
             raise ValueError("OptConfig: tr_eta must be in (0, 1)")
-        if self.tr_gamma <= 1.0:
+        if not self.tr_gamma > 1.0:
             raise ValueError("OptConfig: tr_gamma must be > 1")
+        if not (math.isfinite(self.tr_delta0) and self.tr_delta0 > 0.0):
+            raise ValueError("OptConfig: tr_delta0 must be finite and > 0")
         if self.max_outer < 1:
             raise ValueError("OptConfig: max_outer must be >= 1")
+        if self.inner_cap < 1:
+            raise ValueError("OptConfig: inner_cap must be >= 1")
+        for name in ("inner_tol", "grad_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ValueError(f"OptConfig: {name} must be finite and >= 0")
         if not 0.0 <= self.ls_det_fraction <= 1.0:
             raise ValueError("OptConfig: ls_det_fraction must be in [0, 1]")
+        if self.remainder_mode not in _REMAINDER_MODES:
+            raise ValueError("OptConfig: remainder_mode must be one of "
+                             f"{_REMAINDER_MODES}")
 
 
 @dataclass
@@ -316,14 +330,98 @@ def _iteration_seed(root: np.random.SeedSequence, k: int):
                                   pool_size=root.pool_size)
 
 
-def _within_budget(config: OptConfig, meter: OracleMeter) -> bool:
-    return (config.max_oracle_calls is None
-            or meter.function_evals < config.max_oracle_calls)
+# ---------------------------------------------------------------------------
+# the outer-loop driver and its step rules
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# outer loops
-# ---------------------------------------------------------------------------
+class _Run:
+    """One solver run: the current iterate plus what a step rule needs."""
+
+    def __init__(self, problem: FiniteSumProblem, config: OptConfig,
+                 algorithm: str, charge_objective: bool):
+        self.problem = problem
+        self.config = config
+        self.meter = OracleMeter()
+        self.trace = OptTrace(algorithm=algorithm)
+        self.x = np.zeros(problem.d)
+        self.F = value(problem, self.x,
+                       meter=self.meter if charge_objective else None)
+        self.g = grad(problem, self.x, meter=self.meter)
+        self._root = np.random.SeedSequence(config.seed)
+        self._cache: dict = {}
+        self._hp = None
+
+    def hessp(self, k: int):
+        """The Hessian operator at the current iterate, built on first use
+        with the seed of iteration k."""
+        if self._hp is None:
+            self._hp = _make_hessp(self.problem, self.x, self.config,
+                                   _iteration_seed(self._root, k), self.meter,
+                                   self._cache, self.trace)
+        return self._hp
+
+    def move(self, x, F: float, g) -> None:
+        self.x, self.F, self.g = x, F, g
+        self._hp = None
+
+    def record(self, k: int, step_or_radius: float, accepted: bool) -> None:
+        self.trace.record(k, self.meter.function_evals, self.F,
+                          np.linalg.norm(self.g), step_or_radius, accepted)
+        if self.config.keep_iterates:
+            self.trace.iterates.append(self.x.copy())
+
+
+def _drive(problem: FiniteSumProblem, config: OptConfig, algorithm: str, step,
+           initial_step: float = 0.0,
+           charge_objective: bool = True) -> OptTrace:
+    """The outer loop shared by the three solvers.
+
+    Starts at x = 0 and, before every iteration k, stops on ``grad_tol`` or
+    on the oracle budget.  ``step(run, k)`` then either returns the
+    ``(step_or_radius, accepted)`` pair to record for iteration k, or the
+    status that ends the run.  A run that uses all ``max_outer`` iterations
+    and ends within ``grad_tol`` counts as converged.
+    """
+    run = _Run(problem, config, algorithm, charge_objective)
+    run.record(0, initial_step, True)
+    status = "max_outer"
+    for k in range(1, config.max_outer + 1):
+        if np.linalg.norm(run.g) <= config.grad_tol:
+            status = "converged"
+            break
+        if (config.max_oracle_calls is not None
+                and run.meter.function_evals >= config.max_oracle_calls):
+            status = "budget"
+            break
+        outcome = step(run, k)
+        if isinstance(outcome, str):
+            status = outcome
+            break
+        run.record(k, *outcome)
+    if status == "max_outer" and np.linalg.norm(run.g) <= config.grad_tol:
+        status = "converged"
+    run.trace.status = status
+    run.trace.x_final = run.x
+    return run.trace
+
+
+def _backtrack(run: _Run, k: int, p, evaluate, sufficient):
+    """Backtracking line search from the current iterate along p.
+
+    Tries alpha = 1, 1/2, ... (30 halvings) and returns ``(alpha, out)`` for
+    the first alpha with ``sufficient(alpha, out)``, where
+    ``out = evaluate(x + alpha p)``.  Returns None, and flags the trace, when
+    every halving fails.
+    """
+    alpha = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        out = evaluate(run.x + alpha * p)
+        if sufficient(alpha, out):
+            return alpha, out
+        alpha *= 0.5
+    run.trace.flags.append(f"line_search_exhausted_iter_{k}")
+    return None
 
 
 def newton_cg(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
@@ -333,51 +431,22 @@ def newton_cg(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     line-search exhaustion (30 halvings).  Accepted objective values are
     non-increasing by the Armijo condition.
     """
-    meter = OracleMeter()
-    trace = OptTrace(algorithm="newton_cg")
-    cache: dict = {}
-    root = np.random.SeedSequence(config.seed)
-    x = np.zeros(problem.d)
-    F = value(problem, x, meter=meter)
-    g = grad(problem, x, meter=meter)
-    trace.record(0, meter.function_evals, F, np.linalg.norm(g), 0.0, True)
-    if config.keep_iterates:
-        trace.iterates.append(x.copy())
-    status = "max_outer"
-    for k in range(1, config.max_outer + 1):
-        if np.linalg.norm(g) <= config.grad_tol:
-            status = "converged"
-            break
-        if not _within_budget(config, meter):
-            status = "budget"
-            break
-        hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
-                         meter, cache, trace)
-        p = cg_solve(hp, g, cap=config.inner_cap, tol=config.inner_tol)
-        slope = float(p @ g)
-        alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            F_new = value(problem, x + alpha * p, meter=meter)
-            if F_new <= F + config.line_search_rho * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            status = "line_search_failed"
-            trace.flags.append(f"line_search_exhausted_iter_{k}")
-            break
-        x = x + alpha * p
-        F = F_new
-        g = grad(problem, x, meter=meter)
-        trace.record(k, meter.function_evals, F, np.linalg.norm(g), alpha, True)
-        if config.keep_iterates:
-            trace.iterates.append(x.copy())
-    if status == "max_outer" and np.linalg.norm(g) <= config.grad_tol:
-        status = "converged"
-    trace.status = status
-    trace.x_final = x
-    return trace
+    def step(run, k):
+        p = cg_solve(run.hessp(k), run.g, cap=config.inner_cap,
+                     tol=config.inner_tol)
+        slope = float(p @ run.g)
+        found = _backtrack(
+            run, k, p, lambda y: value(problem, y, meter=run.meter),
+            lambda alpha, F_new:
+                F_new <= run.F + config.line_search_rho * alpha * slope)
+        if found is None:
+            return "line_search_failed"
+        alpha, F_new = found
+        x = run.x + alpha * p
+        run.move(x, F_new, grad(problem, x, meter=run.meter))
+        return alpha, True
+
+    return _drive(problem, config, "newton_cg", step)
 
 
 def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
@@ -388,53 +457,23 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     norms never increase.  Objective values are recorded for the trace
     without charging the meter (the algorithm itself never consumes F).
     """
-    meter = OracleMeter()
-    trace = OptTrace(algorithm="newton_mr")
-    cache: dict = {}
-    root = np.random.SeedSequence(config.seed)
-    x = np.zeros(problem.d)
-    g = grad(problem, x, meter=meter)
-    trace.record(0, meter.function_evals, value(problem, x),
-                 np.linalg.norm(g), 0.0, True)
-    if config.keep_iterates:
-        trace.iterates.append(x.copy())
-    status = "max_outer"
-    for k in range(1, config.max_outer + 1):
-        if np.linalg.norm(g) <= config.grad_tol:
-            status = "converged"
-            break
-        if not _within_budget(config, meter):
-            status = "budget"
-            break
-        hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
-                         meter, cache, trace)
-        p = minnorm_lsq(hp, g, cap=config.inner_cap, tol=config.inner_tol)
-        slope = float(p @ np.asarray(hp(g)))
-        gsq = float(g @ g)
-        alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            g_new = grad(problem, x + alpha * p, meter=meter)
-            if float(g_new @ g_new) <= gsq + 2.0 * config.line_search_rho \
-                    * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            status = "line_search_failed"
-            trace.flags.append(f"line_search_exhausted_iter_{k}")
-            break
-        x = x + alpha * p
-        g = g_new
-        trace.record(k, meter.function_evals, value(problem, x),
-                     np.linalg.norm(g), alpha, True)
-        if config.keep_iterates:
-            trace.iterates.append(x.copy())
-    if status == "max_outer" and np.linalg.norm(g) <= config.grad_tol:
-        status = "converged"
-    trace.status = status
-    trace.x_final = x
-    return trace
+    def step(run, k):
+        hp = run.hessp(k)
+        p = minnorm_lsq(hp, run.g, cap=config.inner_cap, tol=config.inner_tol)
+        slope = float(p @ np.asarray(hp(run.g)))
+        gsq = float(run.g @ run.g)
+        found = _backtrack(
+            run, k, p, lambda y: grad(problem, y, meter=run.meter),
+            lambda alpha, g_new: float(g_new @ g_new)
+                <= gsq + 2.0 * config.line_search_rho * alpha * slope)
+        if found is None:
+            return "line_search_failed"
+        alpha, g_new = found
+        x = run.x + alpha * p
+        run.move(x, value(problem, x), g_new)
+        return alpha, True
+
+    return _drive(problem, config, "newton_mr", step, charge_objective=False)
 
 
 def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
@@ -445,58 +484,29 @@ def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     new iterate, rejections shrink the radius and reuse the sketch.  A radius
     below 1e-16 terminates with status "radius_underflow".
     """
-    meter = OracleMeter()
-    trace = OptTrace(algorithm="trust_region")
-    cache: dict = {}
-    root = np.random.SeedSequence(config.seed)
-    x = np.zeros(problem.d)
-    F = value(problem, x, meter=meter)
-    g = grad(problem, x, meter=meter)
     delta = config.tr_delta0
-    trace.record(0, meter.function_evals, F, np.linalg.norm(g), delta, True)
-    if config.keep_iterates:
-        trace.iterates.append(x.copy())
-    hp = None
-    status = "max_outer"
-    for k in range(1, config.max_outer + 1):
-        if np.linalg.norm(g) <= config.grad_tol:
-            status = "converged"
-            break
-        if not _within_budget(config, meter):
-            status = "budget"
-            break
+
+    def step(run, k):
+        nonlocal delta
         if delta < _RADIUS_FLOOR:
-            status = "radius_underflow"
-            trace.flags.append(f"radius_underflow_iter_{k}")
-            break
-        if hp is None:
-            hp = _make_hessp(problem, x, config, _iteration_seed(root, k),
-                             meter, cache, trace)
-        p = cg_steihaug(hp, g, delta, cap=config.inner_cap,
+            run.trace.flags.append(f"radius_underflow_iter_{k}")
+            return "radius_underflow"
+        hp = run.hessp(k)
+        p = cg_steihaug(hp, run.g, delta, cap=config.inner_cap,
                         tol=config.inner_tol)
-        m = float(g @ p + 0.5 * p @ np.asarray(hp(p)))
-        F_new = value(problem, x + p, meter=meter)
-        rho, degenerate = model_reduction_ratio(F_new - F, m,
-                                                float(np.linalg.norm(p)))
+        m = float(run.g @ p + 0.5 * p @ np.asarray(hp(p)))
+        F_new = value(problem, run.x + p, meter=run.meter)
+        p_norm = float(np.linalg.norm(p))
+        rho, degenerate = model_reduction_ratio(F_new - run.F, m, p_norm)
         if degenerate:
-            trace.flags.append(f"degenerate_model_iter_{k}")
+            run.trace.flags.append(f"degenerate_model_iter_{k}")
         if rho >= config.tr_eta:
-            if np.linalg.norm(p) > 0.0:
-                x = x + p
-                F = F_new
-                g = grad(problem, x, meter=meter)
-                hp = None
+            if p_norm > 0.0:
+                x = run.x + p
+                run.move(x, F_new, grad(problem, x, meter=run.meter))
             delta *= config.tr_gamma
-            trace.record(k, meter.function_evals, F, np.linalg.norm(g),
-                         delta, True)
-        else:
-            delta /= config.tr_gamma
-            trace.record(k, meter.function_evals, F, np.linalg.norm(g),
-                         delta, False)
-        if config.keep_iterates:
-            trace.iterates.append(x.copy())
-    if status == "max_outer" and np.linalg.norm(g) <= config.grad_tol:
-        status = "converged"
-    trace.status = status
-    trace.x_final = x
-    return trace
+            return delta, True
+        delta /= config.tr_gamma
+        return delta, False
+
+    return _drive(problem, config, "trust_region", step, initial_step=delta)

@@ -17,6 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from .core_complex import qr, spectral_norm, svd
+from .hessian_oracle import _charge
+
+#: The row-sampling schemes of ``scheme_probabilities``, canonically spelled.
+SAMPLING_SCHEMES = ("uniform", "ls", "rn", "ls-mx", "rn-mx")
 
 
 @dataclass
@@ -53,20 +57,28 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def exact_leverage_scores(B) -> np.ndarray:
-    """Row leverage scores l_i = ||U_i||^2 from the thin SVD of B.
+def span_basis(B) -> np.ndarray:
+    """Orthonormal basis of range(B): the rank-truncated thin-SVD factor U.
 
-    Equivalently diag(B (B*B)^+ B*); entries lie in [0, 1] and sum to rank(B).
-    Rank deficiency is handled by dropping singular values below the standard
-    cutoff max(sigma) * max(n, d) * eps.
+    Singular values at or below the standard cutoff
+    max(sigma) * max(n, d) * eps count as zero; a zero matrix has an empty
+    (n x 0) basis.
     """
     B = np.asarray(B)
     U, sigma, _ = svd(B)
     if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros(B.shape[0])
+        return U[:, :0]
     cutoff = sigma[0] * max(B.shape) * np.finfo(np.float64).eps
-    rank = int(np.count_nonzero(sigma > cutoff))
-    return np.sum(np.abs(U[:, :rank]) ** 2, axis=1)
+    return U[:, :int(np.count_nonzero(sigma > cutoff))]
+
+
+def exact_leverage_scores(B) -> np.ndarray:
+    """Row leverage scores l_i = ||U_i||^2 from the thin SVD of B.
+
+    Equivalently diag(B (B*B)^+ B*); entries lie in [0, 1] and sum to rank(B).
+    U is the rank-truncated ``span_basis`` of B.
+    """
+    return np.sum(np.abs(span_basis(B)) ** 2, axis=1)
 
 
 def approx_leverage_scores(B, embed_rows: int | None = None,
@@ -132,22 +144,10 @@ def apply_sketch(S: SamplingSketch, B) -> np.ndarray:
     return S.weights[:, None] * B[S.rows]
 
 
-_SCHEME_ALIASES = {
-    "uniform": "uniform",
-    "ls": "ls",
-    "rn": "rn",
-    "ls-mx": "ls-mx",
-    "ls_mx": "ls-mx",
-    "rn-mx": "rn-mx",
-    "rn_mx": "rn-mx",
-}
-
-
 def canonical_scheme(scheme: str) -> str:
-    key = scheme.strip().lower()
-    if key not in _SCHEME_ALIASES:
-        raise ValueError(f"unknown sampling scheme {scheme!r}")
-    return _SCHEME_ALIASES[key]
+    """A scheme name as the library spells it: trimmed, lower-case, and with
+    ``_`` read as ``-`` (so ``LS_MX`` names ``ls-mx``)."""
+    return scheme.strip().lower().replace("_", "-")
 
 
 def scheme_probabilities(problem, x, scheme: str, meter=None,
@@ -169,7 +169,9 @@ def scheme_probabilities(problem, x, scheme: str, meter=None,
     evaluation charges itself).  ``cache`` persists the x-independent pieces
     (leverage/row norms of A) across outer iterations.
     """
-    scheme = canonical_scheme(scheme)
+    name, scheme = scheme, canonical_scheme(scheme)
+    if scheme not in SAMPLING_SCHEMES:
+        raise ValueError(f"unknown sampling scheme {name!r}")
     A = problem.A
     n, d = A.shape
     if scheme == "uniform":
@@ -202,11 +204,6 @@ def scheme_probabilities(problem, x, scheme: str, meter=None,
         )
         return SchemeResult(np.full(n, 1.0 / n), scheme, fell_back=True)
     return SchemeResult(scores / total, scheme)
-
-
-def _charge(meter, units: int) -> None:
-    if meter is not None:
-        meter.add(units)
 
 
 def _cached_row_sqnorms(A, cache: dict) -> np.ndarray:

@@ -374,6 +374,21 @@ class TestRunOptimize:
         with pytest.raises(BenchError):
             run_optimize(_optimize_config(schemes="full,magic"), 0,
                          tmp_path / "z")
+        # optimizer keys are checked once, before any cell runs
+        for key, bad in (("tr_delta0", "-1"), ("tr_delta0", "nan"),
+                         ("inner_cap", "0"), ("grad_tol", "nan"),
+                         ("inner_tol", "-1"), ("tr_gamma", "1")):
+            out = tmp_path / f"bad_{key}_{bad}"
+            with pytest.raises(BenchError) as excinfo:
+                run_optimize(_optimize_config(**{key: bad}), 0, out)
+            assert excinfo.value.code == "CONFIG_INVALID"
+            assert not out.exists()
+        # "_" and "-" are interchangeable in scheme tokens
+        paths = run_optimize(_optimize_config(schemes="ls_mx", seeds="1"), 0,
+                             tmp_path / "mx")
+        summary = open(paths[-1]).read().splitlines()
+        assert summary[1].split(",")[:2] == ["ls_mx", "newton_mr"]
+        assert not summary[1].split(",")[3].startswith("error")
 
     def test_sample_size_sweep_names_files_by_size(self, tmp_path):
         cfg = _optimize_config(schemes="ls", seeds="1")

@@ -214,6 +214,17 @@ def test_config_validation():
         OptConfig(scheme="ls")  # sampling scheme without sample_size
     with pytest.raises(ValueError):
         OptConfig(scheme="nonsense", sample_size=10)
+    for bad in (dict(tr_delta0=-1.0), dict(tr_delta0=0.0),
+                dict(tr_delta0=float("nan")), dict(tr_delta0=float("inf")),
+                dict(inner_cap=0), dict(inner_tol=-1e-8),
+                dict(inner_tol=float("nan")), dict(grad_tol=float("nan")),
+                dict(grad_tol=float("inf")), dict(grad_tol=-1.0),
+                dict(tr_gamma=float("nan")), dict(remainder_mode="bogus")):
+        with pytest.raises(ValueError):
+            OptConfig(**bad)
+    # zero tolerances stay legal; "_" reads as "-" in scheme names
+    OptConfig(grad_tol=0.0, inner_tol=0.0)
+    assert OptConfig(scheme=" LS_MX ", sample_size=10).scheme == "ls-mx"
 
 
 def test_model_reduction_ratio_degenerate_rule():
@@ -322,6 +333,22 @@ def test_trust_region_rejections_keep_objective_and_shrink_radius():
     assert all(b <= a + 1e-15 for a, b in zip(F, F[1:]))
 
 
+def test_trust_region_radius_underflow_after_rejections():
+    rng = np.random.default_rng(70)
+    problem = nlls_problem(rng, n=200, d=4, lam=0.0)
+    problem.labels[:40] = 1.0 - problem.labels[:40]
+    trace = trust_region(problem, OptConfig(tr_gamma=10.0, grad_tol=0.0))
+    assert trace.status == "radius_underflow"
+    assert trace.iteration == list(range(34))
+    assert trace.flags == ["radius_underflow_iter_34"]
+    assert trace.step_or_radius[-1] < 1e-16 <= trace.step_or_radius[-2]
+    pattern = "".join("A" if a else "R" for a in trace.accepted)
+    assert pattern.endswith("R" * 9) and "RA" in pattern
+    for i, a in enumerate(trace.accepted):
+        if not a:
+            assert trace.objective[i] == trace.objective[i - 1]
+
+
 # ---------------------------------------------------------------------------
 # shared trace invariants
 # ---------------------------------------------------------------------------
@@ -354,6 +381,20 @@ def test_budget_cutoff_overshoots_at_most_one_iteration():
         assert len(trace.oracle_calls) >= 2
         # every record but the last was within budget
         assert trace.oracle_calls[-2] <= 40
+
+
+def test_kept_iterates_match_records():
+    rng = np.random.default_rng(70)
+    problem = nlls_problem(rng, n=400, d=6, lam=0.01)
+    problem.labels[:40] = 1.0 - problem.labels[:40]
+    for kw in (dict(grad_tol=1e-6, max_outer=30),
+               dict(grad_tol=1e-14, max_outer=500, max_oracle_calls=60)):
+        for trace in run_all_three(problem, scheme="uniform", sample_size=8,
+                                   tr_delta0=100.0, seed=1,
+                                   keep_iterates=True, **kw):
+            assert len(trace.iterates) == len(trace.iteration)
+            assert np.array_equal(trace.iterates[0], np.zeros(6))
+            assert np.array_equal(trace.iterates[-1], trace.x_final)
 
 
 def test_identical_seed_identical_trace():

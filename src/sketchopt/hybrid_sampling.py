@@ -21,7 +21,7 @@ from .sketch_sampling import (
     exact_leverage_scores,
 )
 
-_REMAINDER_MODES = ("uniform", "leverage")
+REMAINDER_MODES = ("uniform", "leverage")
 
 
 @dataclass
@@ -94,9 +94,9 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
         raise ValueError("ls_det_sample: threshold must be positive")
     if sample_count < 1:
         raise ValueError("ls_det_sample: sample_count must be >= 1")
-    if remainder_mode not in _REMAINDER_MODES:
+    if remainder_mode not in REMAINDER_MODES:
         raise ValueError(
-            f"ls_det_sample: remainder_mode must be one of {_REMAINDER_MODES}"
+            f"ls_det_sample: remainder_mode must be one of {REMAINDER_MODES}"
         )
     cap = 2 * d if cap is None else int(cap)
     if cap < 1:
@@ -150,9 +150,9 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
         raise ValueError("ls_det_fraction_plan: budget must be >= 1")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("ls_det_fraction_plan: fraction must be in [0, 1]")
-    if remainder_mode not in _REMAINDER_MODES:
+    if remainder_mode not in REMAINDER_MODES:
         raise ValueError(
-            f"ls_det_fraction_plan: remainder_mode must be one of {_REMAINDER_MODES}"
+            f"ls_det_fraction_plan: remainder_mode must be one of {REMAINDER_MODES}"
         )
     k = int(round(fraction * budget))
     k = min(k, n)

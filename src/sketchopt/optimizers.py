@@ -36,7 +36,7 @@ from .hessian_oracle import (
     sketched_hessian,
     value,
 )
-from .hybrid_sampling import _REMAINDER_MODES, ls_det_fraction_plan
+from .hybrid_sampling import REMAINDER_MODES, ls_det_fraction_plan
 from .sketch_sampling import (SAMPLING_SCHEMES, build_sampling_sketch,
                               canonical_scheme, scheme_probabilities)
 
@@ -84,8 +84,8 @@ class OptConfig:
             raise ValueError("OptConfig: line_search_rho must be in (0, 1)")
         if not 0.0 < self.tr_eta < 1.0:
             raise ValueError("OptConfig: tr_eta must be in (0, 1)")
-        if not self.tr_gamma > 1.0:
-            raise ValueError("OptConfig: tr_gamma must be > 1")
+        if not (math.isfinite(self.tr_gamma) and self.tr_gamma > 1.0):
+            raise ValueError("OptConfig: tr_gamma must be finite and > 1")
         if not (math.isfinite(self.tr_delta0) and self.tr_delta0 > 0.0):
             raise ValueError("OptConfig: tr_delta0 must be finite and > 0")
         if self.max_outer < 1:
@@ -98,9 +98,9 @@ class OptConfig:
                 raise ValueError(f"OptConfig: {name} must be finite and >= 0")
         if not 0.0 <= self.ls_det_fraction <= 1.0:
             raise ValueError("OptConfig: ls_det_fraction must be in [0, 1]")
-        if self.remainder_mode not in _REMAINDER_MODES:
+        if self.remainder_mode not in REMAINDER_MODES:
             raise ValueError("OptConfig: remainder_mode must be one of "
-                             f"{_REMAINDER_MODES}")
+                             f"{REMAINDER_MODES}")
 
 
 @dataclass

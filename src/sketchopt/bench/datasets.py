@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from ..core_complex import seeded_generator
 from .config import BenchError
 
 __all__ = ["parse_dataset_spec", "synth_planted", "load_dataset",
@@ -90,7 +91,7 @@ def synth_planted(n, d, heavy_rows, heavy_scale, seed):
     if not 0 <= heavy_rows <= n:
         raise BenchError("CONFIG_INVALID",
                          f"heavy_rows must lie in [0, n]; got {heavy_rows}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     A = rng.standard_normal((n, d))
     if heavy_rows:
         picked = rng.choice(n, size=heavy_rows, replace=False)

@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..core_complex import seeded_generator
 from ..hessian_oracle import FiniteSumProblem, convex_ridge_lambda, make_loss
 from ..lp_regression import complex_lp_solve, sketch_and_solve
 from ..optimizers import OptConfig, newton_cg, newton_mr, trust_region
@@ -104,14 +105,12 @@ def _parse_p(config):
     return p
 
 
-def _complex_rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _complex_gaussian(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# Not core_complex.lp_of_norms: that one scales by the largest entry, which
+# rounds differently and would change the err_obj column of lpreg.csv.
 def _pnorm(residual, p):
     mags = np.abs(np.asarray(residual).ravel())
     if math.isinf(p):
@@ -171,7 +170,8 @@ def run_optimize(config, master_seed, out_dir, svg=False):
     knobs ``max_outer``, ``max_oracle_calls``, ``grad_tol``, ``inner_cap``,
     ``inner_tol``, ``tr_delta0``, ``tr_eta``, ``tr_gamma``.  Every cell's
     ``OptConfig`` is built before any cell runs, so a bad scheme, size or
-    knob is a ``CONFIG_INVALID`` error rather than a column of error cells.
+    knob is a ``CONFIG_INVALID`` error rather than a column of error cells;
+    so is a scheme or size that repeats a cell (``ls,LS`` or ``40,40``).
     """
     algorithm = config.get_str("algorithm", "newton_mr")
     if algorithm not in ALGORITHMS:
@@ -202,7 +202,7 @@ def run_optimize(config, master_seed, out_dir, svg=False):
         tr_eta=config.get_float("tr_eta", 0.8),
         tr_gamma=config.get_float("tr_gamma", 1.2),
     )
-    cells = []
+    cells, built = [], set()
     for token in config.schemes:
         scheme, fraction = _parse_scheme_token(token)
         keys = dict(opt_keys, scheme=scheme)
@@ -213,6 +213,11 @@ def run_optimize(config, master_seed, out_dir, svg=False):
                 oc = OptConfig(sample_size=size, **keys)
             except ValueError as exc:
                 raise BenchError("CONFIG_INVALID", str(exc))
+            if oc in built:
+                raise BenchError(
+                    "CONFIG_INVALID",
+                    f"scheme {token!r} at sample size {size} repeats a cell")
+            built.add(oc)
             cells += [(token, oc, size, seed_idx)
                       for seed_idx in range(config.seeds)]
 
@@ -304,8 +309,8 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
 
     instances = []
     for seed_idx in range(n_seeds):
-        rng = _complex_rng(_derived_seed(master_seed, _STREAM_INSTANCE,
-                                         seed_idx))
+        rng = seeded_generator(_derived_seed(master_seed, _STREAM_INSTANCE,
+                                             seed_idx))
         A = _complex_gaussian(rng, (n, d))
         x_planted = _complex_gaussian(rng, d)
         b = A @ x_planted
@@ -363,7 +368,7 @@ def _vmv_instance(config, master_seed):
     rows = config.get_int("rows", 50)
     cols = config.get_int("cols", 5)
     kind = config.get_str("instance", "gaussian")
-    rng = _complex_rng(_derived_seed(master_seed, _STREAM_INSTANCE))
+    rng = seeded_generator(_derived_seed(master_seed, _STREAM_INSTANCE))
     if kind == "gaussian":
         A = _complex_gaussian(rng, (rows, cols))
         B = _complex_gaussian(rng, (rows, cols))

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra primitives, complex->real lifting, mixed norms.
+"""Complex linear algebra, complex->real lifting, mixed norms, seeded streams.
 
 A complex vector v in C^n is represented in real form by interleaving real and
 imaginary parts, phi(v) in R^{2n}; a complex scalar y = c + d i acts on those
@@ -25,6 +25,16 @@ DEFAULT_ATOL = 1e-12
 def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: input has non-finite entries")
+
+
+def seeded_generator(seed) -> np.random.Generator:
+    """Philox generator for an int or ``SeedSequence`` seed.
+
+    A ``Generator`` is returned as it is, so callers can share one stream.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def svd(M):
@@ -97,6 +107,18 @@ def lift_matrix(A):
     return out
 
 
+def lp_of_norms(norms, p):
+    """Overflow-safe ``(sum norms^p)^(1/p)`` of non-negative norms.
+
+    For p = inf, the maximum norm; an empty vector has norm 0.
+    """
+    norms = np.asarray(norms, dtype=float)
+    top = float(norms.max(initial=0.0))
+    if np.isinf(p) or top == 0.0:
+        return top
+    return float(top * np.sum((norms / top) ** p) ** (1.0 / p))
+
+
 def mixed_norm(y, p):
     """lp norm of the per-pair Euclidean norms of an even-length real vector.
 
@@ -108,20 +130,7 @@ def mixed_norm(y, p):
         raise ValueError("mixed_norm: length must be even")
     if not (p == np.inf or p >= 1):
         raise ValueError("mixed_norm: p must satisfy p >= 1 or p = inf")
-    pair_norms = np.hypot(y[0::2], y[1::2])
-    if y.size == 0:
-        return 0.0
-    if p == np.inf:
-        return float(pair_norms.max())
-    if p == 1:
-        return float(pair_norms.sum())
-    if p == 2:
-        return float(np.linalg.norm(pair_norms))
-    # generic p: factor out the max for overflow safety
-    m = pair_norms.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * np.sum((pair_norms / m) ** p) ** (1.0 / p))
+    return lp_of_norms(np.hypot(y[0::2], y[1::2]), p)
 
 
 def spectral_norm(M):

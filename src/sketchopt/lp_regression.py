@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core_complex import lift_matrix, phi, unphi
-from .sketch_sampling import _rng, exact_leverage_scores, span_basis
+from .core_complex import (lift_matrix, lp_of_norms, phi, seeded_generator,
+                           unphi)
+from .sketch_sampling import exact_leverage_scores, span_basis
 
 __all__ = [
     "BlockSketch",
@@ -205,7 +206,7 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
 
     if embed_rows is None:
         embed_rows = 4 * k
-    rng = _rng(seed)
+    rng = seeded_generator(seed)
     S = rng.standard_normal((int(embed_rows), n)) / np.sqrt(float(embed_rows))
     R = np.linalg.qr(S @ M, mode="r")
     diag = np.abs(np.diag(R))
@@ -245,12 +246,13 @@ def classify_pairs(scores, d, p):
 # ---------------------------------------------------------------------------
 
 
-def _check_pairs(pairs):
-    out = []
-    for pair in pairs:
-        a, b = pair
-        out.append((int(a), int(b)))
-    return out
+def _block_sketch(pairs, p, seed, draw) -> BlockSketch:
+    """Blocks ``draw(i, rng)``, each from pair ``i``'s own child of ``seed``."""
+    pairs = [(int(a), int(b)) for a, b in pairs]
+    children = np.random.SeedSequence(seed).spawn(len(pairs))
+    blocks = [draw(i, seeded_generator(child))
+              for i, child in enumerate(children)]
+    return BlockSketch(pairs=pairs, blocks=blocks, p=p)
 
 
 def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
@@ -259,7 +261,6 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
     Entries have std ``gaussian_moment_scale(p)``; heavy blocks are scaled by
     ``t^(-1/p)`` so heavy and light contributions estimate the same pair norm.
     """
-    pairs = _check_pairs(pairs)
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("build_sketch_finite_p: p must be finite and >= 1")
@@ -269,14 +270,13 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
     heavy_set = {int(i) for i in heavy}
     sigma = gaussian_moment_scale(p)
     heavy_scale = sigma * t ** (-1.0 / p)
-    blocks = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(pairs))):
-        rng = _rng(child)
+
+    def draw(i, rng):
         if i in heavy_set:
-            blocks.append(heavy_scale * rng.standard_normal((t, 2)))
-        else:
-            blocks.append(sigma * rng.standard_normal((1, 2)))
-    return BlockSketch(pairs=pairs, blocks=blocks, p=p)
+            return heavy_scale * rng.standard_normal((t, 2))
+        return sigma * rng.standard_normal((1, 2))
+
+    return _block_sketch(pairs, p, seed, draw)
 
 
 def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
@@ -286,7 +286,6 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
     ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``) and ``R`` enumerates all
     ``2^s`` sign rows, turning that l1 estimate into a max.
     """
-    pairs = _check_pairs(pairs)
     s = int(s)
     if s < 1:
         raise ValueError("build_sketch_inf: s must be >= 1")
@@ -296,11 +295,9 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
             % (s, MAX_ENUMERATION_BITS))
     R = sign_enumeration_matrix(s)
     scale = math.sqrt(math.pi / 2.0) / s
-    blocks = []
-    for child in np.random.SeedSequence(seed).spawn(len(pairs)):
-        rng = _rng(child)
-        blocks.append(R @ (scale * rng.standard_normal((s, 2))))
-    return BlockSketch(pairs=pairs, blocks=blocks, p=np.inf)
+    return _block_sketch(
+        pairs, np.inf, seed,
+        lambda _, rng: R @ (scale * rng.standard_normal((s, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +308,6 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 def _group_norms(r, group_of_row, n_groups):
     return np.sqrt(np.bincount(group_of_row, weights=r * r,
                                minlength=n_groups))
-
-
-def _lp_of_norms(norms, p):
-    """Overflow-safe ``(sum norms^p)^(1/p)`` (max norm at p = infinity)."""
-    if norms.size == 0:
-        return 0.0
-    top = float(norms.max())
-    if np.isinf(p):
-        return top
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((norms / top) ** p) ** (1.0 / p))
 
 
 def _weighted_lstsq(M, c, row_weights):
@@ -343,16 +328,35 @@ def _weighted_lstsq(M, c, row_weights):
     return np.linalg.lstsq(w[:, None] * M, w * c, rcond=None)[0]
 
 
+def _descend(M, c, y, group_weights, group_of_row, n_groups, smoothed, F,
+             halvings):
+    """One reweighted least-squares step from ``y``, halved until it descends.
+
+    Each row is weighted by its group's ``group_weights`` entry; the step is
+    tried at most ``halvings`` times until ``smoothed(norms) <= F``.  Returns
+    the new ``(y, norms, F)``, or ``None`` when no tried step descends.
+    """
+    step = _weighted_lstsq(M, c, group_weights[group_of_row]) - y
+    theta = 1.0
+    for _ in range(halvings):
+        y_try = y + theta * step
+        norms = _group_norms(M @ y_try - c, group_of_row, n_groups)
+        F_try = smoothed(norms)
+        if F_try <= F:
+            return y_try, norms, F_try
+        theta *= 0.5
+    return None
+
+
 def _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol, max_iter=300):
     """Damped reweighted least squares on the smoothed grouped p-norm."""
     y = np.linalg.lstsq(M, c, rcond=None)[0]
-    r = M @ y - c
-    norms = _group_norms(r, group_of_row, n_groups)
-    obj = _lp_of_norms(norms, p)
-    data_scale = max(float(np.linalg.norm(c)), 1.0)
+    norms = _group_norms(M @ y - c, group_of_row, n_groups)
+    obj = lp_of_norms(norms, p)
     if p == 2.0:
         return LpSolution(y=y, objective=obj, converged=True, iterations=0)
 
+    data_scale = max(float(np.linalg.norm(c)), 1.0)
     eps2 = IRLS_SMOOTHING ** 2
 
     def smoothed(nrm):
@@ -364,24 +368,14 @@ def _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol, max_iter=300):
     while not converged and iterations < max_iter:
         iterations += 1
         weights = (norms * norms + eps2) ** (0.25 * (p - 2.0))
-        y_new = _weighted_lstsq(M, c, (weights * weights)[group_of_row])
-        step = y_new - y
-        theta, accepted = 1.0, False
-        for _ in range(30):
-            y_try = y + theta * step
-            r_try = M @ y_try - c
-            norms_try = _group_norms(r_try, group_of_row, n_groups)
-            F_try = smoothed(norms_try)
-            if F_try <= F:
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
+        descent = _descend(M, c, y, weights * weights, group_of_row, n_groups,
+                           smoothed, F, 30)
+        if descent is None:
             break  # stagnated: keep the best iterate found so far
-        obj_try = _lp_of_norms(norms_try, p)
-        moved = abs(obj - obj_try)
-        y, r, norms, F, obj = y_try, r_try, norms_try, F_try, obj_try
-        if moved <= tol * max(obj, 1e-30) or obj <= 1e-14 * data_scale:
+        y, norms, F = descent
+        previous, obj = obj, lp_of_norms(norms, p)
+        if (abs(previous - obj) <= tol * max(obj, 1e-30)
+                or obj <= 1e-14 * data_scale):
             converged = True
     return LpSolution(y=y, objective=obj, converged=converged,
                       iterations=iterations)
@@ -397,13 +391,16 @@ def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
     lowest-temperature sweep polishes the active set.
     """
     y = np.linalg.lstsq(M, c, rcond=None)[0]
-    r = M @ y - c
-    norms = _group_norms(r, group_of_row, n_groups)
+    norms = _group_norms(M @ y - c, group_of_row, n_groups)
     data_scale = max(float(np.linalg.norm(c)), 1.0)
     best_y, best_obj = y.copy(), float(norms.max())
     if best_obj <= 1e-14 * data_scale:
         return LpSolution(y=best_y, objective=best_obj, converged=True,
                           iterations=0)
+
+    def smoothed(nrm):  # at the current temperature mu
+        top = float(nrm.max())
+        return top + mu * math.log(np.sum(np.exp((nrm - top) / mu)))
 
     iterations = 0
     converged = False
@@ -413,28 +410,17 @@ def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
             top = float(norms.max())
             soft = np.exp((norms - top) / mu)
             soft /= soft.sum()
-            f_mu = top + mu * math.log(np.sum(np.exp((norms - top) / mu)))
+            f_mu = smoothed(norms)
             lawson = soft / np.maximum(norms, 1e-30 * data_scale)
-            y_new = _weighted_lstsq(M, c, lawson[group_of_row])
-            step = y_new - y
-            theta, accepted = 1.0, False
-            for _ in range(25):
-                y_try = y + theta * step
-                r_try = M @ y_try - c
-                norms_try = _group_norms(r_try, group_of_row, n_groups)
-                top_try = float(norms_try.max())
-                f_try = top_try + mu * math.log(
-                    np.sum(np.exp((norms_try - top_try) / mu)))
-                if f_try <= f_mu:
-                    accepted = True
-                    break
-                theta *= 0.5
-            if not accepted:
+            descent = _descend(M, c, y, lawson, group_of_row, n_groups,
+                               smoothed, f_mu, 25)
+            if descent is None:
                 break
             iterations += 1
-            y, r, norms = y_try, r_try, norms_try
+            y, norms, f_try = descent
+            top_try = float(norms.max())
             if top_try < best_obj:
-                best_y, best_obj = y_try.copy(), top_try
+                best_y, best_obj = y.copy(), top_try
             if f_mu - f_try <= 1e-6 * max(mu, 1e-30):
                 break
         mu *= 0.5
@@ -445,16 +431,29 @@ def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
                       iterations=iterations)
 
 
-def _solve_grouped(M, c, group_of_row, n_groups, p, tol):
+def _solve_grouped(M, c, groups, p, tol):
+    """Validate and dispatch a solve; ``groups=None``: one group per row."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
     c = np.asarray(c, dtype=float).ravel()
-    if M.shape[0] != c.size:
+    m = M.shape[0]
+    if m != c.size:
         raise ValueError("lp solve: row counts of M and c differ")
     p = float(p)
     if not (p == np.inf or p >= 1.0):
         raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")
+    if groups is None:
+        group_of_row, n_groups = np.arange(m), m
+    else:
+        members = [np.asarray(g, dtype=int).ravel() for g in groups]
+        rows = np.concatenate([np.empty(0, dtype=int)] + members)
+        if not np.array_equal(np.sort(rows), np.arange(m)):
+            raise ValueError("grouped_lp_solve: every row of M must lie in "
+                             "exactly one group")
+        n_groups = len(members)
+        group_of_row = np.repeat(np.arange(n_groups),
+                                 [g.size for g in members])[np.argsort(rows)]
     if np.isinf(p):
         return _solve_grouped_inf(M, c, group_of_row, n_groups, tol)
     return _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol)
@@ -462,25 +461,15 @@ def _solve_grouped(M, c, group_of_row, n_groups, p, tol):
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
     """Minimize ``||M y - c||_p`` for a small dense instance."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    m = M.shape[0]
-    return _solve_grouped(M, c, np.arange(m), m, p, tol)
+    return _solve_grouped(M, c, None, p, tol)
 
 
 def grouped_lp_solve(M, c, groups, p, tol=1e-10) -> LpSolution:
-    """Minimize the p-norm of per-group Euclidean residual norms."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    group_of_row = np.full(M.shape[0], -1, dtype=int)
-    for g, rows in enumerate(groups):
-        for i in rows:
-            group_of_row[int(i)] = g
-    if np.any(group_of_row < 0):
-        raise ValueError("grouped_lp_solve: groups must cover every row")
-    return _solve_grouped(M, c, group_of_row, len(list(groups)), p, tol)
+    """Minimize the p-norm of per-group Euclidean residual norms.
+
+    Every row of ``M`` must lie in exactly one group.
+    """
+    return _solve_grouped(M, c, groups, p, tol)
 
 
 def complex_lp_solve(A, b, p, tol=1e-10) -> LpSolution:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core_complex import qr, spectral_norm, svd
+from .core_complex import qr, seeded_generator, spectral_norm, svd
 from .hessian_oracle import _charge
 
 #: The row-sampling schemes of ``scheme_probabilities``, canonically spelled.
@@ -47,14 +47,6 @@ class SchemeResult:
     probs: np.ndarray
     scheme: str
     fell_back: bool = False
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def span_basis(B) -> np.ndarray:
@@ -101,7 +93,7 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     r = int(jl_cols) if jl_cols is not None else int(np.ceil(8 * np.log(max(n, 2))))
     if s < d:
         raise ValueError("approx_leverage_scores: embed_rows must be >= cols")
-    rng = _rng(seed)
+    rng = seeded_generator(seed)
     S = rng.standard_normal((s, n)) / np.sqrt(s)
     _, T = qr(S @ B)
     diag = np.abs(np.diag(T))
@@ -128,7 +120,7 @@ def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
         raise ValueError(
             f"build_sampling_sketch: probabilities sum to {total!r}, expected 1"
         )
-    rng = _rng(seed)
+    rng = seeded_generator(seed)
     rows = rng.choice(probs.size, size=t, replace=True, p=probs / total)
     weights = 1.0 / np.sqrt(t * probs[rows])
     return SamplingSketch(source_rows=int(probs.size), rows=rows, weights=weights)

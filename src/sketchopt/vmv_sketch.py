@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core_complex import seeded_generator
+
 __all__ = [
     "TensorSketchState",
     "estimate",
@@ -53,7 +55,7 @@ class TensorSketchState:
     def _ensure(self, d: int) -> None:
         if d <= self._dim:
             return
-        gens = [np.random.Generator(np.random.Philox(s)) for s in self._streams]
+        gens = [seeded_generator(s) for s in self._streams]
         self._h1 = gens[0].integers(0, self.k, size=d)
         self._h2 = gens[1].integers(0, self.k, size=d)
         self._s1 = gens[2].integers(0, 2, size=d) * 2.0 - 1.0

@@ -390,6 +390,30 @@ class TestRunOptimize:
         assert summary[1].split(",")[:2] == ["ls_mx", "newton_mr"]
         assert not summary[1].split(",")[3].startswith("error")
 
+    def test_duplicate_cells_rejected_upfront(self, tmp_path):
+        # Two tokens or sizes that build the same cell would write one trace
+        # file twice and leave a summary row without its trace.
+        for i, (key, value) in enumerate((
+                ("schemes", "ls,ls"), ("schemes", "ls_mx,ls-mx"),
+                ("schemes", "ls,LS"), ("schemes", "ls-det,ls-det@0.5"),
+                ("sample_sizes", "40,40"))):
+            cfg = _optimize_config(**{"schemes": "ls", "seeds": "1",
+                                      key: value})
+            if key == "sample_sizes":
+                cfg.options.pop("sample_size")
+            out = tmp_path / f"dup{i}"
+            with pytest.raises(BenchError) as excinfo:
+                run_optimize(cfg, 0, out)
+            assert excinfo.value.code == "CONFIG_INVALID"
+            assert not out.exists()
+        # distinct fractions and sizes are distinct cells
+        cfg = _optimize_config(schemes="ls-det@0.25,ls-det@0.75", seeds="1",
+                               max_outer="2")
+        cfg.options.pop("sample_size")
+        cfg.options["sample_sizes"] = "40,80"
+        paths = run_optimize(cfg, 0, tmp_path / "ok")
+        assert len(paths) == len(set(paths)) == 5
+
     def test_sample_size_sweep_names_files_by_size(self, tmp_path):
         cfg = _optimize_config(schemes="ls", seeds="1")
         cfg.options.pop("sample_size")

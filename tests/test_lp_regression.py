@@ -374,6 +374,42 @@ def test_grouped_p1_pairs_matches_scalar_oracle():
     assert sol.objective <= obj(ref.x) + 1e-6 * max(obj(ref.x), 1.0)
 
 
+def test_grouped_rows_must_lie_in_exactly_one_group():
+    rng = np.random.default_rng(98)
+    M = rng.standard_normal((4, 2))
+    c = rng.standard_normal(4)
+    # a negative row would wrap to the last row; a repeated row would be
+    # claimed by its last group; a row past the end or a missed row is lost
+    for groups in ([(0, 1), (2, -1)], [(0, 1, 2), (2, 3)],
+                   [(0, 1), (2, 4)], [(0, 1), (2,)], []):
+        with pytest.raises(ValueError):
+            grouped_lp_solve(M, c, groups, 1.0)
+    sol = grouped_lp_solve(M, c, [(3, 0), (), (2, 1)], 2.0)
+    ref = np.linalg.lstsq(M, c, rcond=None)[0]
+    np.testing.assert_allclose(sol.y, ref, atol=1e-10)
+
+
+def test_small_lp_p1_at_iteration_cap_reports_unconverged_certified_value():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((60, 6))
+    c = rng.standard_normal(60)
+    sol = small_lp_solve(M, c, 1.0)
+    assert not sol.converged
+    assert sol.iterations == 300
+    # the reported objective is the true l1 residual of the returned iterate
+    assert sol.objective == pytest.approx(np.abs(M @ sol.y - c).sum(),
+                                          rel=1e-12)
+    # l1 regression as an LP over (y, u): min sum u, -u <= M y - c <= u
+    n, d = M.shape
+    eye = np.eye(n)
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(d), np.ones(n)],
+        A_ub=np.block([[M, -eye], [-M, -eye]]), b_ub=np.r_[c, -c],
+        bounds=[(None, None)] * d + [(0, None)] * n, method="highs")
+    assert lp.status == 0
+    assert lp.fun * (1 - 1e-9) <= sol.objective <= lp.fun * (1 + 1e-6)
+
+
 def test_complex_lp_p2_matches_complex_least_squares():
     rng = np.random.default_rng(96)
     A = complex_matrix(rng, 20, 3)

@@ -37,6 +37,21 @@ def seeded_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def child_seed(seed, i: int) -> np.random.SeedSequence:
+    """Child ``i`` of an int or ``SeedSequence`` seed.
+
+    Equal to ``SeedSequence(seed).spawn(i + 1)[i]`` for an int, and to the
+    same child of a fresh copy of a ``SeedSequence``, but derived from the
+    index rather than by a stateful ``spawn``: the caller's object is never
+    mutated, and skipped indices do not shift later children.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(root.entropy,
+                                  spawn_key=root.spawn_key + (int(i),),
+                                  pool_size=root.pool_size)
+
+
 def svd(M):
     """Thin singular value decomposition M = U @ diag(sigma) @ Vstar.
 

@@ -10,6 +10,11 @@ compressed coordinates reproduces the pair's Euclidean norm; for
 norm into a max, so the compressed problem is again a plain max-norm fit.
 Small dense instances are solved by iteratively reweighted least squares
 (finite ``p``) or a smoothed-max temperature schedule (``p = infinity``).
+``sketch_and_solve`` runs the same solvers in pair-block form: every
+compressed row is a block row applied to its pair's lifted residual, so a
+weighted Gram matrix is ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per
+pair, and the compressed matrix (``n 2^s`` rows at ``p = infinity``) is never
+assembled.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core_complex import (lift_matrix, lp_of_norms, phi, seeded_generator,
-                           unphi)
+from .core_complex import (child_seed, lift_matrix, lp_of_norms, phi,
+                           seeded_generator, unphi)
 from .sketch_sampling import exact_leverage_scores, span_basis
 
 __all__ = [
@@ -249,9 +254,10 @@ def classify_pairs(scores, d, p):
 def _block_sketch(pairs, p, seed, draw) -> BlockSketch:
     """Blocks ``draw(i, rng)``, each from pair ``i``'s own child of ``seed``."""
     pairs = [(int(a), int(b)) for a, b in pairs]
-    children = np.random.SeedSequence(seed).spawn(len(pairs))
-    blocks = [draw(i, seeded_generator(child))
-              for i, child in enumerate(children)]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)  # built once, not once per pair
+    blocks = [draw(i, seeded_generator(child_seed(seed, i)))
+              for i in range(len(pairs))]
     return BlockSketch(pairs=pairs, blocks=blocks, p=p)
 
 
@@ -287,12 +293,6 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
     ``2^s`` sign rows, turning that l1 estimate into a max.
     """
     s = int(s)
-    if s < 1:
-        raise ValueError("build_sketch_inf: s must be >= 1")
-    if s > MAX_ENUMERATION_BITS:
-        raise ValueError(
-            "build_sketch_inf: s = %d exceeds the 2^%d-row budget"
-            % (s, MAX_ENUMERATION_BITS))
     R = sign_enumeration_matrix(s)
     scale = math.sqrt(math.pi / 2.0) / s
     return _block_sketch(
@@ -301,7 +301,110 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 
 
 # ---------------------------------------------------------------------------
-# dense solvers: grouped p-norm objectives
+# residual rows: a dense matrix, or pair blocks on the lifted instance
+# ---------------------------------------------------------------------------
+
+
+def _weighted_lstsq(gram, rhs, tall):
+    # Normal equations with a Cholesky solve: one pass over the rows instead
+    # of a fresh orthogonal factorization per reweighting.  ``tall()`` gives
+    # the square-root-weighted rows, factorized only for a Gram matrix too
+    # ill-conditioned to factor.
+    try:
+        chol = scipy.linalg.cho_factor(gram, check_finite=False)
+        y = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+        if np.all(np.isfinite(y)):
+            return y
+    except scipy.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(*tall(), rcond=None)[0]
+
+
+class _DenseRows:
+    """The residual rows ``M y - c`` of a dense instance."""
+
+    def __init__(self, M, c):
+        self.M, self.c = M, c
+        self.data_scale = max(float(np.linalg.norm(c)), 1.0)
+
+    def residual(self, y):
+        return self.M @ y - self.c
+
+    def lstsq(self):
+        return np.linalg.lstsq(self.M, self.c, rcond=None)[0]
+
+    def weighted_lstsq(self, row_weights):
+        Mw = row_weights[:, None] * self.M
+
+        def tall():
+            w = np.sqrt(row_weights)
+            return w[:, None] * self.M, w * self.c
+
+        return _weighted_lstsq(self.M.T @ Mw, Mw.T @ self.c, tall)
+
+
+class _PairBlockRows:
+    """The rows of ``sketch.apply(Ap) y - sketch.apply(bp)``, not assembled.
+
+    Row ``k`` is ``b_k . r_i``: its block row applied to its pair's lifted
+    residual ``r_i = Ap[pair i] y - bp[pair i]``.  Weighted by ``w``, the
+    rows of pair ``i`` contribute ``r_i^T C_i r_i`` with the 2 x 2
+    ``C_i = sum_{k in pair i} w_k b_k b_k^T``: the weighted Gram matrix is
+    ``sum_i Ap[pair i]^T C_i Ap[pair i]``, and a least-squares solve (the
+    initial fit, or the fallback for a Gram matrix Cholesky cannot factor)
+    runs on the 2n rows ``sqrt(C_i) Ap[pair i]`` instead of on all rows.
+    """
+
+    def __init__(self, Ap, bp, sketch: BlockSketch):
+        index = np.asarray(sketch.pairs, dtype=int).reshape(-1, 2)
+        self.A = Ap[index]  # (pairs, 2, d)
+        self.b = bp[index]  # (pairs, 2)
+        self.A_rows = self.A.reshape(-1, self.A.shape[2])  # pair-major rows
+        self.sizes = np.array([blk.shape[0] for blk in sketch.blocks],
+                              dtype=int)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.b0, self.b1 = np.concatenate(
+            [np.empty((0, 2))] + sketch.blocks).T.copy()  # block row entries
+        self.outer = np.stack([self.b0 * self.b0, self.b0 * self.b1,
+                               self.b1 * self.b1], axis=1)
+        self.data_scale = max(float(np.linalg.norm(self._rows(self.b))), 1.0)
+
+    def _rows(self, r):
+        r = np.repeat(r, self.sizes, axis=0)
+        return self.b0 * r[:, 0] + self.b1 * r[:, 1]
+
+    def _pair_grams(self, row_weights):
+        c = np.add.reduceat(row_weights[:, None] * self.outer, self.starts)
+        return c[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
+    def _sqrt_rows(self, C):
+        # symmetric square root of each C_i: by Cayley-Hamilton,
+        # (C + sqrt(det C) I)^2 = (tr C + 2 sqrt(det C)) C
+        S = C.reshape(-1, 4).copy()
+        S[:, ::3] += np.sqrt(np.maximum(S[:, 0] * S[:, 3] - S[:, 1] ** 2,
+                                        0.0))[:, None]
+        trace = S[:, :1] + S[:, 3:]
+        S = np.divide(S, np.sqrt(trace), out=np.zeros_like(S),
+                      where=trace > 0.0).reshape(C.shape)
+        return ((S @ self.A).reshape(self.A_rows.shape),
+                (S @ self.b[:, :, None]).ravel())
+
+    def residual(self, y):
+        return self._rows((self.A_rows @ y).reshape(self.b.shape) - self.b)
+
+    def lstsq(self):
+        C = self._pair_grams(np.ones(self.b0.size))
+        return np.linalg.lstsq(*self._sqrt_rows(C), rcond=None)[0]
+
+    def weighted_lstsq(self, row_weights):
+        C = self._pair_grams(row_weights)
+        gram = self.A_rows.T @ (C @ self.A).reshape(self.A_rows.shape)
+        rhs = self.A_rows.T @ (C @ self.b[:, :, None]).ravel()
+        return _weighted_lstsq(gram, rhs, lambda: self._sqrt_rows(C))
+
+
+# ---------------------------------------------------------------------------
+# solvers: grouped p-norm objectives over residual rows
 # ---------------------------------------------------------------------------
 
 
@@ -310,25 +413,7 @@ def _group_norms(r, group_of_row, n_groups):
                                minlength=n_groups))
 
 
-def _weighted_lstsq(M, c, row_weights):
-    # Normal equations with a Cholesky solve: one n*d^2 pass instead of a
-    # fresh orthogonal factorization per reweighting.  The tall factorization
-    # is kept as a fallback for Gram matrices too ill-conditioned to factor.
-    Mw = row_weights[:, None] * M
-    gram = M.T @ Mw
-    rhs = Mw.T @ c
-    try:
-        chol = scipy.linalg.cho_factor(gram, check_finite=False)
-        y = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-        if np.all(np.isfinite(y)):
-            return y
-    except scipy.linalg.LinAlgError:
-        pass
-    w = np.sqrt(row_weights)
-    return np.linalg.lstsq(w[:, None] * M, w * c, rcond=None)[0]
-
-
-def _descend(M, c, y, group_weights, group_of_row, n_groups, smoothed, F,
+def _descend(rows, y, group_weights, group_of_row, n_groups, smoothed, F,
              halvings):
     """One reweighted least-squares step from ``y``, halved until it descends.
 
@@ -336,11 +421,11 @@ def _descend(M, c, y, group_weights, group_of_row, n_groups, smoothed, F,
     tried at most ``halvings`` times until ``smoothed(norms) <= F``.  Returns
     the new ``(y, norms, F)``, or ``None`` when no tried step descends.
     """
-    step = _weighted_lstsq(M, c, group_weights[group_of_row]) - y
+    step = rows.weighted_lstsq(group_weights[group_of_row]) - y
     theta = 1.0
     for _ in range(halvings):
         y_try = y + theta * step
-        norms = _group_norms(M @ y_try - c, group_of_row, n_groups)
+        norms = _group_norms(rows.residual(y_try), group_of_row, n_groups)
         F_try = smoothed(norms)
         if F_try <= F:
             return y_try, norms, F_try
@@ -348,15 +433,15 @@ def _descend(M, c, y, group_weights, group_of_row, n_groups, smoothed, F,
     return None
 
 
-def _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol, max_iter=300):
+def _solve_grouped_finite(rows, group_of_row, n_groups, p, tol, max_iter=300):
     """Damped reweighted least squares on the smoothed grouped p-norm."""
-    y = np.linalg.lstsq(M, c, rcond=None)[0]
-    norms = _group_norms(M @ y - c, group_of_row, n_groups)
+    y = rows.lstsq()
+    norms = _group_norms(rows.residual(y), group_of_row, n_groups)
     obj = lp_of_norms(norms, p)
     if p == 2.0:
         return LpSolution(y=y, objective=obj, converged=True, iterations=0)
 
-    data_scale = max(float(np.linalg.norm(c)), 1.0)
+    data_scale = rows.data_scale
     eps2 = IRLS_SMOOTHING ** 2
 
     def smoothed(nrm):
@@ -368,7 +453,7 @@ def _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol, max_iter=300):
     while not converged and iterations < max_iter:
         iterations += 1
         weights = (norms * norms + eps2) ** (0.25 * (p - 2.0))
-        descent = _descend(M, c, y, weights * weights, group_of_row, n_groups,
+        descent = _descend(rows, y, weights * weights, group_of_row, n_groups,
                            smoothed, F, 30)
         if descent is None:
             break  # stagnated: keep the best iterate found so far
@@ -381,7 +466,7 @@ def _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol, max_iter=300):
                       iterations=iterations)
 
 
-def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
+def _solve_grouped_inf(rows, group_of_row, n_groups, tol, max_halvings=64):
     """Smoothed max-norm fit: softmax-weighted least squares, temperature / 2.
 
     At temperature ``mu`` the weights reproduce the gradient of
@@ -390,9 +475,9 @@ def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
     the incumbent drives the iterate to the max-norm minimizer, and the final
     lowest-temperature sweep polishes the active set.
     """
-    y = np.linalg.lstsq(M, c, rcond=None)[0]
-    norms = _group_norms(M @ y - c, group_of_row, n_groups)
-    data_scale = max(float(np.linalg.norm(c)), 1.0)
+    y = rows.lstsq()
+    norms = _group_norms(rows.residual(y), group_of_row, n_groups)
+    data_scale = rows.data_scale
     best_y, best_obj = y.copy(), float(norms.max())
     if best_obj <= 1e-14 * data_scale:
         return LpSolution(y=best_y, objective=best_obj, converged=True,
@@ -412,7 +497,7 @@ def _solve_grouped_inf(M, c, group_of_row, n_groups, tol, max_halvings=64):
             soft /= soft.sum()
             f_mu = smoothed(norms)
             lawson = soft / np.maximum(norms, 1e-30 * data_scale)
-            descent = _descend(M, c, y, lawson, group_of_row, n_groups,
+            descent = _descend(rows, y, lawson, group_of_row, n_groups,
                                smoothed, f_mu, 25)
             if descent is None:
                 break
@@ -454,9 +539,13 @@ def _solve_grouped(M, c, groups, p, tol):
         n_groups = len(members)
         group_of_row = np.repeat(np.arange(n_groups),
                                  [g.size for g in members])[np.argsort(rows)]
+    return _solve_rows(_DenseRows(M, c), group_of_row, n_groups, p, tol)
+
+
+def _solve_rows(rows, group_of_row, n_groups, p, tol):
     if np.isinf(p):
-        return _solve_grouped_inf(M, c, group_of_row, n_groups, tol)
-    return _solve_grouped_finite(M, c, group_of_row, n_groups, p, tol)
+        return _solve_grouped_inf(rows, group_of_row, n_groups, tol)
+    return _solve_grouped_finite(rows, group_of_row, n_groups, p, tol)
 
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
@@ -495,9 +584,10 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
 
     Finite ``p`` uses Gaussian pair blocks (every pair heavy by default, the
     experimental setting; otherwise heavy pairs are detected from the p-norm
-    leverage scores of the lifted ``[A b]``).  ``p = infinity`` uses the
-    sign-enumeration route and requires ``s``.  Returns the complex solution
-    of the compressed instance together with its certified objective.
+    leverage scores of the lifted ``[A b]``) and takes ``t``.  ``p = infinity``
+    uses the sign-enumeration route and requires ``s``.  The compressed
+    instance is solved in pair-block form, without assembling its rows.
+    Returns its complex solution together with its certified objective.
     """
     A = np.asarray(A, dtype=complex)
     lifted = lift_instance(A, b)
@@ -506,10 +596,14 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     if np.isinf(p):
         if s is None:
             raise ValueError("sketch_and_solve: p = inf requires s")
+        if t is not None:
+            raise ValueError("sketch_and_solve: t applies to finite p only")
         heavy = np.arange(n)
         light = np.empty(0, dtype=int)
         sketch = build_sketch_inf(lifted.pairs, s, seed=seed)
     else:
+        if s is not None:
+            raise ValueError("sketch_and_solve: s applies to p = inf only")
         if t is None:
             t = _default_heavy_rows(lifted.Ap.shape[1])
         if all_heavy:
@@ -520,8 +614,9 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
             scores = lp_leverage_scores(scored, p, seed=seed)
             heavy, light = classify_pairs(scores, scored.shape[1], p)
         sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
-    sol = small_lp_solve(sketch.apply(lifted.Ap), sketch.apply(lifted.bp),
-                         p, tol)
+    m = sketch.total_rows
+    sol = _solve_rows(_PairBlockRows(lifted.Ap, lifted.bp, sketch),
+                      np.arange(m), m, p, tol)
     return SketchSolveResult(xhat=unphi(sol.y),
                              sketched_objective=sol.objective,
                              converged=sol.converged,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core_complex import child_seed
 from .hessian_oracle import (
     FiniteSumProblem,
     OracleMeter,
@@ -321,13 +322,10 @@ def _make_hessp(problem: FiniteSumProblem, x, config: OptConfig, seed,
 def _iteration_seed(root: np.random.SeedSequence, k: int):
     """The seed of outer iteration k, equal to ``root.spawn(max_outer)[k-1]``.
 
-    Derived from the index rather than by a stateful ``spawn(1)``: trust
-    region draws a seed only when it rebuilds the sketch, and the skipped
-    indices must not shift the later children.
+    Derived from the index: trust region draws a seed only when it rebuilds
+    the sketch, and the skipped indices must not shift the later children.
     """
-    return np.random.SeedSequence(root.entropy,
-                                  spawn_key=root.spawn_key + (k - 1,),
-                                  pool_size=root.pool_size)
+    return child_seed(root, k - 1)
 
 
 # ---------------------------------------------------------------------------

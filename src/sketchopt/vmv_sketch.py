@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_complex import seeded_generator
+from .core_complex import child_seed, seeded_generator
 
 __all__ = [
     "TensorSketchState",
@@ -75,10 +75,8 @@ def ts_new(k, seed=0) -> TensorSketchState:
     k = int(k)
     if k < 1:
         raise ValueError("ts_new: k must be >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
     return TensorSketchState(k=k, q=np.zeros(k, dtype=complex),
-                             _streams=root.spawn(4))
+                             _streams=[child_seed(seed, j) for j in range(4)])
 
 
 def _count_sketch(x, h, s, k):
@@ -142,8 +140,8 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
         raise ValueError("estimate: reps must be >= 1")
     n = A.shape[0]
     ests = np.empty(reps, dtype=complex)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        state = ts_new(k, child)
+    for r in range(reps):
+        state = ts_new(k, child_seed(seed, r))
         for i in range(n):
             ingest(state, A[i], B[i])
         ests[r] = estimate_vmv(state, u, v)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sketchopt.core_complex import (
+    child_seed,
     lift_matrix,
     lift_scalar,
     min_eig_hermitian,
@@ -231,3 +232,19 @@ def test_min_eig_hermitian_cases():
 def test_min_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_child_seed_equals_spawned_child_and_leaves_root_alone():
+    for root in (np.random.SeedSequence(21),
+                 np.random.SeedSequence(21).spawn(3)[2]):
+        eager = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key,
+            pool_size=root.pool_size).spawn(5)
+        for i in (4, 0, 2):
+            np.testing.assert_array_equal(
+                child_seed(root, i).generate_state(4),
+                eager[i].generate_state(4))
+        assert root.n_children_spawned == 0
+    np.testing.assert_array_equal(
+        child_seed(21, 3).generate_state(4),
+        np.random.SeedSequence(21).spawn(4)[3].generate_state(4))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
-from sketchopt.core_complex import mixed_norm, phi, unphi
+from sketchopt import lp_regression
+from sketchopt.core_complex import mixed_norm, phi, seeded_generator, unphi
 from sketchopt.lp_regression import (
+    MAX_ENUMERATION_BITS,
     BlockSketch,
     LiftedRegression,
     build_sketch_finite_p,
@@ -476,3 +479,177 @@ def test_sketch_and_solve_classification_path_runs():
     assert result.xhat.shape == (3,)
     assert np.isfinite(result.sketched_objective)
     assert result.heavy.size + result.light.size == 25
+
+
+def test_sketch_and_solve_rejects_a_size_its_route_ignores():
+    rng = np.random.default_rng(101)
+    A = complex_matrix(rng, 12, 2)
+    b = complex_vector(rng, 12)
+    with pytest.raises(ValueError):
+        sketch_and_solve(A, b, 1.0, t=4, s=3)
+    with pytest.raises(ValueError):
+        sketch_and_solve(A, b, 1.5, s=3)
+    with pytest.raises(ValueError):
+        sketch_and_solve(A, b, np.inf, s=3, t=4)
+    # all_heavy has no effect at p = inf but stays accepted
+    result = sketch_and_solve(A, b, np.inf, s=3, all_heavy=False, seed=2)
+    assert np.isfinite(result.sketched_objective)
+
+
+def test_build_sketch_inf_rejects_enumeration_width_out_of_range():
+    for s in (0, MAX_ENUMERATION_BITS + 1):
+        with pytest.raises(ValueError):
+            build_sketch_inf([(0, 1)], s=s)
+
+
+# seeds of the block sketches ------------------------------------------------
+
+
+def test_block_sketch_int_seed_draws_each_pair_from_its_spawned_child():
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    children = np.random.SeedSequence(11).spawn(len(pairs))
+    finite = build_sketch_finite_p(pairs, heavy=[1], t=5, p=1.5, seed=11)
+    scale = gaussian_moment_scale(1.5)
+    for i, (child, blk) in enumerate(zip(children, finite.blocks)):
+        rows = 5 if i == 1 else 1
+        draw = seeded_generator(child).standard_normal((rows, 2))
+        expected = (scale * 5 ** (-1.0 / 1.5)) * draw if i == 1 \
+            else scale * draw
+        np.testing.assert_array_equal(blk, expected)
+    inf = build_sketch_inf(pairs, s=3, seed=11)
+    R = sign_enumeration_matrix(3)
+    for child, blk in zip(children, inf.blocks):
+        G = (np.sqrt(np.pi / 2.0) / 3) \
+            * seeded_generator(child).standard_normal((3, 2))
+        np.testing.assert_array_equal(blk, R @ G)
+
+
+def test_block_sketch_accepts_seed_sequence_without_mutating_it():
+    pairs = [(0, 1), (2, 3)]
+    root = np.random.SeedSequence(12)
+    for build in (lambda seed: build_sketch_finite_p(pairs, [0], 3, 1.0,
+                                                      seed=seed),
+                  lambda seed: build_sketch_inf(pairs, 2, seed=seed)):
+        from_seq = build(root)
+        assert root.n_children_spawned == 0
+        for b1, b2 in zip(from_seq.blocks, build(12).blocks):
+            np.testing.assert_array_equal(b1, b2)
+    # children derive from the index, not from what the caller spawned
+    used = np.random.SeedSequence(12)
+    used.spawn(3)
+    for b1, b2 in zip(build_sketch_inf(pairs, 2, seed=used).blocks,
+                      build_sketch_inf(pairs, 2, seed=12).blocks):
+        np.testing.assert_array_equal(b1, b2)
+    rng = np.random.default_rng(102)
+    A = complex_matrix(rng, 10, 2)
+    b = complex_vector(rng, 10)
+    for p, kw in ((1.0, {"t": 3}), (np.inf, {"s": 2})):
+        got = sketch_and_solve(A, b, p, seed=np.random.SeedSequence(5), **kw)
+        ref = sketch_and_solve(A, b, p, seed=5, **kw)
+        np.testing.assert_array_equal(got.xhat, ref.xhat)
+
+
+# pair-block solve of the sketched problem -----------------------------------
+
+
+def _mixed_instance():
+    # three scaled rows make their pairs heavy for the leverage test at
+    # p = 1, 1.5 and 3 while the bulk stays light
+    rng = np.random.default_rng(301)
+    A = complex_matrix(rng, 80, 3)
+    A[:3] *= 8.0
+    return A, complex_vector(rng, 80)
+
+
+def _recorded_sketch(monkeypatch, A, b, p, **kw):
+    """Run sketch_and_solve and return it with the sketch it built."""
+    built = []
+    for name in ("build_sketch_finite_p", "build_sketch_inf"):
+        original = getattr(lp_regression, name)
+
+        def record(*args, _original=original, **kwargs):
+            built.append(_original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(lp_regression, name, record)
+    result = sketch_and_solve(A, b, p, seed=7, **kw)
+    assert len(built) == 1
+    return result, built[0]
+
+
+@pytest.mark.parametrize("p,kw", [
+    (1.0, {"t": 6}), (1.0, {"t": 6, "all_heavy": False}),
+    (1.5, {"t": 6}), (1.5, {"t": 6, "all_heavy": False}),
+    (3.0, {"t": 6}), (3.0, {"t": 6, "all_heavy": False}),
+    (np.inf, {"s": 2}), (np.inf, {"s": 6}),
+])
+def test_pair_block_solve_matches_materialized_sketch(monkeypatch, p, kw):
+    A, b = _mixed_instance()
+    result, sketch = _recorded_sketch(monkeypatch, A, b, p, **kw)
+    if not kw.get("all_heavy", True):
+        assert 0 < result.heavy.size < A.shape[0]
+        assert {blk.shape[0] for blk in sketch.blocks} == {1, 6}
+    lifted = lift_instance(A, b)
+    M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
+    ref = small_lp_solve(M, c, p)
+    assert result.sketched_objective == pytest.approx(ref.objective,
+                                                      rel=1e-6)
+    # the reported objective is the residual of the returned x on the rows
+    assert result.sketched_objective == pytest.approx(
+        lp_norm(M @ phi(result.xhat) - c, p), rel=1e-10)
+
+
+def test_pair_block_inf_solve_forms_no_matrix_taller_than_the_lift(
+        monkeypatch):
+    rng = np.random.default_rng(103)
+    n = 40
+    A = complex_matrix(rng, n, 3)
+    b = complex_vector(rng, n)
+    rows_seen = []
+
+    def recorder(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            values = args + (out if isinstance(out, tuple) else (out,))
+            rows_seen.extend(v.shape[0] for v in values
+                             if isinstance(v, np.ndarray) and v.ndim == 2)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(BlockSketch, "apply", recorder(BlockSketch.apply))
+    monkeypatch.setattr(lp_regression, "small_lp_solve",
+                        recorder(lp_regression.small_lp_solve))
+    monkeypatch.setattr(np.linalg, "lstsq", recorder(np.linalg.lstsq))
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        recorder(scipy.linalg.cho_factor))
+    result = sketch_and_solve(A, b, np.inf, s=6, seed=9)
+    assert np.isfinite(result.sketched_objective)
+    assert rows_seen  # the solves were observed
+    assert max(rows_seen) <= 2 * n
+
+
+def test_pair_block_rows_match_dense_rows():
+    rng = np.random.default_rng(104)
+    A = complex_matrix(rng, 20, 3)
+    b = complex_vector(rng, 20)
+    lifted = lift_instance(A, b)
+    heavy = np.arange(0, 20, 2)
+    sketch = build_sketch_finite_p(lifted.pairs, heavy, 4, 1.0, seed=1)
+    M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
+    dense = lp_regression._DenseRows(M, c)
+    blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp, sketch)
+    y = rng.standard_normal(6)
+    np.testing.assert_allclose(blocks.residual(y), dense.residual(y),
+                               rtol=1e-12, atol=1e-12)
+    assert blocks.data_scale == pytest.approx(dense.data_scale, rel=1e-12)
+    np.testing.assert_allclose(blocks.lstsq(), dense.lstsq(), rtol=1e-9)
+    weights = rng.uniform(0.1, 2.0, M.shape[0])
+    np.testing.assert_allclose(blocks.weighted_lstsq(weights),
+                               dense.weighted_lstsq(weights), rtol=1e-9)
+    # weight on two pairs only: a singular Gram, so both take the
+    # minimum-norm least-squares fallback
+    sparse = np.zeros(M.shape[0])
+    sparse[:5] = 1.0
+    ref = np.linalg.lstsq(M[:5], c[:5], rcond=None)[0]
+    np.testing.assert_allclose(blocks.weighted_lstsq(sparse), ref, atol=1e-9)
+    np.testing.assert_allclose(dense.weighted_lstsq(sparse), ref, atol=1e-9)

@@ -274,3 +274,21 @@ def test_estimate_validation():
         estimate(A, B, u, u, k=4, reps=0)
     with pytest.raises(ValueError):
         estimate(A, B, np.ones(2, dtype=complex), u, k=4)
+
+
+def test_seed_sequence_is_read_not_spawned():
+    # two states from one SeedSequence hash identically, and the caller's
+    # object is left as it was
+    root = np.random.SeedSequence(31)
+    a = np.arange(6.0) + 1j
+    first, second = ts_new(16, root), ts_new(16, root)
+    assert root.n_children_spawned == 0
+    np.testing.assert_array_equal(ts_pair(first, a, a), ts_pair(second, a, a))
+    np.testing.assert_array_equal(ts_pair(first, a, a),
+                                  ts_pair(ts_new(16, 31), a, a))
+    rng = np.random.default_rng(32)
+    A, B = complex_rows(rng, 12, 3), complex_rows(rng, 12, 3)
+    u, v = rng.standard_normal(3), rng.standard_normal(3)
+    assert estimate(A, B, u, v, k=32, reps=4, seed=root) \
+        == estimate(A, B, u, v, k=32, reps=4, seed=31)
+    assert root.n_children_spawned == 0

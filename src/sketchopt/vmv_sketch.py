@@ -1,7 +1,8 @@
 """Streaming bilinear-form estimation via a tensor-product count sketch.
 
-Estimates ``u^T (A^T B) v`` without forming any d x d or n x d product: each
-row pair ``(a_i, b_i)`` is count-sketched separately and the two bucket
+Estimates ``u^T (A^T B) v`` from a ``k``-bucket sketch of the row pairs.
+The streaming path (``ingest``/``ts_pair``) forms no d x d or n x d product:
+each row pair ``(a_i, b_i)`` is count-sketched separately and the two bucket
 vectors are circularly convolved (by FFT), which equals count-sketching the
 rank-one tensor ``a_i (x) b_i`` under the derived hash
 ``(h1 + h2 mod k, s1 * s2)``.  Accumulating those sketches and pairing the
@@ -9,6 +10,12 @@ result with the sketch of ``u (x) v`` gives an unbiased estimate whose
 variance shrinks like ``1/k`` times the squared product of the query norms
 and the Frobenius norm of ``A^T B`` — the post-cancellation magnitude, not
 the gross row-norm mass.
+
+Because the accumulator is linear, it is also the count sketch of
+``sum_i a_i (x) b_i = A^T B`` under the derived hash.  ``estimate``, which
+sees all rows at once, uses that: it forms the d x d Gram ``A^T B`` once and
+scatters it into each repetition's buckets, which gives the sketch the
+``ingest`` loop would build, up to rounding.
 
 All inner products are bilinear (no conjugation): the target itself uses the
 plain transpose throughout, so complex inputs are supported by linearity.
@@ -120,12 +127,29 @@ def estimate_vmv(state: TensorSketchState, u, v) -> complex:
     return complex(np.sum(p * state.q))
 
 
+def _scatter_gram(state: TensorSketchState, G) -> None:
+    """Accumulate the count sketch of the d x d matrix ``G`` (in place).
+
+    Entry ``G[j, l]`` lands in bucket ``(h1[j] + h2[l]) % k`` with sign
+    ``s1[j] s2[l]``: with ``G = A^T B`` this is the sum of
+    ``ts_pair(state, a_i, b_i)`` over the rows.
+    """
+    h1, h2, s1, s2 = state.tables(G.shape[0])
+    buckets = ((h1[:, None] + h2) % state.k).ravel()
+    w = (s1[:, None] * G * s2).ravel()
+    state.q += (np.bincount(buckets, w.real, state.k)
+                + 1j * np.bincount(buckets, w.imag, state.k))
+
+
 def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     """Sketch all row pairs of ``A, B`` and estimate ``u^T (A^T B) v``.
 
-    Runs ``reps`` independent states; for ``reps > 1`` the estimates are
-    grouped into chunks of ``ceil(reps/3)`` and combined by the median of the
-    group means, taken separately on real and imaginary parts.
+    Runs ``reps`` independent states, state ``r`` seeded with
+    ``child_seed(seed, r)``; for ``reps > 1`` the estimates are grouped into
+    chunks of ``ceil(reps/3)`` and combined by the median of the group
+    means, taken separately on real and imaginary parts.  Each state's
+    accumulator is the one ``ingest`` of every row pair would build (up to
+    rounding), filled by one scatter of the shared Gram ``A^T B``.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -133,17 +157,21 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     v = np.asarray(v, dtype=complex).ravel()
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
         raise ValueError("estimate: A and B must share their row count")
+    if A.shape[1] != B.shape[1]:
+        raise ValueError("estimate: A and B must share their column count")
     if u.size != A.shape[1] or v.size != B.shape[1]:
         raise ValueError("estimate: query lengths must match column counts")
+    if not all(np.isfinite(x).all() for x in (A, B, u, v)):
+        raise ValueError("estimate: A, B, u and v must be finite "
+                         "(found NaN or Inf)")
     reps = int(reps)
     if reps < 1:
         raise ValueError("estimate: reps must be >= 1")
-    n = A.shape[0]
+    G = A.T @ B
     ests = np.empty(reps, dtype=complex)
     for r in range(reps):
         state = ts_new(k, child_seed(seed, r))
-        for i in range(n):
-            ingest(state, A[i], B[i])
+        _scatter_gram(state, G)
         ests[r] = estimate_vmv(state, u, v)
     if reps == 1:
         return complex(ests[0])

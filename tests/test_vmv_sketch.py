@@ -1,8 +1,12 @@
 """Tests for the tensor-product count sketch and bilinear-form estimator."""
 
+import math
+
 import numpy as np
 import pytest
 
+from sketchopt import vmv_sketch
+from sketchopt.core_complex import child_seed
 from sketchopt.vmv_sketch import (
     TensorSketchState,
     estimate,
@@ -276,6 +280,28 @@ def test_estimate_validation():
         estimate(A, B, np.ones(2, dtype=complex), u, k=4)
 
 
+def test_estimate_rejects_column_mismatch_before_building_state(monkeypatch):
+    rng = np.random.default_rng(23)
+    A, B = complex_rows(rng, 5, 3), complex_rows(rng, 5, 4)
+    built = []
+    monkeypatch.setattr(vmv_sketch, "ts_new",
+                        lambda *a, **kw: built.append(a) or ts_new(*a, **kw))
+    with pytest.raises(ValueError, match="column count"):
+        estimate(A, B, np.ones(3), np.ones(4), k=4)
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("where", ["A", "B", "u", "v"])
+def test_estimate_rejects_nonfinite_input(where, bad):
+    rng = np.random.default_rng(24)
+    args = {"A": complex_rows(rng, 5, 3), "B": complex_rows(rng, 5, 3),
+            "u": complex_rows(rng, 1, 3)[0], "v": complex_rows(rng, 1, 3)[0]}
+    args[where].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate(**args, k=4, reps=2)
+
+
 def test_seed_sequence_is_read_not_spawned():
     # two states from one SeedSequence hash identically, and the caller's
     # object is left as it was
@@ -292,3 +318,72 @@ def test_seed_sequence_is_read_not_spawned():
     assert estimate(A, B, u, v, k=32, reps=4, seed=root) \
         == estimate(A, B, u, v, k=32, reps=4, seed=31)
     assert root.n_children_spawned == 0
+
+
+# ---------------------------------------------------------------------------
+# estimate (one Gram scatter) equals the streaming definition
+# ---------------------------------------------------------------------------
+
+
+def streamed_estimate(A, B, u, v, k, reps, seed):
+    """``estimate`` as its definition reads: ingest every row, per rep."""
+    ests = []
+    for r in range(reps):
+        state = ts_new(k, child_seed(seed, r))
+        for a, b in zip(A, B):
+            ingest(state, a, b)
+        ests.append(estimate_vmv(state, u, v))
+    ests = np.array(ests)
+    if reps == 1:
+        return complex(ests[0])
+    group = math.ceil(reps / 3)
+    means = np.array([ests[j:j + group].mean()
+                      for j in range(0, reps, group)])
+    return complex(np.median(means.real) + 1j * np.median(means.imag))
+
+
+def _gaussian(n, d, real):
+    rng = np.random.default_rng(n * 1000 + d)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+    return draw(n, d), draw(n, d), draw(d), draw(d)
+
+
+def _cancellation():
+    rng = np.random.default_rng(25)
+    a, b = 1e3 * complex_rows(rng, 2, 5)
+    A = np.tile(a, (40, 1))
+    B = np.vstack([np.tile(b, (20, 1)), np.tile(-b, (20, 1))])
+    return A, B, *complex_rows(rng, 2, 5)
+
+
+def _no_rows():
+    rng = np.random.default_rng(26)
+    return (np.zeros((0, 6)), np.zeros((0, 6), dtype=complex),
+            *complex_rows(rng, 2, 6))
+
+
+# (instance, k, reps)
+STREAM_CASES = {
+    "complex-k64-reps7": (lambda: _gaussian(2000, 20, False), 64, 7),
+    "real-k4096-reps1": (lambda: _gaussian(2000, 20, True), 4096, 1),
+    "complex-wide-k4-reps7": (lambda: _gaussian(30, 40, False), 4, 7),
+    "real-wide-k4-reps1": (lambda: _gaussian(30, 40, True), 4, 1),
+    "cancellation-reps3": (_cancellation, 16, 3),
+    "no-rows-reps1": (_no_rows, 8, 1),
+    "no-rows-reps7": (_no_rows, 8, 7),
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_estimate_matches_streaming_definition(case):
+    make, k, reps = STREAM_CASES[case]
+    A, B, u, v = make()
+    expected = streamed_estimate(A, B, u, v, k, reps, seed=77)
+    got = estimate(A, B, u, v, k=k, reps=reps, seed=77)
+    gross = float(np.linalg.norm(u) * np.linalg.norm(v)
+                  * np.sum(np.linalg.norm(A, axis=1)
+                           * np.linalg.norm(B, axis=1)))
+    assert abs(got - expected) <= 1e-12 * gross

@@ -45,6 +45,7 @@ from .hessian_oracle import (
     hessp_full,
     hessp_sketched,
     make_loss,
+    sketched_hessian,
     value,
 )
 from .optimizers import (
@@ -99,8 +100,8 @@ __all__ = [
     "HybridPlan", "ls_det_sample", "ls_det_fraction_plan", "hybrid_gram",
     # hessian_oracle
     "FiniteSumProblem", "LossFamily", "OracleMeter", "make_loss", "value",
-    "grad", "d_diag", "hessp_full", "hessp_sketched", "convex_ridge_lambda",
-    "curvature_bound",
+    "grad", "d_diag", "hessp_full", "sketched_hessian", "hessp_sketched",
+    "convex_ridge_lambda", "curvature_bound",
     # optimizers
     "OptConfig", "OptTrace", "cg_solve", "minnorm_lsq", "cg_steihaug",
     "newton_cg", "newton_mr", "trust_region",

@@ -23,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from ..core_complex import seeded_generator
-from ..hessian_oracle import FiniteSumProblem, convex_ridge_lambda, make_loss
+from ..hessian_oracle import (FiniteSumProblem, convex_ridge_lambda, d_diag,
+                              make_loss)
 from ..lp_regression import complex_lp_solve, sketch_and_solve
 from ..optimizers import OptConfig, newton_cg, newton_mr, trust_region
 from ..sketch_sampling import (SAMPLING_SCHEMES, approx_leverage_scores,
@@ -456,7 +457,7 @@ def run_scores(config, master_seed, out_dir, svg=False):
     problem = FiniteSumProblem(A, labels, loss, ridge_lambda=ridge_lambda)
     x0 = np.zeros(problem.d)
 
-    dvec = problem.d_diag(x0)
+    dvec = d_diag(problem, x0)
     weighted = np.sqrt(np.abs(dvec))[:, None] * problem.A
     exact = exact_leverage_scores(weighted)
     try:

@@ -7,6 +7,10 @@ indefinite for non-convex losses; sketched Hessian-vector products sample a
 weighted subset of rows and fold the weights and curvature signs together so
 the entire hot path stays in real arithmetic.
 
+The oracles ``value``, ``grad``, ``d_diag`` and ``hessp_full`` are module
+functions of a problem and an iterate; ``hessp_sketched`` applies the
+operator that ``sketched_hessian`` gathers once per iterate.
+
 Costs are tracked in function-evaluation units on an OracleMeter:
 value/gradient/curvature-diagonal cost 1 each, a full Hessian-vector product
 costs 2, and a sketched product with t rows costs ceil(2 t / n).
@@ -183,22 +187,6 @@ class FiniteSumProblem:
     def d(self) -> int:
         return self.A.shape[1]
 
-    # thin method wrappers over the module-level oracles
-    def value(self, x, meter=None):
-        return value(self, x, meter=meter)
-
-    def grad(self, x, meter=None):
-        return grad(self, x, meter=meter)
-
-    def d_diag(self, x, meter=None):
-        return d_diag(self, x, meter=meter)
-
-    def hessp_full(self, x, v, meter=None):
-        return hessp_full(self, x, v, meter=meter)
-
-    def hessp_sketched(self, x, v, sketch, meter=None, dvec=None):
-        return hessp_sketched(self, x, v, sketch, meter=meter, dvec=dvec)
-
 
 def value(problem: FiniteSumProblem, x, meter: OracleMeter | None = None) -> float:
     """F(x); charges 1 unit."""
@@ -243,17 +231,13 @@ def _plan_parts(sketch):
     Hybrid plans store picks relative to their remainder set; those indices
     are mapped back to original row numbers here.
     """
-    det = getattr(sketch, "deterministic_rows", None)
+    det = getattr(sketch, "deterministic_rows", np.empty(0, dtype=int))
     sampled = getattr(sketch, "sampled", sketch)
     remainder = getattr(sketch, "remainder", None)
-    rows = sampled.rows if sampled is not None else np.empty(0, dtype=int)
-    weights = sampled.weights if sampled is not None else np.empty(0)
-    rows = np.asarray(rows, dtype=int)
+    rows = np.asarray(sampled.rows, dtype=int)
     if remainder is not None and rows.size:
         rows = np.asarray(remainder, dtype=int)[rows]
-    if det is None:
-        det = np.empty(0, dtype=int)
-    return np.asarray(det, dtype=int), rows, np.asarray(weights)
+    return np.asarray(det, dtype=int), rows, np.asarray(sampled.weights)
 
 
 @dataclass(frozen=True)
@@ -317,21 +301,13 @@ def sketched_hessian(problem: FiniteSumProblem, x, sketch,
                            c_rows=weights**2 * d_rows)
 
 
-def hessp_sketched(problem: FiniteSumProblem, x, v, sketch,
-                   meter: OracleMeter | None = None, dvec=None) -> np.ndarray:
-    """Sketched Hessian-vector product; charges ceil(2 t / n) units.
-
-    ``sketch`` is either a SketchedHessian prepared by ``sketched_hessian``
-    (then ``x`` and ``dvec`` are ignored: the operator already holds the
-    iterate's curvature) or anything ``sketched_hessian`` accepts, in which
-    case the operator is built for this one product.
-    """
+def hessp_sketched(op: SketchedHessian, v,
+                   meter: OracleMeter | None = None) -> np.ndarray:
+    """Apply a ``sketched_hessian`` operator; charges ceil(2 t / n) units."""
     v = np.asarray(v, dtype=float)
-    if not isinstance(sketch, SketchedHessian):
-        sketch = sketched_hessian(problem, x, sketch, dvec=dvec)
-    t_total = sketch.rows
-    _charge(meter, math.ceil(2 * t_total / problem.n) if t_total else 0)
-    return sketch.apply(v)
+    t_total = op.rows
+    _charge(meter, math.ceil(2 * t_total / op.n) if t_total else 0)
+    return op.apply(v)
 
 
 def convex_ridge_lambda(problem: FiniteSumProblem, h: float | None = None) -> float:

@@ -149,6 +149,8 @@ def lift_instance(A, b) -> LiftedRegression:
         raise ValueError("lift_instance: A must be a matrix")
     if A.shape[0] != b.size:
         raise ValueError("lift_instance: A and b row counts differ")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("lift_instance: A and b must be finite")
     pairs = [(2 * i, 2 * i + 1) for i in range(A.shape[0])]
     return LiftedRegression(Ap=lift_matrix(A), bp=phi(b), pairs=pairs)
 
@@ -202,6 +204,8 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("lp_leverage_scores: M must be a matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("lp_leverage_scores: M must be finite")
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("lp_leverage_scores: p must be finite and >= 1")
@@ -209,10 +213,11 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     if p == 2.0:
         return exact_leverage_scores(M)
 
-    if embed_rows is None:
-        embed_rows = 4 * k
+    embed_rows = 4 * k if embed_rows is None else int(embed_rows)
+    if embed_rows < k:
+        raise ValueError("lp_leverage_scores: embed_rows must be >= cols")
     rng = seeded_generator(seed)
-    S = rng.standard_normal((int(embed_rows), n)) / np.sqrt(float(embed_rows))
+    S = rng.standard_normal((embed_rows, n)) / np.sqrt(float(embed_rows))
     R = np.linalg.qr(S @ M, mode="r")
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
@@ -274,6 +279,8 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
     if t < 1:
         raise ValueError("build_sketch_finite_p: t must be >= 1")
     heavy_set = {int(i) for i in heavy}
+    if any(not 0 <= i < len(pairs) for i in heavy_set):
+        raise ValueError("build_sketch_finite_p: heavy index out of range")
     sigma = gaussian_moment_scale(p)
     heavy_scale = sigma * t ** (-1.0 / p)
 
@@ -525,6 +532,8 @@ def _solve_grouped(M, c, groups, p, tol):
     m = M.shape[0]
     if m != c.size:
         raise ValueError("lp solve: row counts of M and c differ")
+    if not (np.isfinite(M).all() and np.isfinite(c).all()):
+        raise ValueError("lp solve: M and c must be finite")
     p = float(p)
     if not (p == np.inf or p >= 1.0):
         raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")

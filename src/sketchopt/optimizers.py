@@ -23,10 +23,12 @@ values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hessian_oracle
 from .core_complex import child_seed
 from .hessian_oracle import (
     FiniteSumProblem,
@@ -37,11 +39,12 @@ from .hessian_oracle import (
     sketched_hessian,
     value,
 )
-from .hybrid_sampling import REMAINDER_MODES, ls_det_fraction_plan
+from .hybrid_sampling import ls_det_fraction_plan
 from .sketch_sampling import (SAMPLING_SCHEMES, build_sampling_sketch,
                               canonical_scheme, scheme_probabilities)
 
 _MAX_HALVINGS = 30
+_LINE_SEARCH_RHO = 1e-4  # sufficient-decrease constant of both line searches
 _RADIUS_FLOOR = 1e-16
 
 
@@ -51,9 +54,10 @@ class OptConfig:
 
     ``scheme`` picks the Hessian estimator: "full" (exact products), one of
     the sampling schemes ("uniform", "ls", "rn", "ls-mx", "rn-mx"), or
-    "ls-det" (deterministic top-leverage rows plus sampled remainder, split
-    by ``ls_det_fraction``), spelled as by ``canonical_scheme`` (``_``
-    reads as ``-``).  Sampling schemes require ``sample_size``.
+    "ls-det" (deterministic top-leverage rows plus a leverage-sampled
+    remainder, split by ``ls_det_fraction``), spelled as by
+    ``canonical_scheme`` (``_`` reads as ``-``).  Sampling schemes require
+    ``sample_size``.  Sizes, caps, the budget and the seed are integers.
     """
 
     scheme: str = "full"
@@ -62,14 +66,12 @@ class OptConfig:
     max_oracle_calls: int | None = None
     inner_cap: int = 100
     inner_tol: float = 1e-8
-    line_search_rho: float = 1e-4
     tr_delta0: float = 1.0
     tr_eta: float = 0.8
     tr_gamma: float = 1.2
     grad_tol: float = 1e-8
     seed: int = 0
     ls_det_fraction: float = 0.5
-    remainder_mode: str = "leverage"
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -77,12 +79,17 @@ class OptConfig:
         if scheme not in ("full", "ls-det") + SAMPLING_SCHEMES:
             raise ValueError(f"OptConfig: unknown scheme {self.scheme!r}")
         object.__setattr__(self, "scheme", scheme)
+        required = ("max_outer", "inner_cap", "seed")
+        for name in required + ("sample_size", "max_oracle_calls"):
+            val = getattr(self, name)
+            if val is None and name not in required:
+                continue
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"OptConfig: {name} must be an integer")
         if scheme != "full" and (self.sample_size is None or self.sample_size < 1):
             raise ValueError(
                 f"OptConfig: scheme {scheme!r} requires sample_size >= 1"
             )
-        if not 0.0 < self.line_search_rho < 1.0:
-            raise ValueError("OptConfig: line_search_rho must be in (0, 1)")
         if not 0.0 < self.tr_eta < 1.0:
             raise ValueError("OptConfig: tr_eta must be in (0, 1)")
         if not (math.isfinite(self.tr_gamma) and self.tr_gamma > 1.0):
@@ -93,15 +100,16 @@ class OptConfig:
             raise ValueError("OptConfig: max_outer must be >= 1")
         if self.inner_cap < 1:
             raise ValueError("OptConfig: inner_cap must be >= 1")
+        if self.max_oracle_calls is not None and self.max_oracle_calls < 0:
+            raise ValueError("OptConfig: max_oracle_calls must be >= 0")
+        if self.seed < 0:
+            raise ValueError("OptConfig: seed must be >= 0")
         for name in ("inner_tol", "grad_tol"):
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ValueError(f"OptConfig: {name} must be finite and >= 0")
         if not 0.0 <= self.ls_det_fraction <= 1.0:
             raise ValueError("OptConfig: ls_det_fraction must be in [0, 1]")
-        if self.remainder_mode not in REMAINDER_MODES:
-            raise ValueError("OptConfig: remainder_mode must be one of "
-                             f"{REMAINDER_MODES}")
 
 
 @dataclass
@@ -295,28 +303,24 @@ def _make_hessp(problem: FiniteSumProblem, x, config: OptConfig, seed,
         dvec = problem.loss.f2(problem.A @ x, problem.labels)
         return lambda v: hessp_full(problem, x, v, meter=meter, dvec=dvec)
     if config.scheme == "ls-det":
-        dvec = problem.d_diag(x, meter=meter)
+        dvec = hessian_oracle.d_diag(problem, x, meter=meter)
         B = np.sqrt(np.abs(dvec))[:, None] * problem.A
-        # one leverage computation (d units) for the top-fraction selection,
-        # one more when the remainder is itself leverage-sampled
-        k_det = round(config.ls_det_fraction * config.sample_size)
-        units = problem.d if k_det > 0 else 0
-        if config.sample_size - k_det > 0 and config.remainder_mode == "leverage":
-            units += problem.d
-        meter.add(units)
         plan = ls_det_fraction_plan(
             B, budget=config.sample_size, fraction=config.ls_det_fraction,
-            remainder_mode=config.remainder_mode, seed=seed,
+            remainder_mode="leverage", seed=seed,
         )
+        # d units per leverage computation made: top rows, sampled remainder
+        meter.add(problem.d * ((plan.deterministic_rows.size > 0)
+                               + (len(plan.sampled) > 0)))
         op = sketched_hessian(problem, x, plan, dvec=dvec)
-        return lambda v: hessp_sketched(problem, x, v, op, meter=meter)
+        return lambda v: hessp_sketched(op, v, meter=meter)
     result = scheme_probabilities(problem, x, config.scheme, meter=meter,
                                   cache=cache)
     if result.fell_back:
         trace.flags.append(f"scheme_{config.scheme}_fell_back_to_uniform")
     sketch = build_sampling_sketch(result.probs, config.sample_size, seed=seed)
     op = sketched_hessian(problem, x, sketch)
-    return lambda v: hessp_sketched(problem, x, v, op, meter=meter)
+    return lambda v: hessp_sketched(op, v, meter=meter)
 
 
 def _iteration_seed(root: np.random.SeedSequence, k: int):
@@ -436,7 +440,7 @@ def newton_cg(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
         found = _backtrack(
             run, k, p, lambda y: value(problem, y, meter=run.meter),
             lambda alpha, F_new:
-                F_new <= run.F + config.line_search_rho * alpha * slope)
+                F_new <= run.F + _LINE_SEARCH_RHO * alpha * slope)
         if found is None:
             return "line_search_failed"
         alpha, F_new = found
@@ -463,7 +467,7 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
         found = _backtrack(
             run, k, p, lambda y: grad(problem, y, meter=run.meter),
             lambda alpha, g_new: float(g_new @ g_new)
-                <= gsq + 2.0 * config.line_search_rho * alpha * slope)
+                <= gsq + 2.0 * _LINE_SEARCH_RHO * alpha * slope)
         if found is None:
             return "line_search_failed"
         alpha, g_new = found

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import hessian_oracle
 from .core_complex import qr, seeded_generator, spectral_norm, svd
 from .hessian_oracle import _charge
 
@@ -170,7 +171,7 @@ def scheme_probabilities(problem, x, scheme: str, meter=None,
         return SchemeResult(np.full(n, 1.0 / n), scheme)
     if cache is None:
         cache = {}
-    dvec = problem.d_diag(x, meter=meter)
+    dvec = hessian_oracle.d_diag(problem, x, meter=meter)
     absd = np.abs(dvec)
     if scheme == "ls":
         _charge(meter, d)

@@ -23,7 +23,8 @@ from sketchopt.core_complex import (
     phi,
     spectral_norm,
 )
-from sketchopt.hessian_oracle import FiniteSumProblem, make_loss
+from sketchopt.hessian_oracle import (FiniteSumProblem, grad, hessp_full,
+                                      make_loss, value)
 from sketchopt.lp_regression import (
     complex_lp_solve,
     gaussian_moment_scale,
@@ -228,14 +229,14 @@ def test_criterion_06_optimizers_and_derivative_oracles_are_correct():
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         h = 1e-6
-        fd_slope = (problem.value(x + h * v)
-                    - problem.value(x - h * v)) / (2 * h)
-        slope = float(problem.grad(x) @ v)
+        fd_slope = (value(problem, x + h * v)
+                    - value(problem, x - h * v)) / (2 * h)
+        slope = float(grad(problem, x) @ v)
         assert abs(fd_slope - slope) <= 1e-4 * max(abs(slope), 1e-12)
         h = 3e-4
-        fd_curver = (problem.grad(x + h * v)
-                     - problem.grad(x - h * v)) / (2 * h)
-        curver = problem.hessp_full(x, v)
+        fd_curver = (grad(problem, x + h * v)
+                     - grad(problem, x - h * v)) / (2 * h)
+        curver = hessp_full(problem, x, v)
         assert (np.linalg.norm(fd_curver - curver)
                 <= 1e-4 * max(np.linalg.norm(curver), 1e-12))
     assert time.perf_counter() - start < 10.0

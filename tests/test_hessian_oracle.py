@@ -169,7 +169,8 @@ def test_hessp_sketched_identity_sketch_equals_full():
     v = rng.standard_normal(4)
     ident = SamplingSketch(15, np.arange(15), np.ones(15))
     assert np.allclose(
-        hessp_sketched(prob, x, v, ident), hessp_full(prob, x, v), atol=1e-12
+        hessp_sketched(sketched_hessian(prob, x, ident), v),
+        hessp_full(prob, x, v), atol=1e-12
     )
 
 
@@ -182,7 +183,7 @@ def test_hessp_sketched_single_row_formula():
     S = SamplingSketch(15, np.array([2]), np.array([w]))
     a = prob.A[2]
     expect = w * w * 1.0 * (a @ v) * a / 15 + 0.3 * v
-    assert np.allclose(hessp_sketched(prob, x, v, S), expect)
+    assert np.allclose(hessp_sketched(sketched_hessian(prob, x, S), v), expect)
 
 
 def test_hessp_sketched_monte_carlo_unbiased():
@@ -196,7 +197,7 @@ def test_hessp_sketched_monte_carlo_unbiased():
     reps = 10_000
     for seed in range(reps):
         S = build_sampling_sketch(res.probs, t=4, seed=seed)
-        acc += hessp_sketched(prob, x, v, S)
+        acc += hessp_sketched(sketched_hessian(prob, x, S), v)
     mean = acc / reps
     assert np.linalg.norm(mean - full) / np.linalg.norm(full) <= 0.02
 
@@ -216,7 +217,8 @@ def test_meter_hand_computed_script():
     d_diag(prob, x, meter=meter)       # +1
     hessp_full(prob, x, v, meter=meter)  # +2
     S = build_sampling_sketch(np.full(10, 0.1), t=3, seed=0)
-    hessp_sketched(prob, x, v, S, meter=meter)  # ceil(2*3/10) = +1
+    hessp_sketched(sketched_hessian(prob, x, S), v,
+                   meter=meter)  # ceil(2*3/10) = +1
     assert meter.function_evals == 6
 
 
@@ -310,12 +312,12 @@ def test_sketched_product_with_hybrid_plan_maps_remainder_indices():
     x = rng.standard_normal(4)
     v = rng.standard_normal(4)
     plan = ls_det_fraction_plan(A, budget=10, fraction=0.3, seed=5)
-    got = hessp_sketched(problem, x, v, plan)
+    got = hessp_sketched(sketched_hessian(problem, x, plan), v)
     # manual: deterministic rows weight 1, picks mapped through the remainder
     det = plan.deterministic_rows
     picks = plan.remainder[plan.sampled.rows]
     w2 = plan.sampled.weights ** 2
-    dvec = problem.d_diag(x)
+    dvec = d_diag(problem, x)
     expect = problem.ridge_lambda * v
     expect = expect + A[det].T @ (dvec[det] * (A[det] @ v)) / 30
     expect = expect + A[picks].T @ (w2 * dvec[picks] * (A[picks] @ v)) / 30
@@ -386,11 +388,7 @@ def test_prepared_operator_matches_per_product_formula_bitwise():
                 v = rng.standard_normal(problem.d)
                 expect = _per_product_reference(problem, x, v, sketch, dv)
                 assert np.array_equal(op.apply(v), expect), name
-                assert np.array_equal(
-                    hessp_sketched(problem, x, v, op), expect), name
-                assert np.array_equal(
-                    hessp_sketched(problem, x, v, sketch, dvec=dv),
-                    expect), name
+                assert np.array_equal(hessp_sketched(op, v), expect), name
 
 
 def test_prepared_operator_meter_charges_per_product_only():
@@ -404,5 +402,5 @@ def test_prepared_operator_meter_charges_per_product_only():
         t = op.rows
         assert t == 25, name
         for calls in range(1, 4):
-            hessp_sketched(problem, x, v, op, meter=meter)
+            hessp_sketched(op, v, meter=meter)
             assert meter.function_evals == calls * math.ceil(2 * t / problem.n)

@@ -653,3 +653,56 @@ def test_pair_block_rows_match_dense_rows():
     ref = np.linalg.lstsq(M[:5], c[:5], rcond=None)[0]
     np.testing.assert_allclose(blocks.weighted_lstsq(sparse), ref, atol=1e-9)
     np.testing.assert_allclose(dense.weighted_lstsq(sparse), ref, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# boundary validation
+
+
+def test_sketch_and_solve_rejects_nonfinite_input():
+    rng = np.random.default_rng(91)
+    A = complex_matrix(rng, 20, 2)
+    b = complex_vector(rng, 20)
+    b[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sketch_and_solve(A, b, 1.0, t=4, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        sketch_and_solve(A, b, np.inf, s=2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_lp_solvers_reject_nonfinite_input(bad):
+    rng = np.random.default_rng(92)
+    A = complex_matrix(rng, 12, 2)
+    b = complex_vector(rng, 12)
+    A[4, 1] = bad
+    M = rng.standard_normal((12, 3))
+    c = rng.standard_normal(12)
+    c[7] = bad
+    for p in (1.0, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            complex_lp_solve(A, b, p)
+        with pytest.raises(ValueError, match="finite"):
+            small_lp_solve(M, c, p)
+
+
+def test_build_sketch_finite_p_rejects_heavy_index_out_of_range():
+    pairs = [(0, 1), (2, 3)]
+    for heavy in ([5], [-1], [0, 2]):
+        with pytest.raises(ValueError, match="heavy"):
+            build_sketch_finite_p(pairs, heavy, t=3, p=1.0)
+
+
+def test_lp_leverage_scores_rejects_embedding_narrower_than_columns():
+    M = np.random.default_rng(93).standard_normal((40, 6))
+    with pytest.raises(ValueError, match="embed_rows"):
+        lp_leverage_scores(M, 1.0, embed_rows=2)
+    assert lp_leverage_scores(M, 1.0, embed_rows=6).shape == (40,)
+
+
+def test_lp_leverage_scores_rejects_nonfinite_input():
+    M = np.random.default_rng(94).standard_normal((40, 6))
+    M[5, 2] = np.inf
+    for p in (1.0, 2.0):
+        with pytest.raises(ValueError, match="finite"):
+            lp_leverage_scores(M, p)

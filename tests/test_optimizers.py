@@ -203,10 +203,6 @@ def test_steihaug_feasible_with_nonpositive_model_value():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptConfig(line_search_rho=0.0)
-    with pytest.raises(ValueError):
-        OptConfig(line_search_rho=1.0)
-    with pytest.raises(ValueError):
         OptConfig(tr_eta=1.5)
     with pytest.raises(ValueError):
         OptConfig(tr_gamma=0.9)
@@ -220,7 +216,11 @@ def test_config_validation():
                 dict(inner_tol=float("nan")), dict(grad_tol=float("nan")),
                 dict(grad_tol=float("inf")), dict(grad_tol=-1.0),
                 dict(tr_gamma=float("nan")), dict(tr_gamma=float("inf")),
-                dict(remainder_mode="bogus")):
+                dict(max_oracle_calls=-5), dict(max_oracle_calls=1.5),
+                dict(scheme="ls", sample_size=2.5),
+                dict(scheme="ls", sample_size=True), dict(max_outer=3.5),
+                dict(inner_cap=2.0), dict(seed=-1), dict(seed=1.5),
+                dict(seed=True)):
         with pytest.raises(ValueError):
             OptConfig(**bad)
     # zero tolerances stay legal; "_" reads as "-" in scheme names
@@ -428,8 +428,8 @@ def test_ls_det_scheme_runs_end_to_end():
 
 @pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "ls-det"])
 def test_iterate_operator_matches_per_product_oracles(scheme):
-    from sketchopt.hessian_oracle import OracleMeter, hessp_full, \
-        hessp_sketched
+    from sketchopt.hessian_oracle import OracleMeter, d_diag, hessp_full, \
+        hessp_sketched, sketched_hessian
 
     rng = np.random.default_rng(75)
     problem = nlls_problem(rng, n=120, d=4, lam=0.01)
@@ -445,14 +445,15 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
             return hessp_full(problem, x, v)
     elif scheme == "ls-det":
         from sketchopt.hybrid_sampling import ls_det_fraction_plan
-        dvec = problem.d_diag(x)
+        dvec = d_diag(problem, x)
         plan = ls_det_fraction_plan(np.sqrt(np.abs(dvec))[:, None] * problem.A,
                                     budget=30, fraction=0.5,
-                                    remainder_mode=cfg.remainder_mode,
+                                    remainder_mode="leverage",
                                     seed=seed)
 
         def reference(v):
-            return hessp_sketched(problem, x, v, plan, dvec=dvec)
+            return hessp_sketched(sketched_hessian(problem, x, plan,
+                                                   dvec=dvec), v)
     else:
         from sketchopt.sketch_sampling import (build_sampling_sketch,
                                                scheme_probabilities)
@@ -460,13 +461,37 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
         sketch = build_sampling_sketch(probs, 30, seed=seed)
 
         def reference(v):
-            return hessp_sketched(problem, x, v, sketch)
+            return hessp_sketched(sketched_hessian(problem, x, sketch), v)
     built = meter.function_evals
     per_product = 2 if scheme == "full" else 1
     for j in range(1, 4):
         v = rng.standard_normal(4)
         assert np.array_equal(hp(v), reference(v))
         assert meter.function_evals == built + j * per_product
+
+
+@pytest.mark.parametrize("budget, fraction",
+                         [(60, 0.9), (60, 1.0), (40, 0.5), (10, 0.0)])
+def test_ls_det_charges_the_leverage_work_it_does(budget, fraction,
+                                                  monkeypatch):
+    from sketchopt import hybrid_sampling
+    from sketchopt.hessian_oracle import OracleMeter
+
+    calls = []
+    original = hybrid_sampling.exact_leverage_scores
+    monkeypatch.setattr(hybrid_sampling, "exact_leverage_scores",
+                        lambda B: calls.append(1) or original(B))
+    rng = np.random.default_rng(76)
+    problem = nlls_problem(rng, n=50, d=4)
+    cfg = OptConfig(scheme="ls-det", sample_size=budget,
+                    ls_det_fraction=fraction)
+    meter = OracleMeter()
+    optimizers_mod._make_hessp(problem, 0.1 * rng.standard_normal(4), cfg,
+                               np.random.SeedSequence(5), meter, {},
+                               OptTrace("test"))
+    assert calls
+    # d_diag (1 unit) plus d units per leverage computation
+    assert meter.function_evals == 1 + problem.d * len(calls)
 
 
 # ---------------------------------------------------------------------------

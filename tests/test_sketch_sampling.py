@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sketchopt.core_complex import min_eig_hermitian, spectral_norm
-from sketchopt.hessian_oracle import FiniteSumProblem, OracleMeter, make_loss
+from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
+                                      make_loss)
 from sketchopt.sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -301,7 +302,7 @@ def test_scheme_ls_mx_combines_both_matrices():
     prob = _toy_problem(A, labels=labels, loss="nlls_classification")
     x = rng.standard_normal(4) * 0.1
     res = scheme_probabilities(prob, x, "ls-mx")
-    dvec = prob.d_diag(x)
+    dvec = d_diag(prob, x)
     lev_A = exact_leverage_scores(A)
     lev_DA = exact_leverage_scores(np.abs(dvec)[:, None] * A)
     expect = lev_A + lev_DA

@@ -176,8 +176,9 @@ class FiniteSumProblem:
         if not (np.isfinite(self.A).all() and np.isfinite(self.labels).all()):
             raise ValueError("FiniteSumProblem: A and labels must be finite "
                              "(found NaN or Inf)")
-        if self.ridge_lambda < 0:
-            raise ValueError("FiniteSumProblem: ridge_lambda must be >= 0")
+        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ValueError("FiniteSumProblem: ridge_lambda must be finite "
+                             "and >= 0")
 
     @property
     def n(self) -> int:

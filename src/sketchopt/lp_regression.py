@@ -6,21 +6,24 @@ imaginary parts of residual ``i``.  Independent Gaussian blocks then compress
 each pair: for finite ``p`` a pair contributes one row (or ``t`` rows when its
 leverage marks it heavy), calibrated so the expected p-th moment of the
 compressed coordinates reproduces the pair's Euclidean norm; for
-``p = infinity`` a sign-enumeration matrix turns an l1 estimate of the pair
-norm into a max, so the compressed problem is again a plain max-norm fit.
+``p = infinity`` an ``s x 2`` Gaussian ``G_i`` estimates the pair norm by
+``||G_i r_i||_1``, which a sign-enumeration matrix turns into a max over
+``2^s`` rows, so the compressed problem is again a plain max-norm fit.
 Small dense instances are solved by iteratively reweighted least squares
-(finite ``p``) or a smoothed-max temperature schedule (``p = infinity``).
-``sketch_and_solve`` runs the same solvers in pair-block form: every
-compressed row is a block row applied to its pair's lifted residual, so a
-weighted Gram matrix is ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per
-pair, and the compressed matrix (``n 2^s`` rows at ``p = infinity``) is never
-assembled.
+(finite ``p``) or by damped Newton steps on a smoothed max under a halving
+temperature (``p = infinity``).  ``sketch_and_solve`` never assembles the
+compressed matrix.  At finite ``p`` every compressed row is a block row
+applied to its pair's lifted residual, so a weighted Gram matrix is
+``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per pair.  At
+``p = infinity`` the smoothed max over the ``2^s`` signed rows of a pair
+factors exactly into log-cosh terms of the ``s`` rows ``G_i r_i``, so the
+solve works on ``n s`` rows and never forms the ``n 2^s``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,8 +50,8 @@ __all__ = [
     "small_lp_solve",
 ]
 
-#: Hard cap on the sign-enumeration width: 2^20 rows is the largest block the
-#: max-norm route is allowed to materialize.
+#: Hard cap on the sign-enumeration width: 2^20 rows is the largest block a
+#: max-norm sketch may expand when its blocks are read.
 MAX_ENUMERATION_BITS = 20
 
 #: Smoothing floor added to group norms inside the reweighted solver so that
@@ -80,17 +83,31 @@ class BlockSketch:
     """Block-diagonal compression aligned with residual pairs.
 
     ``blocks[i]`` multiplies the two rows of ``pairs[i]``; results stack in
-    pair order.  ``apply`` never materializes the assembled matrix; use
-    ``assembled`` only at small sizes.
+    pair order.  The sketch keeps one draw per pair in ``factors``: at finite
+    ``p`` the factor is the block itself; at ``p = infinity`` it is the
+    ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where ``R`` holds
+    the ``2^s`` sign rows, and the blocks are expanded only when read.
+    ``apply`` never materializes the assembled matrix; use ``assembled`` only
+    at small sizes.
     """
 
     pairs: list
-    blocks: list
+    factors: list
     p: float
 
     @property
+    def blocks(self) -> list:
+        if not np.isinf(self.p) or not self.factors:
+            return self.factors
+        R = sign_enumeration_matrix(self.factors[0].shape[0])
+        return [R @ G for G in self.factors]
+
+    @property
     def total_rows(self) -> int:
-        return int(sum(b.shape[0] for b in self.blocks))
+        rows = [f.shape[0] for f in self.factors]
+        if np.isinf(self.p):
+            rows = [2 ** s for s in rows]
+        return int(sum(rows))
 
     def apply(self, M):
         """Multiply the block-diagonal sketch against rows of ``M``."""
@@ -175,15 +192,19 @@ def gaussian_moment_scale(p) -> float:
     return math.exp(log_scale)
 
 
-def sign_enumeration_matrix(s) -> np.ndarray:
-    """All ``2^s`` sign rows in ``{-1,+1}^s``, so ``max |R z| = ||z||_1``."""
+def _enumeration_width(s, caller) -> int:
     s = int(s)
     if s < 1:
-        raise ValueError("sign_enumeration_matrix: s must be >= 1")
+        raise ValueError("%s: s must be >= 1" % caller)
     if s > MAX_ENUMERATION_BITS:
-        raise ValueError(
-            "sign_enumeration_matrix: s = %d exceeds the 2^%d-row budget"
-            % (s, MAX_ENUMERATION_BITS))
+        raise ValueError("%s: s = %d exceeds the 2^%d-row budget"
+                         % (caller, s, MAX_ENUMERATION_BITS))
+    return s
+
+
+def sign_enumeration_matrix(s) -> np.ndarray:
+    """All ``2^s`` sign rows in ``{-1,+1}^s``, so ``max |R z| = ||z||_1``."""
+    s = _enumeration_width(s, "sign_enumeration_matrix")
     codes = (np.arange(2 ** s)[:, None] >> np.arange(s)[None, :]) & 1
     return codes.astype(float) * 2.0 - 1.0
 
@@ -257,13 +278,14 @@ def classify_pairs(scores, d, p):
 
 
 def _block_sketch(pairs, p, seed, draw) -> BlockSketch:
-    """Blocks ``draw(i, rng)``, each from pair ``i``'s own child of ``seed``."""
+    """Factors ``draw(i, rng)``, each from pair ``i``'s own child of
+    ``seed``."""
     pairs = [(int(a), int(b)) for a, b in pairs]
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)  # built once, not once per pair
-    blocks = [draw(i, seeded_generator(child_seed(seed, i)))
-              for i in range(len(pairs))]
-    return BlockSketch(pairs=pairs, blocks=blocks, p=p)
+    factors = [draw(i, seeded_generator(child_seed(seed, i)))
+               for i in range(len(pairs))]
+    return BlockSketch(pairs=pairs, factors=factors, p=p)
 
 
 def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
@@ -297,14 +319,13 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 
     Every pair gets ``R @ G`` where ``G`` is ``s x 2`` Gaussian with entry std
     ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``) and ``R`` enumerates all
-    ``2^s`` sign rows, turning that l1 estimate into a max.
+    ``2^s`` sign rows, turning that l1 estimate into a max.  Only the
+    factors ``G`` are stored; ``R @ G`` is formed when the blocks are read.
     """
-    s = int(s)
-    R = sign_enumeration_matrix(s)
+    s = _enumeration_width(s, "build_sketch_inf")
     scale = math.sqrt(math.pi / 2.0) / s
-    return _block_sketch(
-        pairs, np.inf, seed,
-        lambda _, rng: R @ (scale * rng.standard_normal((s, 2))))
+    return _block_sketch(pairs, np.inf, seed,
+                         lambda _, rng: scale * rng.standard_normal((s, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +336,8 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 def _weighted_lstsq(gram, rhs, tall):
     # Normal equations with a Cholesky solve: one pass over the rows instead
     # of a fresh orthogonal factorization per reweighting.  ``tall()`` gives
-    # the square-root-weighted rows, factorized only for a Gram matrix too
+    # a least-squares problem with the same solution (the square-root-weighted
+    # rows, or a Newton system itself), solved only for a matrix too
     # ill-conditioned to factor.
     try:
         chol = scipy.linalg.cho_factor(gram, check_finite=False)
@@ -473,58 +495,130 @@ def _solve_grouped_finite(rows, group_of_row, n_groups, p, tol, max_iter=300):
                       iterations=iterations)
 
 
-def _solve_grouped_inf(rows, group_of_row, n_groups, tol, max_halvings=64):
-    """Smoothed max-norm fit: softmax-weighted least squares, temperature / 2.
+def _solve_grouped_inf(J, c, sizes, l1, y, tol):
+    """Smoothed max-norm fit by damped Newton steps, temperature / 2.
 
-    At temperature ``mu`` the weights reproduce the gradient of
-    ``mu log sum exp(norm_g / mu)``, so each weighted solve is a descent step
-    for the smoothed objective; halving ``mu`` until it is negligible against
-    the incumbent drives the iterate to the max-norm minimizer, and the final
-    lowest-temperature sweep polishes the active set.
+    The rows ``J y - c`` come in consecutive groups of ``sizes`` rows, and
+    the objective is the largest group norm: l1 when ``l1``, else l2.  At
+    temperature ``mu`` group ``g``'s norm is smoothed into
+    ``h_g = mu sum_k log 2cosh(r_k / mu)`` (l1, at most ``size mu log 2``
+    above it) or ``h_g = sqrt(||r_g||^2 + mu^2)`` (l2, at most ``mu`` above
+    it), and the max into ``F = mu log sum_g exp(h_g / mu)`` (at most
+    ``mu log G`` above it).  For the l1 groups ``G_i r_i`` of a
+    sign-enumeration sketch, ``F`` is exactly the log-sum-exp over all
+    ``2^s`` signed rows ``sigma . G_i r_i``, because
+    ``sum_sigma exp(sigma . g / mu) = prod_k 2cosh(g_k / mu)``; those rows
+    are never formed.  Starting from ``y`` at ``mu`` = half its objective,
+    Newton steps with an Armijo backtrack minimize ``F`` until the Newton
+    decrement is below ``mu / 10``, then ``mu`` halves.  The fit is
+    converged once the smoothing bound plus the decrement (an estimate of
+    ``F - min F``), which together bound the objective's excess over the
+    optimum, are at most ``tol`` times the objective.
     """
-    y = rows.lstsq()
-    norms = _group_norms(rows.residual(y), group_of_row, n_groups)
-    data_scale = rows.data_scale
-    best_y, best_obj = y.copy(), float(norms.max())
+    starts = np.cumsum(sizes) - sizes
+    group = np.repeat(np.arange(sizes.size), sizes)
+    width = sizes[0] if sizes.size and (sizes == sizes[0]).all() else None
+    J_groups = None if width is None else J.reshape(-1, width, J.shape[1])
+    data_scale = max(float(np.linalg.norm(c)), 1.0)
+
+    def group_sum(x):
+        if width is None:
+            return np.add.reduceat(x, starts)
+        return x.reshape(-1, width).sum(axis=1)
+
+    def group_rows(u):
+        """Row g: ``sum_k u_k J_k`` over the rows ``k`` of group ``g``."""
+        if width is None:
+            return np.add.reduceat(u[:, None] * J, starts, axis=0)
+        return (u.reshape(-1, 1, width) @ J_groups)[:, 0]
+
+    def group_norms(r):
+        return group_sum(np.abs(r)) if l1 else np.sqrt(group_sum(r * r))
+
+    def smoothed(y, mu):
+        """``F`` at ``y``, the group norms, and what a Newton step reuses."""
+        r = J @ y - c
+        norms = group_norms(r)
+        if l1:
+            tail = np.exp(-2.0 * np.abs(r) / mu)
+            h = norms + mu * group_sum(np.log1p(tail))  # mu log 2cosh(r/mu)
+        else:
+            tail = None
+            h = np.hypot(norms, mu)
+        top = float(h.max())
+        soft = np.exp((h - top) / mu)
+        total = float(soft.sum())
+        return top + mu * math.log(total), norms, (r, tail, h, soft / total)
+
+    def newton_step(parts, mu):
+        """The Newton step on ``F`` and its decrement ``-grad . step``."""
+        r, tail, h, soft = parts
+        if l1:
+            u = np.tanh(r / mu)
+            row_w = soft[group] * (4.0 * tail / (1.0 + tail) ** 2) / mu
+        else:
+            u = r / h[group]
+            row_w = soft[group] / h[group]
+        D = group_rows(u)  # row g: the gradient of h_g
+        grad = soft @ D
+        Dc = D - grad
+        # at small mu most weights underflow to 0; those rows add nothing
+        keep = row_w > 0.0
+        live = J[keep]
+        hess = live.T @ (row_w[keep, None] * live) \
+            + Dc.T @ ((soft / mu)[:, None] * Dc)
+        if not l1:
+            hess -= D.T @ ((soft / h)[:, None] * D)
+        step = _weighted_lstsq(hess, -grad, lambda: (hess, -grad))
+        return step, -float(grad @ step)
+
+    best_y = y
+    best_obj = float(group_norms(J @ y - c).max(initial=0.0))
     if best_obj <= 1e-14 * data_scale:
         return LpSolution(y=best_y, objective=best_obj, converged=True,
                           iterations=0)
 
-    def smoothed(nrm):  # at the current temperature mu
-        top = float(nrm.max())
-        return top + mu * math.log(np.sum(np.exp((nrm - top) / mu)))
-
+    gap_per_mu = math.log(sizes.size) + (
+        float(sizes.max()) * math.log(2.0) if l1 else 1.0)
     iterations = 0
     converged = False
     mu = 0.5 * best_obj
-    for _ in range(max_halvings):
-        for _ in range(40):
-            top = float(norms.max())
-            soft = np.exp((norms - top) / mu)
-            soft /= soft.sum()
-            f_mu = smoothed(norms)
-            lawson = soft / np.maximum(norms, 1e-30 * data_scale)
-            descent = _descend(rows, y, lawson, group_of_row, n_groups,
-                               smoothed, f_mu, 25)
-            if descent is None:
+    while True:
+        F, _, parts = smoothed(y, mu)
+        for _ in range(50):
+            step, decrement = newton_step(parts, mu)
+            stalled = not decrement > 0.0
+            theta = 1.0
+            while not stalled:
+                y_try = y + theta * step
+                F_try, norms, parts_try = smoothed(y_try, mu)
+                if F_try <= F - 1e-4 * theta * decrement:
+                    iterations += 1
+                    y, F, parts = y_try, F_try, parts_try
+                    if float(norms.max()) < best_obj:
+                        best_y, best_obj = y, float(norms.max())
+                    break
+                theta *= 0.5
+                stalled = theta < 1e-12
+            target = max(tol * best_obj, 1e-15 * data_scale)
+            converged = mu * gap_per_mu + decrement <= target
+            if converged or stalled or decrement <= 0.1 * mu:
                 break
-            iterations += 1
-            y, norms, f_try = descent
-            top_try = float(norms.max())
-            if top_try < best_obj:
-                best_y, best_obj = y.copy(), top_try
-            if f_mu - f_try <= 1e-6 * max(mu, 1e-30):
-                break
-        mu *= 0.5
-        if mu <= max(tol * best_obj, 1e-15 * data_scale):
-            converged = True
+        # a level ending with decrement <= mu / 10 at this mu is converged,
+        # so a level that got here stalled: halving mu again cannot help
+        if converged or mu * (gap_per_mu + 0.1) <= target:
             break
+        mu *= 0.5
     return LpSolution(y=best_y, objective=best_obj, converged=converged,
                       iterations=iterations)
 
 
 def _solve_grouped(M, c, groups, p, tol):
-    """Validate and dispatch a solve; ``groups=None``: one group per row."""
+    """Validate and dispatch a solve; ``groups=None``: one group per row.
+
+    At ``p = infinity`` one-row groups are l1 groups (the row's absolute
+    value) and other groups l2 groups.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
@@ -548,13 +642,14 @@ def _solve_grouped(M, c, groups, p, tol):
         n_groups = len(members)
         group_of_row = np.repeat(np.arange(n_groups),
                                  [g.size for g in members])[np.argsort(rows)]
-    return _solve_rows(_DenseRows(M, c), group_of_row, n_groups, p, tol)
-
-
-def _solve_rows(rows, group_of_row, n_groups, p, tol):
     if np.isinf(p):
-        return _solve_grouped_inf(rows, group_of_row, n_groups, tol)
-    return _solve_grouped_finite(rows, group_of_row, n_groups, p, tol)
+        order = np.argsort(group_of_row, kind="stable")
+        sizes = np.bincount(group_of_row, minlength=n_groups)
+        y = np.linalg.lstsq(M, c, rcond=None)[0]
+        return _solve_grouped_inf(M[order], c[order], sizes[sizes > 0],
+                                  groups is None, y, tol)
+    return _solve_grouped_finite(_DenseRows(M, c), group_of_row, n_groups, p,
+                                 tol)
 
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
@@ -594,8 +689,9 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     Finite ``p`` uses Gaussian pair blocks (every pair heavy by default, the
     experimental setting; otherwise heavy pairs are detected from the p-norm
     leverage scores of the lifted ``[A b]``) and takes ``t``.  ``p = infinity``
-    uses the sign-enumeration route and requires ``s``.  The compressed
-    instance is solved in pair-block form, without assembling its rows.
+    uses the sign-enumeration route and requires ``s``; it is solved on the
+    ``n s`` rows ``G_i Ap[pair i]``, never on the ``n 2^s`` signed rows.  The
+    compressed instance is solved without assembling its rows.
     Returns its complex solution together with its certified objective.
     """
     A = np.asarray(A, dtype=complex)
@@ -623,9 +719,24 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
             scores = lp_leverage_scores(scored, p, seed=seed)
             heavy, light = classify_pairs(scores, scored.shape[1], p)
         sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
-    m = sketch.total_rows
-    sol = _solve_rows(_PairBlockRows(lifted.Ap, lifted.bp, sketch),
-                      np.arange(m), m, p, tol)
+    if np.isinf(p):
+        # l1 groups G_i r_i on the n s rows J_i = G_i Ap[pair i]; the first
+        # fit minimizes sum_i ||G_i r_i||^2 on the 2n rows R_i Ap[pair i],
+        # with R_i^T R_i = G_i^T G_i from a QR of G_i
+        G = np.stack(sketch.factors)
+        A2 = lifted.Ap.reshape(n, 2, -1)
+        b2 = lifted.bp.reshape(n, 2, 1)
+        R = np.linalg.qr(G, mode="r")
+        y = np.linalg.lstsq((R @ A2).reshape(-1, A2.shape[2]),
+                            (R @ b2).ravel(), rcond=None)[0]
+        sol = _solve_grouped_inf((G @ A2).reshape(-1, A2.shape[2]),
+                                 (G @ b2).ravel(), np.full(n, G.shape[1]),
+                                 True, y, tol)
+    else:
+        m = sketch.total_rows
+        sol = _solve_grouped_finite(
+            _PairBlockRows(lifted.Ap, lifted.bp, sketch), np.arange(m), m, p,
+            tol)
     return SketchSolveResult(xhat=unphi(sol.y),
                              sketched_objective=sol.objective,
                              converged=sol.converged,

@@ -232,6 +232,13 @@ def test_problem_rejects_nonfinite_data():
                              loss=make_loss("quadratic"))
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_problem_rejects_ridge_lambda_not_finite_and_nonnegative(lam):
+    with pytest.raises(ValueError, match="ridge_lambda"):
+        FiniteSumProblem(A=np.ones((3, 2)), labels=np.zeros(3),
+                         loss=make_loss("quadratic"), ridge_lambda=lam)
+
+
 def test_meter_monotone_and_rejects_negative():
     meter = OracleMeter()
     meter.add(3)

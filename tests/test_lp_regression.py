@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.special
 
 from sketchopt import lp_regression
 from sketchopt.core_complex import mixed_norm, phi, seeded_generator, unphi
@@ -653,6 +654,110 @@ def test_pair_block_rows_match_dense_rows():
     ref = np.linalg.lstsq(M[:5], c[:5], rcond=None)[0]
     np.testing.assert_allclose(blocks.weighted_lstsq(sparse), ref, atol=1e-9)
     np.testing.assert_allclose(dense.weighted_lstsq(sparse), ref, atol=1e-9)
+
+
+# factored smoothed max at p = inf -------------------------------------------
+
+
+@pytest.mark.parametrize("s", (1, 2, 6))
+def test_signed_log_sum_exp_over_sign_rows_factors_into_log_cosh(s):
+    # sum_sigma exp(sigma . g / mu) = prod_k 2 cosh(g_k / mu)
+    rng = np.random.default_rng(105)
+    R = sign_enumeration_matrix(s)
+    for mu in (1e-3, 0.1, 1.0, 10.0):
+        for _ in range(5):
+            g = rng.standard_normal(s)
+            signed = mu * scipy.special.logsumexp(R @ g / mu)
+            a = np.abs(g)
+            factored = mu * np.sum(a / mu + np.log1p(np.exp(-2.0 * a / mu)))
+            assert factored == pytest.approx(signed, rel=1e-12)
+
+
+def test_pinf_sketch_solve_never_expands_the_sign_rows(monkeypatch):
+    def expanded(*args, **kwargs):
+        raise AssertionError("the 2^s sign rows were formed")
+
+    rng = np.random.default_rng(106)
+    A = complex_matrix(rng, 40, 3)
+    b = complex_vector(rng, 40)
+    monkeypatch.setattr(lp_regression, "sign_enumeration_matrix", expanded)
+    monkeypatch.setattr(BlockSketch, "blocks", property(expanded))
+    result, sketch = _recorded_sketch(monkeypatch, A, b, np.inf, s=16)
+    assert result.converged
+    # the objective is max_i ||G_i r_i||_1 = max_i max |R G_i r_i|
+    lifted = lift_instance(A, b)
+    r = lifted.Ap @ phi(result.xhat) - lifted.bp
+    objective = max(np.abs(G @ r[[a, c]]).sum()
+                    for (a, c), G in zip(sketch.pairs, sketch.factors))
+    assert result.sketched_objective == pytest.approx(objective, rel=1e-10)
+
+
+_HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10}
+
+
+def _linf_lp_optimum(M, c):
+    """min_y max_k |M_k y - c_k| as an LP over (y, t)."""
+    m, d = M.shape
+    ones = np.ones((m, 1))
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(d), 1.0],
+        A_ub=np.block([[M, -ones], [-M, -ones]]), b_ub=np.r_[c, -c],
+        bounds=[(None, None)] * d + [(0, None)], method="highs",
+        options=_HIGHS_TIGHT)
+    assert lp.status == 0
+    return lp.fun
+
+
+def _pair_linf_lp_bounds(A, b, angles=4096):
+    """Bounds on min_x max_i |A_i x - b_i| from an LP over polygons.
+
+    Over ``angles`` equally spaced directions, max_theta Re(exp(-i theta) z)
+    lies between cos(pi / angles) |z| and |z|, so the LP optimum of that max
+    is a lower bound, and the LP optimum / cos(pi / angles) an upper bound.
+    """
+    lifted = lift_instance(A, b)
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    P = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    M = np.concatenate([P @ lifted.Ap[[a, c]] for a, c in lifted.pairs])
+    rhs = np.concatenate([P @ lifted.bp[[a, c]] for a, c in lifted.pairs])
+    m, d = M.shape
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(d), 1.0], A_ub=np.hstack([M, -np.ones((m, 1))]),
+        b_ub=rhs, bounds=[(None, None)] * d + [(0, None)], method="highs",
+        options=_HIGHS_TIGHT)
+    assert lp.status == 0
+    return lp.fun, lp.fun / np.cos(np.pi / angles)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_pinf_converged_flag_certifies_the_objective(monkeypatch, trial):
+    # at tol = 1e-6 a converged solve is within 2e-6 of the LP optimum
+    rng = np.random.default_rng(107 + trial)
+    M = rng.standard_normal((40, 4))
+    c = rng.standard_normal(40)
+    sol = small_lp_solve(M, c, np.inf, tol=1e-6)
+    optimum = _linf_lp_optimum(M, c)
+    solved = [(sol.objective, sol.converged, optimum, optimum)]
+    A = complex_matrix(rng, 12, 2)
+    b = complex_vector(rng, 12)
+    sol = complex_lp_solve(A, b, np.inf, tol=1e-6)
+    solved.append((sol.objective, sol.converged) + _pair_linf_lp_bounds(A, b))
+    A = complex_matrix(rng, 30, 3)
+    b = complex_vector(rng, 30)
+    lifted = lift_instance(A, b)
+    for s in (2, 6):
+        result, sketch = _recorded_sketch(monkeypatch, A, b, np.inf, s=s,
+                                          tol=1e-6)
+        optimum = _linf_lp_optimum(sketch.apply(lifted.Ap),
+                                   sketch.apply(lifted.bp))
+        solved.append((result.sketched_objective, result.converged, optimum,
+                       optimum))
+    for objective, converged, low, high in solved:
+        assert objective >= low * (1 - 1e-9)
+        if converged:
+            assert objective <= high * (1 + 2e-6)
+    assert all(converged for _, converged, _, _ in solved)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: library-wide default tolerances, overridable per call
+#: default Hermitian tolerance of ``min_eig_hermitian``, relative to the
+#: largest entry magnitude (at least 1)
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:

@@ -349,12 +349,39 @@ def _weighted_lstsq(gram, rhs, tall):
     return np.linalg.lstsq(*tall(), rcond=None)[0]
 
 
+class _Groups:
+    """Consecutive row groups: group ``g`` is the next ``sizes[g]`` rows."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.starts = np.cumsum(sizes) - sizes
+        uniform = sizes.size and (sizes == sizes[0]).all()
+        self.width = sizes[0] if uniform else None
+
+    def spread(self, v):
+        """Each group's entry of ``v`` repeated over the group's rows."""
+        return np.repeat(v, self.sizes, axis=0)
+
+    def sum(self, x):
+        """Row values ``x`` summed within each group."""
+        if self.width is None:
+            return np.add.reduceat(x, self.starts)
+        return x.reshape(-1, self.width).sum(axis=1)
+
+    def rows(self, u, M):
+        """Row g: ``sum_k u_k M_k`` over the rows ``k`` of group ``g``."""
+        if self.width is None:
+            return np.add.reduceat(u[:, None] * M, self.starts, axis=0)
+        return (u.reshape(-1, 1, self.width)
+                @ M.reshape(-1, self.width, M.shape[1]))[:, 0]
+
+
 class _DenseRows:
     """The residual rows ``M y - c`` of a dense instance."""
 
     def __init__(self, M, c):
         self.M, self.c = M, c
-        self.data_scale = max(float(np.linalg.norm(c)), 1.0)
+        self.data_scale = float(np.linalg.norm(c))
 
     def residual(self, y):
         return self.M @ y - self.c
@@ -389,21 +416,21 @@ class _PairBlockRows:
         self.A = Ap[index]  # (pairs, 2, d)
         self.b = bp[index]  # (pairs, 2)
         self.A_rows = self.A.reshape(-1, self.A.shape[2])  # pair-major rows
-        self.sizes = np.array([blk.shape[0] for blk in sketch.blocks],
-                              dtype=int)
-        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.pair_rows = _Groups(np.array(
+            [blk.shape[0] for blk in sketch.blocks], dtype=int))
         self.b0, self.b1 = np.concatenate(
             [np.empty((0, 2))] + sketch.blocks).T.copy()  # block row entries
         self.outer = np.stack([self.b0 * self.b0, self.b0 * self.b1,
                                self.b1 * self.b1], axis=1)
-        self.data_scale = max(float(np.linalg.norm(self._rows(self.b))), 1.0)
+        self.data_scale = float(np.linalg.norm(self._rows(self.b)))
 
     def _rows(self, r):
-        r = np.repeat(r, self.sizes, axis=0)
+        r = self.pair_rows.spread(r)
         return self.b0 * r[:, 0] + self.b1 * r[:, 1]
 
     def _pair_grams(self, row_weights):
-        c = np.add.reduceat(row_weights[:, None] * self.outer, self.starts)
+        c = np.add.reduceat(row_weights[:, None] * self.outer,
+                            self.pair_rows.starts)
         return c[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
     def _sqrt_rows(self, C):
@@ -437,70 +464,60 @@ class _PairBlockRows:
 # ---------------------------------------------------------------------------
 
 
-def _group_norms(r, group_of_row, n_groups):
-    return np.sqrt(np.bincount(group_of_row, weights=r * r,
-                               minlength=n_groups))
+def _solve_grouped_finite(rows, sizes, y, p, tol):
+    """Damped reweighted least squares on the smoothed grouped p-norm.
 
-
-def _descend(rows, y, group_weights, group_of_row, n_groups, smoothed, F,
-             halvings):
-    """One reweighted least-squares step from ``y``, halved until it descends.
-
-    Each row is weighted by its group's ``group_weights`` entry; the step is
-    tried at most ``halvings`` times until ``smoothed(norms) <= F``.  Returns
-    the new ``(y, norms, F)``, or ``None`` when no tried step descends.
+    The rows ``M y - c`` of ``rows`` come in consecutive groups of ``sizes``
+    rows.  Each step from ``y`` is halved until the smoothed norm descends.
     """
-    step = rows.weighted_lstsq(group_weights[group_of_row]) - y
-    theta = 1.0
-    for _ in range(halvings):
-        y_try = y + theta * step
-        norms = _group_norms(rows.residual(y_try), group_of_row, n_groups)
-        F_try = smoothed(norms)
-        if F_try <= F:
-            return y_try, norms, F_try
-        theta *= 0.5
-    return None
+    groups = _Groups(sizes)
 
+    def group_norms(y):
+        r = rows.residual(y)
+        return np.sqrt(groups.sum(r * r))
 
-def _solve_grouped_finite(rows, group_of_row, n_groups, p, tol, max_iter=300):
-    """Damped reweighted least squares on the smoothed grouped p-norm."""
-    y = rows.lstsq()
-    norms = _group_norms(rows.residual(y), group_of_row, n_groups)
+    norms = group_norms(y)
     obj = lp_of_norms(norms, p)
     if p == 2.0:
         return LpSolution(y=y, objective=obj, converged=True, iterations=0)
 
-    data_scale = rows.data_scale
     eps2 = IRLS_SMOOTHING ** 2
 
     def smoothed(nrm):
         return float(np.sum((nrm * nrm + eps2) ** (0.5 * p)))
 
     F = smoothed(norms)
-    converged = obj <= 1e-14 * data_scale
+    converged = obj <= 1e-14 * rows.data_scale
     iterations = 0
-    while not converged and iterations < max_iter:
+    while not converged and iterations < 300:
         iterations += 1
         weights = (norms * norms + eps2) ** (0.25 * (p - 2.0))
-        descent = _descend(rows, y, weights * weights, group_of_row, n_groups,
-                           smoothed, F, 30)
-        if descent is None:
+        step = rows.weighted_lstsq(groups.spread(weights * weights)) - y
+        theta = 1.0
+        for _ in range(30):
+            y_try = y + theta * step
+            norms_try = group_norms(y_try)
+            F_try = smoothed(norms_try)
+            if F_try <= F:
+                break
+            theta *= 0.5
+        else:
             break  # stagnated: keep the best iterate found so far
-        y, norms, F = descent
+        y, norms, F = y_try, norms_try, F_try
         previous, obj = obj, lp_of_norms(norms, p)
         if (abs(previous - obj) <= tol * max(obj, 1e-30)
-                or obj <= 1e-14 * data_scale):
+                or obj <= 1e-14 * rows.data_scale):
             converged = True
     return LpSolution(y=y, objective=obj, converged=converged,
                       iterations=iterations)
 
 
-def _solve_grouped_inf(J, c, sizes, l1, y, tol):
+def _solve_grouped_inf(rows, sizes, y, l1, tol):
     """Smoothed max-norm fit by damped Newton steps, temperature / 2.
 
-    The rows ``J y - c`` come in consecutive groups of ``sizes`` rows, and
-    the objective is the largest group norm: l1 when ``l1``, else l2.  At
-    temperature ``mu`` group ``g``'s norm is smoothed into
+    The rows ``M y - c`` of ``rows`` come in consecutive groups of ``sizes``
+    rows, and the objective is the largest group norm: l1 when ``l1``, else
+    l2.  At temperature ``mu`` group ``g``'s norm is smoothed into
     ``h_g = mu sum_k log 2cosh(r_k / mu)`` (l1, at most ``size mu log 2``
     above it) or ``h_g = sqrt(||r_g||^2 + mu^2)`` (l2, at most ``mu`` above
     it), and the max into ``F = mu log sum_g exp(h_g / mu)`` (at most
@@ -515,33 +532,18 @@ def _solve_grouped_inf(J, c, sizes, l1, y, tol):
     ``F - min F``), which together bound the objective's excess over the
     optimum, are at most ``tol`` times the objective.
     """
-    starts = np.cumsum(sizes) - sizes
-    group = np.repeat(np.arange(sizes.size), sizes)
-    width = sizes[0] if sizes.size and (sizes == sizes[0]).all() else None
-    J_groups = None if width is None else J.reshape(-1, width, J.shape[1])
-    data_scale = max(float(np.linalg.norm(c)), 1.0)
-
-    def group_sum(x):
-        if width is None:
-            return np.add.reduceat(x, starts)
-        return x.reshape(-1, width).sum(axis=1)
-
-    def group_rows(u):
-        """Row g: ``sum_k u_k J_k`` over the rows ``k`` of group ``g``."""
-        if width is None:
-            return np.add.reduceat(u[:, None] * J, starts, axis=0)
-        return (u.reshape(-1, 1, width) @ J_groups)[:, 0]
+    groups = _Groups(sizes)
 
     def group_norms(r):
-        return group_sum(np.abs(r)) if l1 else np.sqrt(group_sum(r * r))
+        return groups.sum(np.abs(r)) if l1 else np.sqrt(groups.sum(r * r))
 
     def smoothed(y, mu):
         """``F`` at ``y``, the group norms, and what a Newton step reuses."""
-        r = J @ y - c
+        r = rows.residual(y)
         norms = group_norms(r)
         if l1:
             tail = np.exp(-2.0 * np.abs(r) / mu)
-            h = norms + mu * group_sum(np.log1p(tail))  # mu log 2cosh(r/mu)
+            h = norms + mu * groups.sum(np.log1p(tail))  # mu log 2cosh(r/mu)
         else:
             tail = None
             h = np.hypot(norms, mu)
@@ -555,16 +557,17 @@ def _solve_grouped_inf(J, c, sizes, l1, y, tol):
         r, tail, h, soft = parts
         if l1:
             u = np.tanh(r / mu)
-            row_w = soft[group] * (4.0 * tail / (1.0 + tail) ** 2) / mu
+            row_w = groups.spread(soft) * (4.0 * tail / (1.0 + tail) ** 2) / mu
         else:
-            u = r / h[group]
-            row_w = soft[group] / h[group]
-        D = group_rows(u)  # row g: the gradient of h_g
+            h_rows = groups.spread(h)
+            u = r / h_rows
+            row_w = groups.spread(soft) / h_rows
+        D = groups.rows(u, rows.M)  # row g: the gradient of h_g
         grad = soft @ D
         Dc = D - grad
         # at small mu most weights underflow to 0; those rows add nothing
         keep = row_w > 0.0
-        live = J[keep]
+        live = rows.M[keep]
         hess = live.T @ (row_w[keep, None] * live) \
             + Dc.T @ ((soft / mu)[:, None] * Dc)
         if not l1:
@@ -573,8 +576,8 @@ def _solve_grouped_inf(J, c, sizes, l1, y, tol):
         return step, -float(grad @ step)
 
     best_y = y
-    best_obj = float(group_norms(J @ y - c).max(initial=0.0))
-    if best_obj <= 1e-14 * data_scale:
+    best_obj = float(group_norms(rows.residual(y)).max(initial=0.0))
+    if best_obj <= 1e-14 * rows.data_scale:
         return LpSolution(y=best_y, objective=best_obj, converged=True,
                           iterations=0)
 
@@ -600,7 +603,7 @@ def _solve_grouped_inf(J, c, sizes, l1, y, tol):
                     break
                 theta *= 0.5
                 stalled = theta < 1e-12
-            target = max(tol * best_obj, 1e-15 * data_scale)
+            target = max(tol * best_obj, 1e-15 * rows.data_scale)
             converged = mu * gap_per_mu + decrement <= target
             if converged or stalled or decrement <= 0.1 * mu:
                 break
@@ -616,8 +619,9 @@ def _solve_grouped_inf(J, c, sizes, l1, y, tol):
 def _solve_grouped(M, c, groups, p, tol):
     """Validate and dispatch a solve; ``groups=None``: one group per row.
 
-    At ``p = infinity`` one-row groups are l1 groups (the row's absolute
-    value) and other groups l2 groups.
+    The rows are put in group order and empty groups dropped, so both
+    solvers see consecutive groups.  At ``p = infinity`` one-row groups are
+    l1 groups (the row's absolute value) and other groups l2 groups.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
@@ -632,24 +636,20 @@ def _solve_grouped(M, c, groups, p, tol):
     if not (p == np.inf or p >= 1.0):
         raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")
     if groups is None:
-        group_of_row, n_groups = np.arange(m), m
+        sizes = np.ones(m, dtype=int)
     else:
         members = [np.asarray(g, dtype=int).ravel() for g in groups]
-        rows = np.concatenate([np.empty(0, dtype=int)] + members)
-        if not np.array_equal(np.sort(rows), np.arange(m)):
+        order = np.concatenate([np.empty(0, dtype=int)] + members)
+        if not np.array_equal(np.sort(order), np.arange(m)):
             raise ValueError("grouped_lp_solve: every row of M must lie in "
                              "exactly one group")
-        n_groups = len(members)
-        group_of_row = np.repeat(np.arange(n_groups),
-                                 [g.size for g in members])[np.argsort(rows)]
+        M, c = M[order], c[order]
+        sizes = np.array([g.size for g in members if g.size], dtype=int)
+    rows = _DenseRows(M, c)
+    y = rows.lstsq()
     if np.isinf(p):
-        order = np.argsort(group_of_row, kind="stable")
-        sizes = np.bincount(group_of_row, minlength=n_groups)
-        y = np.linalg.lstsq(M, c, rcond=None)[0]
-        return _solve_grouped_inf(M[order], c[order], sizes[sizes > 0],
-                                  groups is None, y, tol)
-    return _solve_grouped_finite(_DenseRows(M, c), group_of_row, n_groups, p,
-                                 tol)
+        return _solve_grouped_inf(rows, sizes, y, groups is None, tol)
+    return _solve_grouped_finite(rows, sizes, y, p, tol)
 
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
@@ -698,28 +698,13 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     lifted = lift_instance(A, b)
     n = A.shape[0]
     p = float(p)
+    heavy, light = np.arange(n), np.empty(0, dtype=int)
     if np.isinf(p):
         if s is None:
             raise ValueError("sketch_and_solve: p = inf requires s")
         if t is not None:
             raise ValueError("sketch_and_solve: t applies to finite p only")
-        heavy = np.arange(n)
-        light = np.empty(0, dtype=int)
         sketch = build_sketch_inf(lifted.pairs, s, seed=seed)
-    else:
-        if s is not None:
-            raise ValueError("sketch_and_solve: s applies to p = inf only")
-        if t is None:
-            t = _default_heavy_rows(lifted.Ap.shape[1])
-        if all_heavy:
-            heavy = np.arange(n)
-            light = np.empty(0, dtype=int)
-        else:
-            scored = np.hstack([lifted.Ap, lifted.bp[:, None]])
-            scores = lp_leverage_scores(scored, p, seed=seed)
-            heavy, light = classify_pairs(scores, scored.shape[1], p)
-        sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
-    if np.isinf(p):
         # l1 groups G_i r_i on the n s rows J_i = G_i Ap[pair i]; the first
         # fit minimizes sum_i ||G_i r_i||^2 on the 2n rows R_i Ap[pair i],
         # with R_i^T R_i = G_i^T G_i from a QR of G_i
@@ -729,14 +714,22 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
         R = np.linalg.qr(G, mode="r")
         y = np.linalg.lstsq((R @ A2).reshape(-1, A2.shape[2]),
                             (R @ b2).ravel(), rcond=None)[0]
-        sol = _solve_grouped_inf((G @ A2).reshape(-1, A2.shape[2]),
-                                 (G @ b2).ravel(), np.full(n, G.shape[1]),
-                                 True, y, tol)
+        rows = _DenseRows((G @ A2).reshape(-1, A2.shape[2]),
+                          (G @ b2).ravel())
+        sol = _solve_grouped_inf(rows, np.full(n, G.shape[1]), y, True, tol)
     else:
-        m = sketch.total_rows
-        sol = _solve_grouped_finite(
-            _PairBlockRows(lifted.Ap, lifted.bp, sketch), np.arange(m), m, p,
-            tol)
+        if s is not None:
+            raise ValueError("sketch_and_solve: s applies to p = inf only")
+        if t is None:
+            t = _default_heavy_rows(lifted.Ap.shape[1])
+        if not all_heavy:
+            scored = np.hstack([lifted.Ap, lifted.bp[:, None]])
+            scores = lp_leverage_scores(scored, p, seed=seed)
+            heavy, light = classify_pairs(scores, scored.shape[1], p)
+        sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
+        rows = _PairBlockRows(lifted.Ap, lifted.bp, sketch)
+        sizes = np.ones(sketch.total_rows, dtype=int)
+        sol = _solve_grouped_finite(rows, sizes, rows.lstsq(), p, tol)
     return SketchSolveResult(xhat=unphi(sol.y),
                              sketched_objective=sol.objective,
                              converged=sol.converged,

@@ -393,6 +393,22 @@ def test_grouped_rows_must_lie_in_exactly_one_group():
     np.testing.assert_allclose(sol.y, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("p", (1.0, 3.0, np.inf))
+def test_grouped_solve_on_unsorted_ragged_groups_equals_group_ordered_rows(p):
+    # an empty group must be dropped, not summed: np.add.reduceat gives an
+    # empty slice the value of the row after it, not 0
+    rng = np.random.default_rng(99)
+    M = rng.standard_normal((9, 3))
+    c = rng.standard_normal(9)
+    groups = [(4, 0, 7), (), (1,), (8, 2), (3, 5, 6)]
+    order = [4, 0, 7, 1, 8, 2, 3, 5, 6]
+    ordered = [(0, 1, 2), (3,), (4, 5), (6, 7, 8)]
+    sol = grouped_lp_solve(M, c, groups, p)
+    ref = grouped_lp_solve(M[order], c[order], ordered, p)
+    np.testing.assert_array_equal(sol.y, ref.y)
+    assert sol.objective == ref.objective
+
+
 def test_small_lp_p1_at_iteration_cap_reports_unconverged_certified_value():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((60, 6))
@@ -434,6 +450,24 @@ def test_complex_lp_zero_residual_recovers_exactly(p):
     sol = complex_lp_solve(A, b, p)
     assert sol.objective <= 1e-6
     np.testing.assert_allclose(sol.x, x0, atol=1e-5)
+
+
+def test_pinf_objectives_scale_with_the_data():
+    # the zero-residual shortcut and the stopping target are relative to the
+    # data, so data scaled by 1e-150 is solved, not returned as its first fit
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((30, 4))
+    c = rng.standard_normal(30)
+    A = complex_matrix(rng, 20, 3)
+    b = complex_vector(rng, 20)
+    solves = (
+        lambda k: small_lp_solve(M, k * c, np.inf).objective,
+        lambda k: complex_lp_solve(A, k * b, np.inf).objective,
+        lambda k: sketch_and_solve(A, k * b, np.inf, s=3,
+                                   seed=1).sketched_objective,
+    )
+    for solve in solves:
+        assert solve(1e-150) / 1e-150 == pytest.approx(solve(1.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,23 @@ def test_newton_cg_oracle_calls_pass_through_their_hooks(tracing, scheme,
     names = {span.name for span in tracer.spans}
     assert {"optimizers.outer", "hessian_oracle.d_diag",
             "hessian_oracle.hessp_sketched"} | extra <= names
+
+
+@pytest.mark.parametrize("solve, spans", [
+    (lambda A, b: sketchopt.sketch_and_solve(A, b, 1.0, t=2),
+     {"lp_regression.sketch_and_solve", "lp_regression.build_sketch"}),
+    (lambda A, b: sketchopt.sketch_and_solve(A, b, np.inf, s=2),
+     {"lp_regression.sketch_and_solve", "lp_regression.build_sketch"}),
+    (lambda A, b: sketchopt.complex_lp_solve(A, b, np.inf),
+     {"lp_regression.complex_lp_solve"}),
+], ids=["sketch-p1", "sketch-pinf", "complex"])
+def test_lp_solves_pass_through_their_hooks(tracing, solve, spans):
+    rng = np.random.default_rng(96)
+    A = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    tracer = tracing.Tracer()
+    with tracing.installed_hooks(tracer) as hooks:
+        assert hooks.absent == []
+        solve(A, b)
+    names = {span.name for span in tracer.spans}
+    assert spans | {"core_complex.lift"} <= names

@@ -8,9 +8,10 @@ Usage::
     bench scores   --config exp.cfg [--seed N] [--out DIR] [--svg]
 
 ``--seed`` and ``--out`` override the config's ``seed`` and ``out`` keys;
-``--svg`` additionally renders plots from the CSVs just written.  Every
-failure exits nonzero after printing a single line ``ERROR <code>: <message>``
-to stderr; success prints the written file paths to stdout.
+``--svg`` additionally renders plots from the values just written to the
+CSVs.  Every failure exits nonzero after printing a single line
+``ERROR <code>: <message>`` to stderr; success prints the written file paths
+to stdout.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ every output byte of a run, up to floating-point reassociation.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -75,10 +76,14 @@ class ExperimentConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise BenchError("CONFIG_INVALID",
                              f"key {key!r}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise BenchError("CONFIG_INVALID",
+                             f"key {key!r}: must be finite, got {raw!r}")
+        return value
 
     def get_bool(self, key, default=False):
         raw = self.get_str(key)

@@ -64,6 +64,9 @@ def parse_dataset_spec(spec):
                                  f"synth spec: missing {key!r}")
         params.setdefault("heavy_rows", 0)
         params.setdefault("heavy_scale", 1.0)
+        if not math.isfinite(params["heavy_scale"]):
+            raise BenchError("CONFIG_INVALID",
+                             "synth spec: heavy_scale must be finite")
         return ("synth", params)
     if kind in ("csv", "libsvm"):
         if not rest.strip():

@@ -2,15 +2,18 @@
 
 Each runner takes an :class:`~sketchopt.bench.config.ExperimentConfig`, a
 master seed, and an output directory, runs its grid of cells, and writes
-CSV files (plus optional SVG plots rendered purely from those CSVs).  All
-determinism flows from ``(config, master seed)``: every cell derives its own
-seed from the master seed and its position in the grid, so reruns reproduce
-the output files byte for byte and thread scheduling cannot change results.
+CSV files (plus optional SVG plots drawn from the values written to those
+CSVs).  All determinism flows from ``(config, master seed)``: ``_run_cells``
+derives every cell's seed from the master seed and the cell's position in the
+grid, so reruns reproduce the output files byte for byte and thread
+scheduling cannot change results.
 
 CSV conventions: a header line is always present, floats are written with 17
 significant digits (``%.17g``), the decimal separator is ``.``, and lines end
-with ``\\n``.  A failed cell in a batch run is recorded (header-only trace,
-error status in the summary) rather than aborting the remaining cells.
+with ``\\n``.  ``%.17g`` round-trips every double, so an SVG drawn from the
+rows equals one drawn from the CSV read back.  A failed cell in a batch run
+is recorded (header-only trace, error status in the summary) rather than
+aborting the remaining cells.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ def _fmt_field(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(out_dir, name, header, rows):
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -74,36 +79,46 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _read_csv(path):
-    """Header list plus rows of floats (empty fields become nan)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        rows.append([float(f) if f else math.nan for f in line.split(",")])
-    return header, rows
+def _write_svg(out_dir, name, series, title, x_label, y_label, log_y):
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(polyline_svg(series, title, x_label, y_label, log_y=log_y))
+    return path
 
 
-def _run_cells(worker, cells, n_workers):
-    """Evaluate ``worker(cell)`` over all cells, preserving cell order."""
-    if n_workers <= 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
-        return list(pool.map(worker, cells))
+def _run_cells(worker, cells, n_workers, master_seed):
+    """Evaluate ``worker(cell, seed)`` over all cells, preserving cell order.
+
+    Cell ``i`` gets the seed ``_derived_seed(master_seed, _STREAM_CELL, i)``.
+    """
+    jobs = [(cell, _derived_seed(master_seed, _STREAM_CELL, index))
+            for index, cell in enumerate(cells)]
+    if n_workers <= 1 or len(jobs) <= 1:
+        return [worker(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+        return list(pool.map(lambda job: worker(*job), jobs))
+
+
+def _positive_int(config, key, default):
+    value = config.get_int(key, default)
+    if value < 1:
+        raise BenchError("CONFIG_INVALID", f"key {key!r}: must be >= 1")
+    return value
 
 
 def _parse_p(config):
-    raw = config.get_str("p", "2").lower()
-    if raw in ("inf", "infinity"):
+    if config.get_str("p", "2").lower() in ("inf", "infinity"):
         return math.inf
-    try:
-        p = float(raw)
-    except ValueError:
-        raise BenchError("CONFIG_INVALID", f"key 'p': bad value {raw!r}")
+    p = config.get_float("p", 2.0)
     if p < 1:
         raise BenchError("CONFIG_INVALID", "key 'p': must be >= 1")
     return p
+
+
+def _sweep_medians(rows, sweep):
+    """Median of column 2 over the rows whose column 0 is each sweep value."""
+    return [float(np.median([row[2] for row in rows if row[0] == value]))
+            for value in sweep]
 
 
 def _complex_gaussian(rng, shape):
@@ -222,61 +237,50 @@ def run_optimize(config, master_seed, out_dir, svg=False):
             cells += [(token, oc, size, seed_idx)
                       for seed_idx in range(config.seeds)]
 
-    def worker(indexed):
-        index, (token, oc, size, seed_idx) = indexed
-        cell_seed = _derived_seed(master_seed, _STREAM_CELL, index)
+    def worker(cell, seed):
         try:
-            trace = runner(problem, replace(oc, seed=cell_seed))
-            if not all(np.isfinite(row).all() for row in trace.rows()):
+            trace = runner(problem, replace(cell[1], seed=seed))
+            rows = trace.rows()
+            if not all(np.isfinite(row).all() for row in rows):
                 return ("error_NONFINITE", [])
-            return (trace.status, trace.rows())
+            return (trace.status, rows)
         except (BenchError, ValueError, np.linalg.LinAlgError) as exc:
             return (f"error_{type(exc).__name__}", [])
 
-    results = _run_cells(worker, list(enumerate(cells)), config.workers)
+    results = _run_cells(worker, cells, config.workers, master_seed)
 
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     trace_header = ["iter", "oracle_calls", "objective", "grad_norm",
                     "step_or_radius", "accepted"]
-    summary_rows = []
+    summary_rows, series = [], []
     for (token, _, size, seed_idx), (status, rows) in zip(cells, results):
-        name = f"trace_{_sanitize(token)}"
-        if multi_size:
-            name += f"_m{size}"
-        name += f"_seed{seed_idx}.csv"
-        path = os.path.join(out_dir, name)
-        written.append(_write_csv(path, trace_header, rows))
+        size_tag = f"_m{size}" if multi_size else ""
+        written.append(_write_csv(
+            out_dir, f"trace_{_sanitize(token)}{size_tag}_seed{seed_idx}.csv",
+            trace_header, rows))
         if rows:
             last = rows[-1]
             summary_rows.append([token, algorithm, seed_idx, status,
                                  last[1], last[2], last[3]])
-        else:
-            summary_rows.append([token, algorithm, seed_idx, status,
-                                 0, "", ""])
-    summary_path = os.path.join(out_dir, "summary.csv")
-    written.append(_write_csv(
-        summary_path,
-        ["scheme", "algorithm", "seed", "status", "oracle_calls",
-         "final_objective", "final_grad_norm"],
-        summary_rows))
-
-    if svg:
-        series = []
-        for (token, _, size, seed_idx), path in zip(cells, written):
-            _, rows = _read_csv(path)
-            if not rows:
-                continue
             label = f"{token}" + (f" m={size}" if multi_size else "") + \
                 f" seed{seed_idx}"
             series.append((label,
                            [r[1] for r in rows],   # oracle calls
                            [r[2] for r in rows]))  # objective
-        svg_path = os.path.join(out_dir, "optimize.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(polyline_svg(series, f"{algorithm}: objective vs cost",
-                                  "oracle calls", "objective", log_y=False))
-        written.append(svg_path)
+        else:
+            summary_rows.append([token, algorithm, seed_idx, status,
+                                 0, "", ""])
+    written.append(_write_csv(
+        out_dir, "summary.csv",
+        ["scheme", "algorithm", "seed", "status", "oracle_calls",
+         "final_objective", "final_grad_norm"],
+        summary_rows))
+
+    if svg:
+        written.append(_write_svg(
+            out_dir, "optimize.svg", series,
+            f"{algorithm}: objective vs cost", "oracle calls", "objective",
+            log_y=False))
     return written
 
 
@@ -294,8 +298,8 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
     against the planted solution when the residual is zero, otherwise
     against an unsketched reference solve.
     """
-    n = config.get_int("n", 100)
-    d = config.get_int("d", 50)
+    n = _positive_int(config, "n", 100)
+    d = _positive_int(config, "d", 50)
     p = _parse_p(config)
     if math.isinf(p):
         sweep = config.get_int_list("s_values", required=True)
@@ -326,37 +330,27 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
     cells = [(value, seed_idx)
              for value in sweep for seed_idx in range(n_seeds)]
 
-    def worker(indexed):
-        index, (value, seed_idx) = indexed
+    def worker(cell, seed):
+        value, seed_idx = cell
         A, b, x_star, obj_star = instances[seed_idx]
-        cell_seed = _derived_seed(master_seed, _STREAM_CELL, index)
         kwargs = {"s": value} if math.isinf(p) else {"t": value}
-        result = sketch_and_solve(A, b, p, seed=cell_seed,
+        result = sketch_and_solve(A, b, p, seed=seed,
                                   all_heavy=all_heavy, **kwargs)
         err_x = float(np.linalg.norm(result.xhat - x_star))
         err_obj = _pnorm(A @ result.xhat - b, p) - obj_star
         return (value, seed_idx, err_x, err_obj)
 
-    rows = _run_cells(worker, list(enumerate(cells)), config.workers)
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "lpreg.csv")
-    written = [_write_csv(path, ["t_or_s", "seed", "err_x", "err_obj"], rows)]
-
+    rows = _run_cells(worker, cells, config.workers, master_seed)
+    written = [_write_csv(out_dir, "lpreg.csv",
+                          ["t_or_s", "seed", "err_x", "err_obj"], rows)]
     if svg:
-        _, data = _read_csv(path)
-        medians = []
-        for value in sweep:
-            errs = [r[2] for r in data if r[0] == value]
-            medians.append(float(np.median(errs)))
-        svg_path = os.path.join(out_dir, "lpreg.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(polyline_svg(
-                [("median err_x", list(map(float, sweep)), medians)],
-                "sketched regression error vs sketch size",
-                "s" if math.isinf(p) else "t per pair",
-                "median solution error", log_y=True))
-        written.append(svg_path)
+        written.append(_write_svg(
+            out_dir, "lpreg.svg",
+            [("median err_x", list(map(float, sweep)),
+              _sweep_medians(rows, sweep))],
+            "sketched regression error vs sketch size",
+            "s" if math.isinf(p) else "t per pair",
+            "median solution error", log_y=True))
     return written
 
 
@@ -366,8 +360,8 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
 
 
 def _vmv_instance(config, master_seed):
-    rows = config.get_int("rows", 50)
-    cols = config.get_int("cols", 5)
+    rows = _positive_int(config, "rows", 50)
+    cols = _positive_int(config, "cols", 5)
     kind = config.get_str("instance", "gaussian")
     rng = seeded_generator(_derived_seed(master_seed, _STREAM_INSTANCE))
     if kind == "gaussian":
@@ -400,9 +394,7 @@ def run_vmv(config, master_seed, out_dir, svg=False):
     k_values = config.get_int_list("k_values", required=True)
     if any(k < 1 for k in k_values):
         raise BenchError("CONFIG_INVALID", "k_values must be >= 1")
-    reps = config.get_int("reps", 1)
-    if reps < 1:
-        raise BenchError("CONFIG_INVALID", "key 'reps': must be >= 1")
+    reps = _positive_int(config, "reps", 1)
     n_seeds = config.seeds
 
     A, B, u, v = _vmv_instance(config, master_seed)
@@ -410,31 +402,20 @@ def run_vmv(config, master_seed, out_dir, svg=False):
 
     cells = [(k, seed_idx) for k in k_values for seed_idx in range(n_seeds)]
 
-    def worker(indexed):
-        index, (k, seed_idx) = indexed
-        cell_seed = _derived_seed(master_seed, _STREAM_CELL, index)
-        est = estimate(A, B, u, v, k, reps=reps, seed=cell_seed)
+    def worker(cell, seed):
+        k, seed_idx = cell
+        est = estimate(A, B, u, v, k, reps=reps, seed=seed)
         return (k, seed_idx, abs(est - exact))
 
-    rows = _run_cells(worker, list(enumerate(cells)), config.workers)
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "vmv.csv")
-    written = [_write_csv(path, ["k", "seed", "abs_err"], rows)]
-
+    rows = _run_cells(worker, cells, config.workers, master_seed)
+    written = [_write_csv(out_dir, "vmv.csv", ["k", "seed", "abs_err"], rows)]
     if svg:
-        _, data = _read_csv(path)
-        medians = []
-        for k in k_values:
-            errs = [r[2] for r in data if r[0] == k]
-            medians.append(float(np.median(errs)))
-        svg_path = os.path.join(out_dir, "vmv.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(polyline_svg(
-                [("median abs err", list(map(float, k_values)), medians)],
-                "bilinear estimate error vs sketch width",
-                "sketch width k", "median absolute error", log_y=True))
-        written.append(svg_path)
+        written.append(_write_svg(
+            out_dir, "vmv.svg",
+            [("median abs err", list(map(float, k_values)),
+              _sweep_medians(rows, k_values))],
+            "bilinear estimate error vs sketch width",
+            "sketch width k", "median absolute error", log_y=True))
     return written
 
 
@@ -480,24 +461,18 @@ def run_scores(config, master_seed, out_dir, svg=False):
             + [probs[scheme][i] for scheme in SAMPLING_SCHEMES]
             for i in range(problem.n)]
 
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "scores.csv")
     written = [_write_csv(
-        path,
+        out_dir, "scores.csv",
         ["row", "exact", "approx", "ratio"]
         + ["p_" + scheme.replace("-", "_") for scheme in SAMPLING_SCHEMES],
         rows)]
-
     if svg:
-        _, data = _read_csv(path)
-        order = np.argsort([-r[1] for r in data])
-        xs = list(range(1, len(data) + 1))
-        svg_path = os.path.join(out_dir, "scores.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(polyline_svg(
-                [("exact", xs, [data[j][1] for j in order]),
-                 ("approx", xs, [data[j][2] for j in order])],
-                "row scores, sorted by exact value",
-                "row rank", "score", log_y=False))
-        written.append(svg_path)
+        order = np.argsort([-r[1] for r in rows])
+        xs = list(range(1, len(rows) + 1))
+        written.append(_write_svg(
+            out_dir, "scores.svg",
+            [("exact", xs, [rows[j][1] for j in order]),
+             ("approx", xs, [rows[j][2] for j in order])],
+            "row scores, sorted by exact value",
+            "row rank", "score", log_y=False))
     return written

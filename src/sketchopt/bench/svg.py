@@ -1,8 +1,9 @@
 """Minimal hand-emitted SVG line plots.
 
-The plot is a pure function of the numeric series passed in (which the
-runners read back from the CSVs they just wrote), so rendering twice from the
-same files yields identical bytes.  No plotting library is involved: the file
+The plot is a pure function of the numeric series passed in (the values the
+runners just wrote to their CSVs, which ``%.17g`` round-trips), so rendering
+twice from the same values, or from the CSVs read back, yields identical
+bytes.  No plotting library is involved: the file
 is a fixed-size viewport with axis lines, tick labels, one polyline per
 series, and a legend.
 """

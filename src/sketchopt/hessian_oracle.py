@@ -97,49 +97,31 @@ def make_loss(tag: str) -> LossFamily:
         ) from None
 
 
-_CURVATURE_BOUNDS: dict[str, float] = {"quadratic": 1.0, "tukey_biweight": 2.0}
+# sup_t |f''(t; b)| per loss family, over both labels b in {0, 1}.  For
+# nlls_classification, with s = sigmoid(t), f''(t; 0) = 2 s^2 (1 - s)(2 - 3 s)
+# and f''(-t; 1) = f''(t; 0).  Its stationary points in (0, 1) are
+# s = (15 -+ sqrt(33)) / 24, with values 0.15405857012135 and -0.12020440345468,
+# so the maximum magnitude is the first.  It is stored with a 1e-9 relative
+# margin; the literal sits a few ulps above that product and is kept as is so
+# the convex_auto ridge weights, and the outputs built on them, stay bitwise.
+_CURVATURE_BOUNDS: dict[str, float] = {
+    "quadratic": 1.0, "tukey_biweight": 2.0,
+    "nlls_classification": 0.15405857027540912}
 
 
 def curvature_bound(loss: LossFamily) -> float:
     """An upper bound h >= sup_t |f''(t; b)| for the family.
 
     Exact for the quadratic (1) and bounded-influence (2) families; for the
-    sigmoid-squared classification loss the bound is found numerically once by
-    a dense scan over t in [-40, 40] for both labels followed by golden-section
-    refinement around the best bracket, plus a tiny safety margin.
+    sigmoid-squared classification loss it is the closed-form maximum plus a
+    1e-9 relative margin.  A family without a known bound is a ValueError.
     """
-    if loss.tag in _CURVATURE_BOUNDS:
+    try:
         return _CURVATURE_BOUNDS[loss.tag]
-    grid = np.linspace(-40.0, 40.0, 400_001)
-    best = 0.0
-    for bval in (0.0, 1.0):
-        b = np.full_like(grid, bval)
-        vals = np.abs(loss.f2(grid, b))
-        j = int(np.argmax(vals))
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
-        best = max(best, _golden_max(lambda t: abs(float(loss.f2(np.array([t]), np.array([bval]))[0])), lo, hi))
-        best = max(best, float(vals.max()))
-    best *= 1.0 + 1e-9
-    _CURVATURE_BOUNDS[loss.tag] = best
-    return best
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return max(fc, fd)
+    except KeyError:
+        raise ValueError(
+            f"curvature_bound: no bound known for loss family {loss.tag!r}"
+        ) from None
 
 
 @dataclass

@@ -60,7 +60,7 @@ class TensorSketchState:
     _dim: int = field(repr=False, default=0)
 
     def _ensure(self, d: int) -> None:
-        if d <= self._dim:
+        if self._h1 is not None and d <= self._dim:
             return
         gens = [seeded_generator(s) for s in self._streams]
         self._h1 = gens[0].integers(0, self.k, size=d)

@@ -27,6 +27,7 @@ from sketchopt.bench import (
     run_vmv,
     synth_planted,
 )
+from sketchopt.bench.svg import polyline_svg
 from sketchopt.sketch_sampling import exact_leverage_scores
 
 
@@ -343,7 +344,8 @@ class TestRunOptimize:
 
         monkeypatch.setattr(runners_mod, "ThreadPoolExecutor",
                             RecordingExecutor)
-        out = runners_mod._run_cells(lambda c: 2 * c, [1, 2, 3], 10_000)
+        out = runners_mod._run_cells(lambda c, seed: 2 * c, [1, 2, 3], 10_000,
+                                     0)
         assert out == [2, 4, 6]
         assert requested == [3]
 
@@ -592,6 +594,38 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    _BASE = {
+        "optimize": "dataset = synth:n=50,d=3\nschemes = full\n"
+                    "max_outer = 2\nloss = quadratic\n",
+        "lpreg": "n = 10\nd = 3\np = 1\nt_values = 2\nseeds = 1\n",
+        "vmv": "rows = 10\ncols = 2\nk_values = 4\nseeds = 1\n",
+        "scores": "loss = quadratic\n",
+    }
+
+    @pytest.mark.parametrize("sub, extra", [
+        ("lpreg", "p = nan"),
+        ("optimize", "lambda_policy = manual\nridge_lambda = nan"),
+        ("optimize", "lambda_policy = convex_auto\nlambda_scale = inf"),
+        ("lpreg", "zero_residual = false\nnoise_scale = inf"),
+        ("vmv", "instance = cancellation\ncancel_scale = inf"),
+        ("scores", "dataset = synth:n=50,d=3,heavy_rows=2,heavy_scale=inf"),
+        ("vmv", "rows = -2"),
+        ("vmv", "cols = 0"),
+        ("lpreg", "d = 0"),
+        ("lpreg", "n = 0"),
+    ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf", "noise_scale-inf",
+            "cancel_scale-inf", "heavy_scale-inf", "rows-neg", "cols-0", "d-0",
+            "n-0"])
+    def test_bad_values_are_config_errors_before_any_cell(
+            self, tmp_path, capsys, sub, extra):
+        # later keys win, so each case overrides its base config
+        cfgp = _write(tmp_path / "e.cfg", self._BASE[sub] + extra + "\n")
+        out = tmp_path / "out"
+        rc = main([sub, "--config", cfgp, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR CONFIG_INVALID:")
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgp = _write(tmp_path / "e.cfg",
                       "n = 10\nd = 3\np = 2\nt_values = 2\nseeds = 1\n"
@@ -623,3 +657,66 @@ class TestSvg:
         assert "</svg>" in svg_a
         assert "polyline" in svg_a
         assert svg_a == svg_b
+
+    def test_svgs_equal_a_render_of_the_csvs_read_back(self, tmp_path):
+        # The runners draw each SVG from the rows they just wrote; %.17g
+        # round-trips every value, so rendering the CSVs must match it.
+        def read(path):
+            lines = open(path, encoding="utf-8").read().splitlines()[1:]
+            return [[float(f) for f in line.split(",")] for line in lines]
+
+        def medians(rows, sweep):
+            return [float(np.median([r[2] for r in rows if r[0] == value]))
+                    for value in sweep]
+
+        cfg = _optimize_config(schemes="ls,uniform", sample_sizes="40,60",
+                               seeds="2", max_outer="5")
+        del cfg.options["sample_size"]
+        out = tmp_path / "optimize"
+        run_optimize(cfg, 3, out, svg=True)
+        series = []
+        for token in ("ls", "uniform"):
+            for size in (40, 60):
+                for seed_idx in range(2):
+                    rows = read(out / f"trace_{token}_m{size}_seed{seed_idx}"
+                                ".csv")
+                    series.append((f"{token} m={size} seed{seed_idx}",
+                                   [r[1] for r in rows], [r[2] for r in rows]))
+        expected = {"optimize": polyline_svg(
+            series, "newton_mr: objective vs cost", "oracle calls",
+            "objective", log_y=False)}
+
+        cfg = ExperimentConfig("lpreg", {
+            "n": "30", "d": "4", "p": "1.5", "t_values": "2,4", "seeds": "3",
+            "zero_residual": "false"})
+        run_lpreg(cfg, 3, tmp_path / "lpreg", svg=True)
+        rows = read(tmp_path / "lpreg" / "lpreg.csv")
+        expected["lpreg"] = polyline_svg(
+            [("median err_x", [2.0, 4.0], medians(rows, (2, 4)))],
+            "sketched regression error vs sketch size", "t per pair",
+            "median solution error", log_y=True)
+
+        cfg = ExperimentConfig("vmv", {"rows": "20", "cols": "3",
+                                       "k_values": "4,8", "seeds": "5"})
+        run_vmv(cfg, 3, tmp_path / "vmv", svg=True)
+        rows = read(tmp_path / "vmv" / "vmv.csv")
+        expected["vmv"] = polyline_svg(
+            [("median abs err", [4.0, 8.0], medians(rows, (4, 8)))],
+            "bilinear estimate error vs sketch width", "sketch width k",
+            "median absolute error", log_y=True)
+
+        cfg = ExperimentConfig("scores", {
+            "dataset": "synth:n=60,d=4,heavy_rows=4,heavy_scale=30"})
+        run_scores(cfg, 3, tmp_path / "scores", svg=True)
+        rows = read(tmp_path / "scores" / "scores.csv")
+        order = np.argsort([-r[1] for r in rows])
+        xs = list(range(1, len(rows) + 1))
+        expected["scores"] = polyline_svg(
+            [("exact", xs, [rows[j][1] for j in order]),
+             ("approx", xs, [rows[j][2] for j in order])],
+            "row scores, sorted by exact value", "row rank", "score",
+            log_y=False)
+
+        for sub, text in expected.items():
+            svg = (tmp_path / sub / f"{sub}.svg").read_text(encoding="utf-8")
+            assert svg == text, sub

@@ -12,6 +12,7 @@ import pytest
 from sketchopt.core_complex import min_eig_hermitian, spectral_norm
 from sketchopt.hessian_oracle import (
     FiniteSumProblem,
+    LossFamily,
     OracleMeter,
     convex_ridge_lambda,
     curvature_bound,
@@ -277,6 +278,12 @@ def test_nlls_curvature_bound_certified():
     )
     assert h >= m - 1e-9
     assert h <= m + 1e-4
+
+
+def test_curvature_bound_rejects_unknown_family():
+    nlls = make_loss("nlls_classification")
+    with pytest.raises(ValueError, match="mystery"):
+        curvature_bound(LossFamily("mystery", nlls.f, nlls.f1, nlls.f2))
 
 
 def test_sketched_hessian_psd_under_convex_ridge():

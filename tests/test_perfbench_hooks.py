@@ -8,7 +8,9 @@ without changing it and checks both.
 """
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -80,3 +82,20 @@ def test_lp_solves_pass_through_their_hooks(tracing, solve, spans):
         solve(A, b)
     names = {span.name for span in tracer.spans}
     assert spans | {"core_complex.lift"} <= names
+
+
+def test_library_import_leaves_bench_unloaded():
+    # perfbench imports the library only; keeping ``sketchopt.bench`` out of
+    # that import keeps the bench CLI out of its setup time and cell timings.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sketchopt; print('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "sketchopt.vmv_sketch" in loaded
+    assert [m for m in loaded if m.startswith("sketchopt.bench")] == []

@@ -61,6 +61,18 @@ def test_lazy_tables_grow_with_consistent_prefix():
         np.testing.assert_array_equal(t_big[:4], t_small)
 
 
+def test_zero_width_inputs_build_empty_tables():
+    np.testing.assert_array_equal(ts_pair(ts_new(4, seed=1), [], []),
+                                  np.zeros(4, dtype=complex))
+    empty = np.zeros((3, 0), dtype=complex)
+    for reps in (1, 7):
+        assert estimate(empty, empty, [], [], 8, reps=reps, seed=2) == 0j
+    state = ts_new(8, seed=5)
+    assert all(t.size == 0 for t in state.tables(0))
+    for grown, fresh in zip(state.tables(5), ts_new(8, seed=5).tables(5)):
+        np.testing.assert_array_equal(grown, fresh)
+
+
 def test_ts_new_validation():
     with pytest.raises(ValueError):
         ts_new(0, seed=1)

@@ -175,6 +175,12 @@ def _resolve_ridge(config, A, labels, loss):
     return convex_ridge_lambda(trial) * scale
 
 
+def _seed_independent(oc):
+    """Whether a cell's trace ignores its seed: exact Hessian products draw
+    nothing."""
+    return oc.scheme == "full"
+
+
 def run_optimize(config, master_seed, out_dir, svg=False):
     """Run optimizer traces over a scheme grid; write per-cell CSVs + summary.
 
@@ -188,6 +194,7 @@ def run_optimize(config, master_seed, out_dir, svg=False):
     ``OptConfig`` is built before any cell runs, so a bad scheme, size or
     knob is a ``CONFIG_INVALID`` error rather than a column of error cells;
     so is a scheme or size that repeats a cell (``ls,LS`` or ``40,40``).
+    A ``full`` cell runs once; its trace is written for every seed.
     """
     algorithm = config.get_str("algorithm", "newton_mr")
     if algorithm not in ALGORITHMS:
@@ -238,8 +245,11 @@ def run_optimize(config, master_seed, out_dir, svg=False):
                       for seed_idx in range(config.seeds)]
 
     def worker(cell, seed):
+        _, oc, _, seed_idx = cell
+        if seed_idx > 0 and _seed_independent(oc):
+            return None  # seed 0's result, copied below
         try:
-            trace = runner(problem, replace(cell[1], seed=seed))
+            trace = runner(problem, replace(oc, seed=seed))
             rows = trace.rows()
             if not all(np.isfinite(row).all() for row in rows):
                 return ("error_NONFINITE", [])
@@ -248,6 +258,9 @@ def run_optimize(config, master_seed, out_dir, svg=False):
             return (f"error_{type(exc).__name__}", [])
 
     results = _run_cells(worker, cells, config.workers, master_seed)
+    for i, result in enumerate(results):
+        if result is None:  # a cell's seeds are consecutive, seed 0 first
+            results[i] = results[i - 1]
 
     written = []
     trace_header = ["iter", "oracle_calls", "objective", "grad_norm",
@@ -294,12 +307,16 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
 
     Config keys: ``n``, ``d``, ``p`` (number or ``inf``), ``t_values``
     (finite p) or ``s_values`` (p = inf), ``seeds``, ``zero_residual``
-    (default true), ``noise_scale``, ``all_heavy``.  Errors are measured
-    against the planted solution when the residual is zero, otherwise
-    against an unsketched reference solve.
+    (default true), ``noise_scale``, ``all_heavy``; ``n`` must exceed
+    ``d``.  Errors are measured against the planted solution when the
+    residual is zero, otherwise against an unsketched reference solve.
     """
     n = _positive_int(config, "n", 100)
     d = _positive_int(config, "d", 50)
+    if n <= d:
+        # every sketch then fits the instance exactly: a flat error curve
+        raise BenchError("CONFIG_INVALID",
+                         f"key 'n': must exceed d (got n={n}, d={d})")
     p = _parse_p(config)
     if math.isinf(p):
         sweep = config.get_int_list("s_values", required=True)
@@ -368,7 +385,11 @@ def _vmv_instance(config, master_seed):
         A = _complex_gaussian(rng, (rows, cols))
         B = _complex_gaussian(rng, (rows, cols))
     elif kind == "cancellation":
-        half = max(1, rows // 2)
+        if rows % 2:
+            raise BenchError("CONFIG_INVALID",
+                             f"key 'rows': the cancellation instance pairs "
+                             f"its rows, so rows must be even (got {rows})")
+        half = rows // 2
         scale = config.get_float("cancel_scale", 1e3)
         base_a = _complex_gaussian(rng, (half, cols)) * scale
         base_b = _complex_gaussian(rng, (half, cols)) * scale
@@ -387,9 +408,9 @@ def run_vmv(config, master_seed, out_dir, svg=False):
     """Sweep sketch width for bilinear product estimation on one instance.
 
     Config keys: ``rows``, ``cols``, ``instance`` (gaussian |
-    cancellation, the latter with ``cancel_scale``), ``k_values``,
-    ``reps``, ``seeds``.  The instance is fixed across all cells so error
-    statistics at different widths are directly comparable.
+    cancellation, the latter with ``cancel_scale`` and an even ``rows``),
+    ``k_values``, ``reps``, ``seeds``.  The instance is fixed across all
+    cells so error statistics at different widths are directly comparable.
     """
     k_values = config.get_int_list("k_values", required=True)
     if any(k < 1 for k in k_values):

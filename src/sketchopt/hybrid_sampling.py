@@ -53,6 +53,17 @@ def _empty_sketch(n_remaining: int) -> SamplingSketch:
     )
 
 
+def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k largest scores, ties going to the lowest
+    index: ``np.sort(np.argsort(-scores, kind="stable")[:k])`` for 1 <= k <= n,
+    by a partition threshold in place of the full sort."""
+    tau = np.partition(scores, scores.size - k)[scores.size - k]
+    top = scores > tau
+    ties = np.flatnonzero(scores == tau)
+    top[ties[:k - np.count_nonzero(top)]] = True
+    return np.flatnonzero(top)
+
+
 def _sample_remainder(B, remainder: np.ndarray, h: int, remainder_mode: str,
                       seed) -> SamplingSketch:
     n_rem = remainder.size
@@ -157,8 +168,7 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     k = int(round(fraction * budget))
     k = min(k, n)
     if k > 0:
-        scores = exact_leverage_scores(B)
-        deterministic = np.sort(np.argsort(-scores, kind="stable")[:k])
+        deterministic = _top_k_rows(exact_leverage_scores(B), k)
     else:
         deterministic = np.zeros(0, dtype=np.int64)
     mask = np.ones(n, dtype=bool)

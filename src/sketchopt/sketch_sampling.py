@@ -3,9 +3,10 @@
 A sampling sketch selects t rows independently with replacement from a
 probability vector p and rescales pick j of row i by 1/sqrt(t * p_i), making
 the sampled Gram matrix an unbiased estimate: E[C^T C] = B^T B.  Scores can be
-exact (thin SVD), approximated in o(n d^2) structure (Gaussian embedding + QR
-+ JL projection), or derived from an optimization problem's local curvature
-("schemes": uniform / leverage / row-norm / their mixed variants).
+exact (Cholesky-QR, with the thin SVD as fallback), approximated in o(n d^2)
+structure (Gaussian embedding + QR + JL projection), or derived from an
+optimization problem's local curvature ("schemes": uniform / leverage /
+row-norm / their mixed variants).
 """
 
 from __future__ import annotations
@@ -65,13 +66,47 @@ def span_basis(B) -> np.ndarray:
     return U[:, :int(np.count_nonzero(sigma > cutoff))]
 
 
-def exact_leverage_scores(B) -> np.ndarray:
-    """Row leverage scores l_i = ||U_i||^2 from the thin SVD of B.
+#: Largest condition number of the Cholesky factor R that the fast path of
+#: ``exact_leverage_scores`` accepts; scores then err by about cond(R)^2 * eps.
+CHOLESKY_QR_MAX_COND = 1e4
 
-    Equivalently diag(B (B*B)^+ B*); entries lie in [0, 1] and sum to rank(B).
-    U is the rank-truncated ``span_basis`` of B.
+
+def exact_leverage_scores(B) -> np.ndarray:
+    """Row leverage scores l_i = diag(B (B*B)^+ B*)_i.
+
+    Entries lie in [0, 1] and sum to rank(B).  A real, tall B is whitened by
+    Cholesky-QR: R is the Cholesky factor of the Gram B^T B, and the scores
+    are the squared row norms of W = B R^{-1}, with R = L^T from
+    ``np.linalg.cholesky``.  That needs cond(R) <= 1e4
+    (``CHOLESKY_QR_MAX_COND``); otherwise (a failed factorization, complex
+    or wide input, or no columns) the scores are the squared row norms of
+    the rank-truncated ``span_basis`` of B.  NumPy only: no ``scipy.linalg``
+    call, whose separate BLAS thread pool would contend with NumPy's.
     """
+    B = np.asarray(B)
+    n, d = B.shape
+    if 0 < d <= n and not np.iscomplexobj(B):
+        B = B.astype(float, copy=False)
+        L = _gram_cholesky(B)
+        if L is not None:
+            W = B @ np.linalg.inv(L).T
+            return np.einsum("ij,ij->i", W, W)
     return np.sum(np.abs(span_basis(B)) ** 2, axis=1)
+
+
+def _gram_cholesky(B) -> np.ndarray | None:
+    """Lower Cholesky factor L of B^T B (B real and tall), or None when the
+    Gram is not finite, the factorization fails or cond(L) exceeds
+    ``CHOLESKY_QR_MAX_COND``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = B.T @ B
+    if not np.all(np.isfinite(G)):
+        return None
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.linalg.cond(L) <= CHOLESKY_QR_MAX_COND else None
 
 
 def approx_leverage_scores(B, embed_rows: int | None = None,
@@ -234,6 +269,6 @@ def embedding_distortion(S, M) -> float:
     """
     M = np.asarray(M)
     X = np.hstack([M.real, M.imag]) if np.iscomplexobj(M) else M.real
-    Q = scipy.linalg.orth(X)
+    Q = span_basis(X)
     sig = np.linalg.svd(np.asarray(S) @ Q, compute_uv=False)
     return float(np.max(np.abs(sig**2 - 1.0)))

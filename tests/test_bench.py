@@ -323,6 +323,33 @@ class TestRunOptimize:
         trace = open(out / "trace_ls_seed0.csv").read().splitlines()
         assert len(trace) == 1 and trace[0].startswith("iter,")
 
+    def test_full_cells_run_once_with_unchanged_outputs(self, tmp_path,
+                                                        monkeypatch):
+        # A full-Hessian trace ignores its seed, so its cell runs once and
+        # the rows are copied to every seed.  Treating no cell as seed-
+        # independent runs them all, which must write the same bytes.
+        from sketchopt.bench import runners as runners_mod
+
+        real = runners_mod.ALGORITHMS["newton_cg"]
+        calls = []
+
+        def counted(problem, oc):
+            calls.append(oc.scheme)
+            return real(problem, oc)
+
+        monkeypatch.setitem(runners_mod.ALGORITHMS, "newton_cg", counted)
+        cfg = _optimize_config(algorithm="newton_cg", schemes="full,ls",
+                               seeds="3", max_outer="8")
+        once, every = tmp_path / "once", tmp_path / "every"
+        run_optimize(cfg, 4, once, svg=True)
+        assert sorted(calls) == ["full"] + ["ls"] * 3
+        calls.clear()
+        monkeypatch.setattr(runners_mod, "_seed_independent", lambda oc: False)
+        run_optimize(cfg, 4, every, svg=True)
+        assert sorted(calls) == ["full"] * 3 + ["ls"] * 3
+        assert sorted(os.listdir(once)) == sorted(os.listdir(every))
+        assert _dir_digest(once) == _dir_digest(every)
+
     def test_worker_threads_bounded_by_cell_count(self, monkeypatch):
         from sketchopt.bench import runners as runners_mod
 
@@ -613,9 +640,11 @@ class TestCli:
         ("vmv", "cols = 0"),
         ("lpreg", "d = 0"),
         ("lpreg", "n = 0"),
+        ("lpreg", "n = 3\nd = 8"),
+        ("vmv", "instance = cancellation\nrows = 5"),
     ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf", "noise_scale-inf",
             "cancel_scale-inf", "heavy_scale-inf", "rows-neg", "cols-0", "d-0",
-            "n-0"])
+            "n-0", "n-le-d", "cancellation-odd-rows"])
     def test_bad_values_are_config_errors_before_any_cell(
             self, tmp_path, capsys, sub, extra):
         # later keys win, so each case overrides its base config

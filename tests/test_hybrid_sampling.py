@@ -5,6 +5,7 @@ import pytest
 
 from sketchopt.hybrid_sampling import (
     HybridPlan,
+    _top_k_rows,
     hybrid_gram,
     ls_det_fraction_plan,
     ls_det_sample,
@@ -229,6 +230,21 @@ def test_fraction_one_is_top_leverage_rows():
     top5 = set(np.argsort(-scores)[:5].tolist())
     assert set(plan.deterministic_rows.tolist()) == top5
     assert {10, 20, 30} <= top5
+
+
+def test_top_k_rows_matches_stable_argsort():
+    # the partition threshold must pick exactly the rows of a stable sort,
+    # ties included: lowest index first among equal scores
+    rng = np.random.default_rng(52)
+    for case in range(200):
+        n = int(rng.integers(1, 80))
+        k = int(rng.integers(1, n + 1))
+        if case % 2:
+            scores = rng.integers(0, 3, size=n) / 3.0  # many tied scores
+        else:
+            scores = rng.random(n)
+        expect = np.sort(np.argsort(-scores, kind="stable")[:k])
+        assert np.array_equal(_top_k_rows(scores, k), expect), (scores, k)
 
 
 def test_fraction_splits_budget():

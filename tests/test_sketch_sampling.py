@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sketchopt import sketch_sampling
+from sketchopt.bench.datasets import synth_planted
 from sketchopt.core_complex import min_eig_hermitian, spectral_norm
 from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
                                       make_loss)
@@ -21,6 +24,7 @@ from sketchopt.sketch_sampling import (
     exact_leverage_scores,
     gamma_factor,
     scheme_probabilities,
+    span_basis,
 )
 
 
@@ -70,6 +74,83 @@ def test_exact_scores_rank_deficient():
     scores = exact_leverage_scores(B)
     assert abs(scores.sum() - 1.0) <= 1e-8
     assert np.max(np.abs(scores - pinv_leverage_oracle(B))) <= 1e-8
+
+
+def _svd_scores(B):
+    return np.sum(np.abs(span_basis(B)) ** 2, axis=1)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts calls of the SVD behind ``span_basis``, the fallback path."""
+    calls = []
+    real = sketch_sampling.svd
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return real(M)
+
+    monkeypatch.setattr(sketch_sampling, "svd", counted)
+    return calls
+
+
+def _conditioned(rng, n, d, kappa):
+    """An n x d matrix with singular values geometric from 1 to 1/kappa."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (U * np.geomspace(1.0, 1.0 / kappa, d)) @ V.T
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+def test_cholesky_qr_scores_match_svd_scores(svd_calls, kappa):
+    # Cholesky-QR squares the condition number: the scores may differ from
+    # the SVD's by about kappa^2 * eps.  1e4 sits just inside the rank test.
+    B = _conditioned(np.random.default_rng(60), 400, 8, kappa * (1 - 1e-6))
+    scores = exact_leverage_scores(B)
+    assert svd_calls == []
+    ref = _svd_scores(B)
+    assert np.max(np.abs(scores - ref)) <= kappa**2 * np.finfo(float).eps
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(61)
+    low_rank = rng.standard_normal((100, 3)) @ rng.standard_normal((3, 6))
+    return [
+        pytest.param(low_rank, 3, id="rank-deficient"),
+        pytest.param(_conditioned(rng, 100, 6, 1e6), 6, id="kappa-1e6"),
+        pytest.param(rng.standard_normal((3, 5)), 3, id="wide"),
+        pytest.param(np.zeros((10, 3)), 0, id="all-zero"),
+        pytest.param(rand_cmat(rng, 50, 4), 4, id="complex"),
+    ]
+
+
+@pytest.mark.parametrize("B, rank", _fallback_cases())
+def test_exact_scores_fall_back_to_svd(svd_calls, B, rank):
+    scores = exact_leverage_scores(B)
+    assert len(svd_calls) == 1
+    assert np.array_equal(scores, _svd_scores(B))
+    assert abs(scores.sum() - rank) <= 1e-8
+
+
+def test_planted_design_scores_skip_svd_and_scipy(svd_calls, monkeypatch):
+    # scipy.linalg runs on its own BLAS thread pool, which contends with
+    # NumPy's; the fast path must stay inside NumPy.
+    scipy_calls = []
+    for name in dir(scipy.linalg):
+        fn = getattr(scipy.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                scipy_calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, counted)
+    A, labels = synth_planted(5000, 20, 20, 1e3, seed=1)
+    prob = _toy_problem(A, labels=labels, loss="nlls_classification")
+    B = np.sqrt(np.abs(d_diag(prob, np.zeros(20))))[:, None] * A
+    scores = exact_leverage_scores(B)
+    assert svd_calls == [] and scipy_calls == []
+    monkeypatch.undo()
+    assert np.max(np.abs(scores - _svd_scores(B))) <= 1e-12
+    assert abs(scores.sum() - 20) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ compressed coordinates reproduces the pair's Euclidean norm; for
 ``p = infinity`` an ``s x 2`` Gaussian ``G_i`` estimates the pair norm by
 ``||G_i r_i||_1``, which a sign-enumeration matrix turns into a max over
 ``2^s`` rows, so the compressed problem is again a plain max-norm fit.
-Small dense instances are solved by iteratively reweighted least squares
-(finite ``p``) or by damped Newton steps on a smoothed max under a halving
-temperature (``p = infinity``).  ``sketch_and_solve`` never assembles the
-compressed matrix.  At finite ``p`` every compressed row is a block row
-applied to its pair's lifted residual, so a weighted Gram matrix is
+``p = 2`` is a least-squares fit.  Every other ``p`` is solved by damped
+Newton steps under a halving temperature ``mu``: on
+``sum_g (||r_g||^2 + mu^2)^(p/2)`` at finite ``p``, on a smoothed max at
+``p = infinity``.  ``converged`` is a certificate: the bound on how far the
+smoothing lifts the minimum plus the Newton decrement, which together bound
+the objective's excess over the optimum, are at most ``tol`` times the
+objective (its p-th power at finite ``p``).  ``sketch_and_solve`` never
+assembles the compressed matrix.  At finite ``p`` every compressed row is a
+block row applied to its pair's lifted residual, so the Newton Hessian is
 ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per pair.  At
 ``p = infinity`` the smoothed max over the ``2^s`` signed rows of a pair
 factors exactly into log-cosh terms of the ``s`` rows ``G_i r_i``, so the
@@ -53,10 +57,6 @@ __all__ = [
 #: Hard cap on the sign-enumeration width: 2^20 rows is the largest block a
 #: max-norm sketch may expand when its blocks are read.
 MAX_ENUMERATION_BITS = 20
-
-#: Smoothing floor added to group norms inside the reweighted solver so that
-#: weights stay finite for p < 2.
-IRLS_SMOOTHING = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +333,17 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_lstsq(gram, rhs, tall):
-    # Normal equations with a Cholesky solve: one pass over the rows instead
-    # of a fresh orthogonal factorization per reweighting.  ``tall()`` gives
-    # a least-squares problem with the same solution (the square-root-weighted
-    # rows, or a Newton system itself), solved only for a matrix too
-    # ill-conditioned to factor.
+def _newton_solve(hess, grad):
+    # Cholesky on the Hessian; a least-squares solve of the same system only
+    # for a Hessian too ill-conditioned to factor.
     try:
-        chol = scipy.linalg.cho_factor(gram, check_finite=False)
-        y = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-        if np.all(np.isfinite(y)):
-            return y
+        chol = scipy.linalg.cho_factor(hess, check_finite=False)
+        step = scipy.linalg.cho_solve(chol, -grad, check_finite=False)
+        if np.all(np.isfinite(step)):
+            return step
     except scipy.linalg.LinAlgError:
         pass
-    return np.linalg.lstsq(*tall(), rcond=None)[0]
+    return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
 class _Groups:
@@ -389,14 +386,15 @@ class _DenseRows:
     def lstsq(self):
         return np.linalg.lstsq(self.M, self.c, rcond=None)[0]
 
-    def weighted_lstsq(self, row_weights):
-        Mw = row_weights[:, None] * self.M
+    def gram(self, row_weights):
+        """``M^T diag(row_weights) M``; rows of weight 0 add nothing."""
+        keep = row_weights > 0.0
+        live = self.M[keep]
+        return live.T @ (row_weights[keep, None] * live)
 
-        def tall():
-            w = np.sqrt(row_weights)
-            return w[:, None] * self.M, w * self.c
-
-        return _weighted_lstsq(self.M.T @ Mw, Mw.T @ self.c, tall)
+    def rmatvec(self, v):
+        """``M^T v``."""
+        return self.M.T @ v
 
 
 class _PairBlockRows:
@@ -406,9 +404,10 @@ class _PairBlockRows:
     residual ``r_i = Ap[pair i] y - bp[pair i]``.  Weighted by ``w``, the
     rows of pair ``i`` contribute ``r_i^T C_i r_i`` with the 2 x 2
     ``C_i = sum_{k in pair i} w_k b_k b_k^T``: the weighted Gram matrix is
-    ``sum_i Ap[pair i]^T C_i Ap[pair i]``, and a least-squares solve (the
-    initial fit, or the fallback for a Gram matrix Cholesky cannot factor)
-    runs on the 2n rows ``sqrt(C_i) Ap[pair i]`` instead of on all rows.
+    ``sum_i Ap[pair i]^T C_i Ap[pair i]``, and the initial least-squares
+    fit runs on the 2n rows ``sqrt(C_i) Ap[pair i]`` instead of on all rows.
+    A transpose product sums ``v_k b_k`` within each pair before it meets
+    ``Ap``.
     """
 
     def __init__(self, Ap, bp, sketch: BlockSketch):
@@ -418,8 +417,8 @@ class _PairBlockRows:
         self.A_rows = self.A.reshape(-1, self.A.shape[2])  # pair-major rows
         self.pair_rows = _Groups(np.array(
             [blk.shape[0] for blk in sketch.blocks], dtype=int))
-        self.b0, self.b1 = np.concatenate(
-            [np.empty((0, 2))] + sketch.blocks).T.copy()  # block row entries
+        self.block_rows = np.concatenate([np.empty((0, 2))] + sketch.blocks)
+        self.b0, self.b1 = self.block_rows.T.copy()  # block row entries
         self.outer = np.stack([self.b0 * self.b0, self.b0 * self.b1,
                                self.b1 * self.b1], axis=1)
         self.data_scale = float(np.linalg.norm(self._rows(self.b)))
@@ -452,11 +451,14 @@ class _PairBlockRows:
         C = self._pair_grams(np.ones(self.b0.size))
         return np.linalg.lstsq(*self._sqrt_rows(C), rcond=None)[0]
 
-    def weighted_lstsq(self, row_weights):
+    def gram(self, row_weights):
+        """``M^T diag(row_weights) M`` for the unassembled rows ``M``."""
         C = self._pair_grams(row_weights)
-        gram = self.A_rows.T @ (C @ self.A).reshape(self.A_rows.shape)
-        rhs = self.A_rows.T @ (C @ self.b[:, :, None]).ravel()
-        return _weighted_lstsq(gram, rhs, lambda: self._sqrt_rows(C))
+        return self.A_rows.T @ (C @ self.A).reshape(self.A_rows.shape)
+
+    def rmatvec(self, v):
+        """``M^T v`` for the unassembled rows ``M``."""
+        return self.A_rows.T @ self.pair_rows.rows(v, self.block_rows).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +466,132 @@ class _PairBlockRows:
 # ---------------------------------------------------------------------------
 
 
+def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
+                   fast_cut=0.5):
+    """Damped Newton steps on a smoothed objective, temperature / 2.
+
+    ``smoothed(y, mu)`` gives the smoothed objective ``F`` at ``y`` and
+    temperature ``mu``, the true objective there, and what
+    ``newton_step(parts, mu)`` reuses; that gives the Newton step on ``F``
+    and its decrement ``-grad . step``.  ``bound(mu, F)`` gives how far the
+    smoothing may lift ``min F`` above the optimum, and the decrement that
+    ends a level.  Starting from ``y`` (objective ``obj``) at ``mu``, each
+    step backtracks to the Armijo condition at 1e-4, and once a level's
+    decrement is below its bound ``mu`` halves, or shrinks by ``fast_cut``
+    when the level's first decrement was already a tenth of that bound (the
+    iterate barely moves as ``mu`` falls).  The fit is converged once
+    the smoothing bound plus the decrement (an estimate of ``F - min F``),
+    which together bound the objective's excess over the optimum, are at
+    most ``tol`` times the best objective seen (and at least ``floor``).
+    Returns that best iterate, its objective, the flag and the number of
+    accepted steps.
+    """
+    best_y, best_obj = y, obj
+    iterations = 0
+    converged = False
+    while True:
+        F, _, parts = smoothed(y, mu)
+        for calls in range(50):
+            step, decrement = newton_step(parts, mu)
+            if calls == 0:
+                first = decrement
+            stalled = not decrement > 0.0
+            theta = 1.0
+            while not stalled:
+                y_try = y + theta * step
+                F_try, obj, parts_try = smoothed(y_try, mu)
+                if F_try <= F - 1e-4 * theta * decrement:
+                    iterations += 1
+                    y, F, parts = y_try, F_try, parts_try
+                    if obj < best_obj:
+                        best_y, best_obj = y, obj
+                    break
+                theta *= 0.5
+                stalled = theta < 1e-12
+            excess, level_end = bound(mu, F)
+            target = max(tol * best_obj, floor)
+            converged = excess + decrement <= target
+            if converged or stalled or decrement <= level_end:
+                break
+        # a level ending with its decrement at most level_end at this mu is
+        # converged, so a level that got here stalled: halving mu again
+        # cannot help
+        if converged or excess + level_end <= target:
+            break
+        mu *= fast_cut if first <= 0.1 * level_end else 0.5
+    return best_y, best_obj, converged, iterations
+
+
 def _solve_grouped_finite(rows, sizes, y, p, tol):
-    """Damped reweighted least squares on the smoothed grouped p-norm.
+    """Smoothed grouped p-norm fit by damped Newton steps, temperature / 2.
 
     The rows ``M y - c`` of ``rows`` come in consecutive groups of ``sizes``
-    rows.  Each step from ``y`` is halved until the smoothed norm descends.
+    rows, and the objective is ``f = sum_g ||r_g||^p``.  At temperature
+    ``mu`` it is smoothed into ``F = sum_g h_g^p`` with
+    ``h_g = sqrt(||r_g||^2 + mu^2)``.  For ``p <= 2`` each term is at most
+    ``mu^p`` above ``||r_g||^p``, so ``min F`` is at most ``G mu^p`` above
+    the optimum for ``G`` groups; for ``p > 2`` the excess is at most
+    ``(p/2) mu^2 sum_g h_g^(p-2)``, by Hoelder at most
+    ``(p/2) mu^2 G^(2/p) F^(1-2/p)``.  ``mu`` starts at half the power mean
+    of the starting group norms; a level ends when the Newton decrement is
+    at most a tenth of that bound, and ``mu`` shrinks by 4 instead of 2 when
+    the level began there.  The gradient is ``M^T (p h^(p-1) u)``
+    with ``u = r / h`` per row, and the Hessian
+    ``M^T diag(p h^(p-2)) M`` plus, per group, the rank-one term
+    ``p (p-2) h_g^(p-2) (M_g^T u_g)(M_g^T u_g)^T``; for one-row groups the
+    two merge into the row weight ``p h^(p-2) ((mu/h)^2 + (p-1) u^2)``.
+    Residuals are taken in units of the data scale, so neither ``h^(p-2)``
+    nor ``h^p`` leaves the floating-point range on tiny or huge data.
     """
     groups = _Groups(sizes)
 
-    def group_norms(y):
-        r = rows.residual(y)
+    def group_norms(r):
         return np.sqrt(groups.sum(r * r))
 
-    norms = group_norms(y)
+    norms = group_norms(rows.residual(y))
     obj = lp_of_norms(norms, p)
-    if p == 2.0:
+    if p == 2.0 or obj <= 1e-14 * rows.data_scale:
         return LpSolution(y=y, objective=obj, converged=True, iterations=0)
 
-    eps2 = IRLS_SMOOTHING ** 2
+    scale = rows.data_scale
+    n_groups = sizes.size
 
-    def smoothed(nrm):
-        return float(np.sum((nrm * nrm + eps2) ** (0.5 * p)))
+    def smoothed(y, mu):
+        r = rows.residual(y) / scale
+        norms = group_norms(r)
+        h = np.hypot(norms, mu)
+        return float(np.sum(h ** p)), float(np.sum(norms ** p)), (r, h)
 
-    F = smoothed(norms)
-    converged = obj <= 1e-14 * rows.data_scale
-    iterations = 0
-    while not converged and iterations < 300:
-        iterations += 1
-        weights = (norms * norms + eps2) ** (0.25 * (p - 2.0))
-        step = rows.weighted_lstsq(groups.spread(weights * weights)) - y
-        theta = 1.0
-        for _ in range(30):
-            y_try = y + theta * step
-            norms_try = group_norms(y_try)
-            F_try = smoothed(norms_try)
-            if F_try <= F:
-                break
-            theta *= 0.5
+    def newton_step(parts, mu):
+        r, h = parts
+        curv = p * h ** (p - 2.0)
+        u = r / groups.spread(h)
+        if groups.width == 1:
+            hess = rows.gram(curv * ((mu / h) ** 2 + (p - 1.0) * u * u))
         else:
-            break  # stagnated: keep the best iterate found so far
-        y, norms, F = y_try, norms_try, F_try
-        previous, obj = obj, lp_of_norms(norms, p)
-        if (abs(previous - obj) <= tol * max(obj, 1e-30)
-                or obj <= 1e-14 * rows.data_scale):
-            converged = True
-    return LpSolution(y=y, objective=obj, converged=converged,
-                      iterations=iterations)
+            D = groups.rows(u, rows.M)  # row g: M_g^T u_g
+            hess = rows.gram(groups.spread(curv)) \
+                + D.T @ (((p - 2.0) * curv)[:, None] * D)
+        grad = rows.rmatvec(groups.spread(curv * h) * u)
+        step = _newton_solve(hess, grad)
+        return scale * step, -float(grad @ step)
+
+    def bound(mu, F):
+        if p <= 2.0:
+            excess = n_groups * mu ** p
+        else:
+            excess = (0.5 * p * mu * mu * n_groups ** (2.0 / p)
+                      * F ** (1.0 - 2.0 / p))
+        return excess, 0.1 * excess
+
+    start = float(np.sum((norms / scale) ** p))
+    floor = n_groups * 1e-15 ** p  # G mu^p at mu = 1e-15 of the data scale
+    y, _, converged, iterations = _newton_levels(
+        smoothed, newton_step, bound, y, start,
+        0.5 * (start / n_groups) ** (1.0 / p), tol, floor, fast_cut=0.25)
+    return LpSolution(y=y, objective=lp_of_norms(
+        group_norms(rows.residual(y)), p), converged=converged,
+        iterations=iterations)
 
 
 def _solve_grouped_inf(rows, sizes, y, l1, tol):
@@ -525,12 +607,8 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
     sign-enumeration sketch, ``F`` is exactly the log-sum-exp over all
     ``2^s`` signed rows ``sigma . G_i r_i``, because
     ``sum_sigma exp(sigma . g / mu) = prod_k 2cosh(g_k / mu)``; those rows
-    are never formed.  Starting from ``y`` at ``mu`` = half its objective,
-    Newton steps with an Armijo backtrack minimize ``F`` until the Newton
-    decrement is below ``mu / 10``, then ``mu`` halves.  The fit is
-    converged once the smoothing bound plus the decrement (an estimate of
-    ``F - min F``), which together bound the objective's excess over the
-    optimum, are at most ``tol`` times the objective.
+    are never formed.  ``mu`` starts at half the starting objective, and a
+    level ends when the Newton decrement is below ``mu / 10``.
     """
     groups = _Groups(sizes)
 
@@ -538,7 +616,6 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
         return groups.sum(np.abs(r)) if l1 else np.sqrt(groups.sum(r * r))
 
     def smoothed(y, mu):
-        """``F`` at ``y``, the group norms, and what a Newton step reuses."""
         r = rows.residual(y)
         norms = group_norms(r)
         if l1:
@@ -550,10 +627,10 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
         top = float(h.max())
         soft = np.exp((h - top) / mu)
         total = float(soft.sum())
-        return top + mu * math.log(total), norms, (r, tail, h, soft / total)
+        return (top + mu * math.log(total), float(norms.max()),
+                (r, tail, h, soft / total))
 
     def newton_step(parts, mu):
-        """The Newton step on ``F`` and its decrement ``-grad . step``."""
         r, tail, h, soft = parts
         if l1:
             u = np.tanh(r / mu)
@@ -566,53 +643,22 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
         grad = soft @ D
         Dc = D - grad
         # at small mu most weights underflow to 0; those rows add nothing
-        keep = row_w > 0.0
-        live = rows.M[keep]
-        hess = live.T @ (row_w[keep, None] * live) \
-            + Dc.T @ ((soft / mu)[:, None] * Dc)
+        hess = rows.gram(row_w) + Dc.T @ ((soft / mu)[:, None] * Dc)
         if not l1:
             hess -= D.T @ ((soft / h)[:, None] * D)
-        step = _weighted_lstsq(hess, -grad, lambda: (hess, -grad))
+        step = _newton_solve(hess, grad)
         return step, -float(grad @ step)
 
-    best_y = y
-    best_obj = float(group_norms(rows.residual(y)).max(initial=0.0))
-    if best_obj <= 1e-14 * rows.data_scale:
-        return LpSolution(y=best_y, objective=best_obj, converged=True,
-                          iterations=0)
+    obj = float(group_norms(rows.residual(y)).max(initial=0.0))
+    if obj <= 1e-14 * rows.data_scale:
+        return LpSolution(y=y, objective=obj, converged=True, iterations=0)
 
     gap_per_mu = math.log(sizes.size) + (
         float(sizes.max()) * math.log(2.0) if l1 else 1.0)
-    iterations = 0
-    converged = False
-    mu = 0.5 * best_obj
-    while True:
-        F, _, parts = smoothed(y, mu)
-        for _ in range(50):
-            step, decrement = newton_step(parts, mu)
-            stalled = not decrement > 0.0
-            theta = 1.0
-            while not stalled:
-                y_try = y + theta * step
-                F_try, norms, parts_try = smoothed(y_try, mu)
-                if F_try <= F - 1e-4 * theta * decrement:
-                    iterations += 1
-                    y, F, parts = y_try, F_try, parts_try
-                    if float(norms.max()) < best_obj:
-                        best_y, best_obj = y, float(norms.max())
-                    break
-                theta *= 0.5
-                stalled = theta < 1e-12
-            target = max(tol * best_obj, 1e-15 * rows.data_scale)
-            converged = mu * gap_per_mu + decrement <= target
-            if converged or stalled or decrement <= 0.1 * mu:
-                break
-        # a level ending with decrement <= mu / 10 at this mu is converged,
-        # so a level that got here stalled: halving mu again cannot help
-        if converged or mu * (gap_per_mu + 0.1) <= target:
-            break
-        mu *= 0.5
-    return LpSolution(y=best_y, objective=best_obj, converged=converged,
+    y, obj, converged, iterations = _newton_levels(
+        smoothed, newton_step, lambda mu, F: (mu * gap_per_mu, 0.1 * mu),
+        y, obj, 0.5 * obj, tol, 1e-15 * rows.data_scale)
+    return LpSolution(y=y, objective=obj, converged=converged,
                       iterations=iterations)
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import hessian_oracle
 from .core_complex import qr, seeded_generator, spectral_norm, svd
@@ -118,7 +117,8 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     (d x ``jl_cols`` Gaussian, scaled 1/sqrt(jl_cols), default
     ceil(8 ln n) columns) reduces the row-norm computation.  Returns
     ||e_i^T B R^{-1} G||^2, a (1 +- O(eps)) estimate of the exact scores with
-    high probability.
+    high probability.  NumPy only, as in ``exact_leverage_scores``: the d x d
+    factor is inverted by ``np.linalg.solve``, not by ``scipy.linalg``.
 
     Raises ValueError when the R factor is singular (rank-deficient B); use
     exact_leverage_scores in that case.
@@ -139,7 +139,7 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
             "use exact_leverage_scores instead"
         )
     G = rng.standard_normal((d, r)) / np.sqrt(r)
-    W = scipy.linalg.solve_triangular(T, G, lower=False)  # R^{-1} G, d x r
+    W = np.linalg.solve(T, G)  # R^{-1} G, d x r
     proj = B @ W
     return np.sum(np.abs(proj) ** 2, axis=1)
 

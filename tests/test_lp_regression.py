@@ -409,13 +409,12 @@ def test_grouped_solve_on_unsorted_ragged_groups_equals_group_ordered_rows(p):
     assert sol.objective == ref.objective
 
 
-def test_small_lp_p1_at_iteration_cap_reports_unconverged_certified_value():
+def test_small_lp_p1_converges_to_the_lp_optimum_with_certified_value():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((60, 6))
     c = rng.standard_normal(60)
     sol = small_lp_solve(M, c, 1.0)
-    assert not sol.converged
-    assert sol.iterations == 300
+    assert sol.converged
     # the reported objective is the true l1 residual of the returned iterate
     assert sol.objective == pytest.approx(np.abs(M @ sol.y - c).sum(),
                                           rel=1e-12)
@@ -427,7 +426,7 @@ def test_small_lp_p1_at_iteration_cap_reports_unconverged_certified_value():
         A_ub=np.block([[M, -eye], [-M, -eye]]), b_ub=np.r_[c, -c],
         bounds=[(None, None)] * d + [(0, None)] * n, method="highs")
     assert lp.status == 0
-    assert lp.fun * (1 - 1e-9) <= sol.objective <= lp.fun * (1 + 1e-6)
+    assert lp.fun * (1 - 1e-9) <= sol.objective <= lp.fun * (1 + 1e-9)
 
 
 def test_complex_lp_p2_matches_complex_least_squares():
@@ -453,21 +452,25 @@ def test_complex_lp_zero_residual_recovers_exactly(p):
 
 
 def test_pinf_objectives_scale_with_the_data():
-    # the zero-residual shortcut and the stopping target are relative to the
-    # data, so data scaled by 1e-150 is solved, not returned as its first fit
+    # the zero-residual shortcut, the stopping target and (at finite p) the
+    # smoothing are relative to the data, so data scaled by 1e-150 is solved,
+    # not returned as its first fit, at every p
     rng = np.random.default_rng(0)
     M = rng.standard_normal((30, 4))
     c = rng.standard_normal(30)
     A = complex_matrix(rng, 20, 3)
     b = complex_vector(rng, 20)
-    solves = (
-        lambda k: small_lp_solve(M, k * c, np.inf).objective,
-        lambda k: complex_lp_solve(A, k * b, np.inf).objective,
-        lambda k: sketch_and_solve(A, k * b, np.inf, s=3,
-                                   seed=1).sketched_objective,
-    )
-    for solve in solves:
-        assert solve(1e-150) / 1e-150 == pytest.approx(solve(1.0), rel=1e-9)
+    for p in (1.0, 1.5, 3.0, np.inf):
+        kw = {"s": 3} if np.isinf(p) else {"t": 4}
+        solves = (
+            lambda k: small_lp_solve(M, k * c, p).objective,
+            lambda k: complex_lp_solve(A, k * b, p).objective,
+            lambda k: sketch_and_solve(A, k * b, p, seed=1,
+                                       **kw).sketched_objective,
+        )
+        for solve in solves:
+            assert solve(1e-150) / 1e-150 == pytest.approx(solve(1.0),
+                                                           rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +682,16 @@ def test_pair_block_rows_match_dense_rows():
     assert blocks.data_scale == pytest.approx(dense.data_scale, rel=1e-12)
     np.testing.assert_allclose(blocks.lstsq(), dense.lstsq(), rtol=1e-9)
     weights = rng.uniform(0.1, 2.0, M.shape[0])
-    np.testing.assert_allclose(blocks.weighted_lstsq(weights),
-                               dense.weighted_lstsq(weights), rtol=1e-9)
-    # weight on two pairs only: a singular Gram, so both take the
-    # minimum-norm least-squares fallback
+    np.testing.assert_allclose(blocks.gram(weights), dense.gram(weights),
+                               rtol=1e-9)
+    np.testing.assert_allclose(blocks.rmatvec(weights),
+                               dense.rmatvec(weights), rtol=1e-9)
+    # weight on two pairs only: a singular Gram, the same from both
     sparse = np.zeros(M.shape[0])
     sparse[:5] = 1.0
-    ref = np.linalg.lstsq(M[:5], c[:5], rcond=None)[0]
-    np.testing.assert_allclose(blocks.weighted_lstsq(sparse), ref, atol=1e-9)
-    np.testing.assert_allclose(dense.weighted_lstsq(sparse), ref, atol=1e-9)
+    ref = M[:5].T @ M[:5]
+    np.testing.assert_allclose(blocks.gram(sparse), ref, atol=1e-9)
+    np.testing.assert_allclose(dense.gram(sparse), ref, atol=1e-9)
 
 
 # factored smoothed max at p = inf -------------------------------------------
@@ -743,18 +747,28 @@ def _linf_lp_optimum(M, c):
     return lp.fun
 
 
-def _pair_linf_lp_bounds(A, b, angles=4096):
-    """Bounds on min_x max_i |A_i x - b_i| from an LP over polygons.
+def _polygon_rows(A, b, angles):
+    """Rows ``Re(exp(-i theta) (A_i x - b_i))`` over ``angles`` directions,
+    pair-major.
 
     Over ``angles`` equally spaced directions, max_theta Re(exp(-i theta) z)
-    lies between cos(pi / angles) |z| and |z|, so the LP optimum of that max
-    is a lower bound, and the LP optimum / cos(pi / angles) an upper bound.
+    lies between cos(pi / angles) |z| and |z|.
     """
     lifted = lift_instance(A, b)
     theta = 2.0 * np.pi * np.arange(angles) / angles
     P = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     M = np.concatenate([P @ lifted.Ap[[a, c]] for a, c in lifted.pairs])
     rhs = np.concatenate([P @ lifted.bp[[a, c]] for a, c in lifted.pairs])
+    return M, rhs
+
+
+def _pair_linf_lp_bounds(A, b, angles=4096):
+    """Bounds on min_x max_i |A_i x - b_i| from an LP over polygons.
+
+    The LP optimum of the max over the ``_polygon_rows`` is a lower bound,
+    and the LP optimum / cos(pi / angles) an upper bound.
+    """
+    M, rhs = _polygon_rows(A, b, angles)
     m, d = M.shape
     lp = scipy.optimize.linprog(
         np.r_[np.zeros(d), 1.0], A_ub=np.hstack([M, -np.ones((m, 1))]),
@@ -792,6 +806,120 @@ def test_pinf_converged_flag_certifies_the_objective(monkeypatch, trial):
         if converged:
             assert objective <= high * (1 + 2e-6)
     assert all(converged for _, converged, _, _ in solved)
+
+
+def _l1_lp_optimum(M, c):
+    """min_y sum_k |M_k y - c_k| as an LP over (y, u)."""
+    m, d = M.shape
+    eye = np.eye(m)
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(d), np.ones(m)],
+        A_ub=np.block([[M, -eye], [-M, -eye]]), b_ub=np.r_[c, -c],
+        bounds=[(None, None)] * d + [(0, None)] * m, method="highs",
+        options=_HIGHS_TIGHT)
+    assert lp.status == 0
+    return lp.fun
+
+
+def _pair_l1_lp_bounds(A, b, angles=4096):
+    """Bounds on min_x sum_i |A_i x - b_i| from an LP over polygons.
+
+    With ``u_i`` at least each of pair ``i``'s ``_polygon_rows``, the LP
+    optimum of ``sum_i u_i`` is a lower bound, and the LP optimum /
+    cos(pi / angles) an upper bound.
+    """
+    M, rhs = _polygon_rows(A, b, angles)
+    n, d = A.shape[0], M.shape[1]
+    owner = np.kron(np.eye(n), np.ones((angles, 1)))
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(d), np.ones(n)], A_ub=np.hstack([M, -owner]),
+        b_ub=rhs, bounds=[(None, None)] * d + [(0, None)] * n,
+        method="highs", options=_HIGHS_TIGHT)
+    assert lp.status == 0
+    return lp.fun, lp.fun / np.cos(np.pi / angles)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_p1_converged_flag_certifies_the_objective(monkeypatch, trial):
+    # at tol = 1e-6 a converged solve is within 2e-6 of the LP optimum
+    rng = np.random.default_rng(207 + trial)
+    M = rng.standard_normal((40, 4))
+    c = rng.standard_normal(40)
+    sol = small_lp_solve(M, c, 1.0, tol=1e-6)
+    optimum = _l1_lp_optimum(M, c)
+    solved = [(sol.objective, sol.converged, optimum, optimum)]
+    A = complex_matrix(rng, 12, 2)
+    b = complex_vector(rng, 12)
+    sol = complex_lp_solve(A, b, 1.0, tol=1e-6)
+    solved.append((sol.objective, sol.converged) + _pair_l1_lp_bounds(A, b))
+    A = complex_matrix(rng, 30, 3)
+    b = complex_vector(rng, 30)
+    lifted = lift_instance(A, b)
+    for t in (2, 20):
+        result, sketch = _recorded_sketch(monkeypatch, A, b, 1.0, t=t,
+                                          tol=1e-6)
+        optimum = _l1_lp_optimum(sketch.apply(lifted.Ap),
+                                 sketch.apply(lifted.bp))
+        solved.append((result.sketched_objective, result.converged, optimum,
+                       optimum))
+    for objective, converged, low, high in solved:
+        assert objective >= low * (1 - 1e-9)
+        if converged:
+            assert objective <= high * (1 + 2e-6)
+    assert all(converged for _, converged, _, _ in solved)
+
+
+def _grouped_pth_power_minimum(M, c, p, width):
+    """min_y sum_g ||r_g||^p over consecutive ``width``-row groups of
+    ``r = M y - c``, by SciPy's trust-region Newton with the exact Hessian
+    of the unsmoothed objective (smooth for p > 1 once no r_g vanishes)."""
+
+    def parts(y):
+        R = (M @ y - c).reshape(-1, width)
+        norms = np.linalg.norm(R, axis=1)
+        return R, norms, M.reshape(-1, width, M.shape[1])
+
+    def obj(y):
+        return np.sum(parts(y)[1] ** p)
+
+    def grad(y):
+        R, norms, _ = parts(y)
+        return M.T @ ((p * norms ** (p - 2))[:, None] * R).ravel()
+
+    def hess(y):
+        R, norms, Mg = parts(y)
+        w = p * norms ** (p - 2)
+        D = np.einsum("gk,gki->gi", R / norms[:, None], Mg)
+        return (np.einsum("g,gki,gkj->ij", w, Mg, Mg)
+                + D.T @ ((p - 2) * w[:, None] * D))
+
+    start = np.linalg.lstsq(M, c, rcond=None)[0]
+    return scipy.optimize.minimize(obj, start, jac=grad, hess=hess,
+                                   method="trust-exact",
+                                   options={"gtol": 1e-10}).fun
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0))
+def test_finite_p_converged_flag_certifies_the_objective(monkeypatch, p):
+    # at tol = 1e-8 a converged solve's sum_g ||r_g||^p is within 1e-8 of
+    # the minimum
+    rng = np.random.default_rng(600)
+    A = complex_matrix(rng, 60, 20)
+    b = A @ complex_vector(rng, 20) + 0.5 * complex_vector(rng, 60)
+    lifted = lift_instance(A, b)
+    sol = complex_lp_solve(A, b, p, tol=1e-8)
+    solved = [(sol.objective, sol.converged,
+               _grouped_pth_power_minimum(lifted.Ap, lifted.bp, p, 2))]
+    sol = small_lp_solve(lifted.Ap, lifted.bp, p, tol=1e-8)
+    solved.append((sol.objective, sol.converged,
+                   _grouped_pth_power_minimum(lifted.Ap, lifted.bp, p, 1)))
+    result, sketch = _recorded_sketch(monkeypatch, A, b, p, t=6, tol=1e-8)
+    solved.append((result.sketched_objective, result.converged,
+                   _grouped_pth_power_minimum(sketch.apply(lifted.Ap),
+                                              sketch.apply(lifted.bp), p, 1)))
+    for objective, converged, minimum in solved:
+        assert converged
+        assert minimum * (1 - 1e-12) <= objective ** p <= minimum * (1 + 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,31 @@ def test_approx_scores_near_isometric_embedding():
     assert np.linalg.norm(approx - exact) / np.linalg.norm(exact) <= 0.15
 
 
+def test_approx_scores_skip_scipy_and_match_the_triangular_solve(
+        monkeypatch):
+    # the d x d factor is inverted by NumPy: scipy.linalg's own BLAS thread
+    # pool would contend with NumPy's
+    rng = np.random.default_rng(17)
+    inputs = (rng.standard_normal((500, 8)), rand_cmat(rng, 300, 5))
+    scipy_calls = []
+    for name in dir(scipy.linalg):
+        fn = getattr(scipy.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                scipy_calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, counted)
+    scores = [approx_leverage_scores(B, seed=4) for B in inputs]
+    assert scipy_calls == []
+    monkeypatch.undo()
+    # the same draws with R^{-1} G from the triangular solve
+    monkeypatch.setattr(np.linalg, "solve", lambda T, G:
+                        scipy.linalg.solve_triangular(T, G, lower=False))
+    for B, got in zip(inputs, scores):
+        np.testing.assert_allclose(got, approx_leverage_scores(B, seed=4),
+                                   rtol=1e-12)
+
+
 def test_approx_scores_default_quality_over_seeds():
     # at embed_rows=60, jl_cols=40 the per-row ratio to exact lands in [0.5, 2]
     # for >= 95% of rows pooled over 100 sketch seeds

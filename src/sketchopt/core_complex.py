@@ -15,6 +15,8 @@ real vector of even length equals the complex lp norm before lifting.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 #: default Hermitian tolerance of ``min_eig_hermitian``, relative to the
@@ -25,6 +27,13 @@ DEFAULT_RTOL = 1e-10
 def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: input has non-finite entries")
+
+
+def check_int(value, name: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
 
 
 def seeded_generator(seed) -> np.random.Generator:

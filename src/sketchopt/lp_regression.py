@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core_complex import (child_seed, lift_matrix, lp_of_norms, phi,
                            seeded_generator, unphi)
@@ -144,13 +143,17 @@ class LpSolution:
 
 @dataclass
 class SketchSolveResult:
-    """Sketch-and-solve output with the heavy/light pair partition used."""
+    """Sketch-and-solve output with the heavy/light pair partition used.
+
+    ``iterations`` counts the accepted Newton steps of the small solve.
+    """
 
     xhat: np.ndarray
     sketched_objective: float
     converged: bool
     heavy: np.ndarray
     light: np.ndarray
+    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +339,8 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
 def _newton_solve(hess, grad):
     # Cholesky on the Hessian; a least-squares solve of the same system only
     # for a Hessian too ill-conditioned to factor.
+    import scipy.linalg  # here, so only lp solves pay SciPy's import cost
+
     try:
         chol = scipy.linalg.cho_factor(hess, check_finite=False)
         step = scipy.linalg.cho_solve(chol, -grad, check_finite=False)
@@ -780,4 +785,5 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
                              sketched_objective=sol.objective,
                              converged=sol.converged,
                              heavy=np.asarray(heavy, dtype=int),
-                             light=np.asarray(light, dtype=int))
+                             light=np.asarray(light, dtype=int),
+                             iterations=sol.iterations)

@@ -23,13 +23,12 @@ values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hessian_oracle
-from .core_complex import child_seed
+from .core_complex import check_int, child_seed
 from .hessian_oracle import (
     FiniteSumProblem,
     OracleMeter,
@@ -84,8 +83,7 @@ class OptConfig:
             val = getattr(self, name)
             if val is None and name not in required:
                 continue
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise ValueError(f"OptConfig: {name} must be an integer")
+            check_int(val, f"OptConfig: {name}")
         if scheme != "full" and (self.sample_size is None or self.sample_size < 1):
             raise ValueError(
                 f"OptConfig: scheme {scheme!r} requires sample_size >= 1"

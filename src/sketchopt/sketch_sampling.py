@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hessian_oracle
-from .core_complex import qr, seeded_generator, spectral_norm, svd
+from .core_complex import check_int, qr, seeded_generator, spectral_norm, svd
 from .hessian_oracle import _charge
 
 #: The row-sampling schemes of ``scheme_probabilities``, canonically spelled.
@@ -147,6 +147,7 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
 def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
     """Draw t rows i.i.d. with replacement from probs; weight = 1/sqrt(t p_i)."""
     probs = np.asarray(probs, dtype=float)
+    t = check_int(t, "build_sampling_sketch: t")
     if t < 1:
         raise ValueError("build_sampling_sketch: t must be >= 1")
     if np.any(probs < 0) or not np.all(np.isfinite(probs)):

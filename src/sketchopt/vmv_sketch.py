@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_complex import child_seed, seeded_generator
+from .core_complex import check_int, child_seed, seeded_generator
 
 __all__ = [
     "TensorSketchState",
@@ -79,7 +79,7 @@ class TensorSketchState:
 
 def ts_new(k, seed=0) -> TensorSketchState:
     """Fresh sketch state with ``k`` buckets and seed-fixed hash functions."""
-    k = int(k)
+    k = check_int(k, "ts_new: k")
     if k < 1:
         raise ValueError("ts_new: k must be >= 1")
     return TensorSketchState(k=k, q=np.zeros(k, dtype=complex),
@@ -164,7 +164,8 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     if not all(np.isfinite(x).all() for x in (A, B, u, v)):
         raise ValueError("estimate: A, B, u and v must be finite "
                          "(found NaN or Inf)")
-    reps = int(reps)
+    k = check_int(k, "estimate: k")
+    reps = check_int(reps, "estimate: reps")
     if reps < 1:
         raise ValueError("estimate: reps must be >= 1")
     G = A.T @ B

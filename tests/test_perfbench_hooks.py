@@ -84,18 +84,75 @@ def test_lp_solves_pass_through_their_hooks(tracing, solve, spans):
     assert spans | {"core_complex.lift"} <= names
 
 
-def test_library_import_leaves_bench_unloaded():
-    # perfbench imports the library only; keeping ``sketchopt.bench`` out of
-    # that import keeps the bench CLI out of its setup time and cell timings.
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run in a new interpreter on ``src``."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sketchopt; print('\\n'.join(sys.modules))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    return proc.stdout
+
+
+def test_library_import_leaves_bench_unloaded():
+    # perfbench imports the library only; keeping ``sketchopt.bench`` out of
+    # that import keeps the bench CLI out of its setup time and cell timings.
+    loaded = _fresh_interpreter(
+        "import sys, sketchopt; print('\\n'.join(sys.modules))").split()
     assert "sketchopt.vmv_sketch" in loaded
     assert [m for m in loaded if m.startswith("sketchopt.bench")] == []
+
+
+_NO_SCIPY_RUN = """
+import os, sys, tempfile
+import numpy as np
+import sketchopt as so
+from sketchopt.bench.cli import main
+from sketchopt.sketch_sampling import SAMPLING_SCHEMES
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+rng = np.random.default_rng(97)
+A = rng.standard_normal((120, 4))
+labels = (A @ rng.standard_normal(4) >= 0).astype(float)
+problem = so.FiniteSumProblem(A=A, labels=labels,
+                              loss=so.make_loss("nlls_classification"),
+                              ridge_lambda=0.01)
+for scheme in ("full", "ls-det") + SAMPLING_SCHEMES:
+    config = so.OptConfig(scheme=scheme, sample_size=30, max_outer=2, seed=3)
+    for algorithm in (so.newton_cg, so.newton_mr, so.trust_region):
+        algorithm(problem, config)
+so.exact_leverage_scores(A)
+so.approx_leverage_scores(A, seed=4)
+so.ls_det_fraction_plan(A, 20, 0.5, seed=5)
+C = A + 1j * rng.standard_normal(A.shape)
+so.estimate(C, C, np.ones(4), np.ones(4), k=16, reps=3, seed=6)
+configs = {
+    "optimize": "dataset = synth:n=60,d=3\\nschemes = full, ls, ls-det@0.5\\n"
+                "sample_size = 20\\nmax_outer = 2\\nloss = quadratic\\n",
+    "vmv": "rows = 10\\ncols = 2\\nk_values = 4\\nseeds = 1\\n",
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for sub, text in configs.items():
+        cfg = os.path.join(tmp, sub + ".cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert main([sub, "--config", cfg, "--out",
+                     os.path.join(tmp, sub)]) == 0, sub
+print("before:", *scipy_modules())
+so.sketch_and_solve(C, C @ np.ones(4) + 0.1, 1.0, t=2, seed=7)
+print("after:", *scipy_modules())
+"""
+
+
+def test_only_lp_solves_load_scipy():
+    # The optimizers, sampling, hybrid plans, tensor sketches and the
+    # ``bench optimize``/``vmv`` runs are NumPy only, so their processes
+    # skip SciPy's import time and its second OpenBLAS; an lp solve loads
+    # ``scipy.linalg`` for its Cholesky factorization.
+    before, after = _fresh_interpreter(_NO_SCIPY_RUN).splitlines()[-2:]
+    assert before == "before:"
+    assert "scipy.linalg" in after.split()

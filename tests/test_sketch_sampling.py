@@ -257,6 +257,12 @@ def test_sketch_rejects_bad_probs():
         build_sampling_sketch(np.array([0.5, 0.6]), t=2, seed=0)
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, True, None])
+def test_sketch_rejects_a_non_integer_row_count(t):
+    with pytest.raises(ValueError, match="t must be an integer"):
+        build_sampling_sketch(np.full(4, 0.25), t=t, seed=0)
+
+
 def test_sketch_reproducible():
     probs = np.full(8, 1 / 8)
     S1 = build_sampling_sketch(probs, t=6, seed=42)

@@ -78,6 +78,13 @@ def test_ts_new_validation():
         ts_new(0, seed=1)
 
 
+@pytest.mark.parametrize("k", [2.5, 4.0, True, "4"])
+def test_ts_new_rejects_a_non_integer_width(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ts_new(k, seed=1)
+    assert ts_new(np.int64(4), seed=1).k == 4
+
+
 # ---------------------------------------------------------------------------
 # ts_pair
 # ---------------------------------------------------------------------------
@@ -290,6 +297,17 @@ def test_estimate_validation():
         estimate(A, B, u, u, k=4, reps=0)
     with pytest.raises(ValueError):
         estimate(A, B, np.ones(2, dtype=complex), u, k=4)
+
+
+@pytest.mark.parametrize("size", [{"k": 8.7}, {"k": True}, {"reps": 2.9},
+                                  {"reps": True}, {"reps": 2.0}])
+def test_estimate_rejects_non_integer_sizes(size):
+    rng = np.random.default_rng(25)
+    A, u = complex_rows(rng, 5, 3), complex_rows(rng, 1, 3)[0]
+    kwargs = {"k": 8, "reps": 2, **size}
+    name = next(iter(size))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        estimate(A, A, u, u, seed=1, **kwargs)
 
 
 def test_estimate_rejects_column_mismatch_before_building_state(monkeypatch):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_complex import check_int
 from .sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -45,14 +46,6 @@ class HybridPlan:
     saturated: bool
 
 
-def _empty_sketch(n_remaining: int) -> SamplingSketch:
-    return SamplingSketch(
-        source_rows=int(n_remaining),
-        rows=np.zeros(0, dtype=np.int64),
-        weights=np.zeros(0),
-    )
-
-
 def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the k largest scores, ties going to the lowest
     index: ``np.sort(np.argsort(-scores, kind="stable")[:k])`` for 1 <= k <= n,
@@ -64,21 +57,42 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(top)
 
 
-def _sample_remainder(B, remainder: np.ndarray, h: int, remainder_mode: str,
-                      seed) -> SamplingSketch:
-    n_rem = remainder.size
-    if h <= 0 or n_rem == 0:
-        return _empty_sketch(n_rem)
-    if remainder_mode == "uniform":
-        probs = np.full(n_rem, 1.0 / n_rem)
+def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
+                 remainder_mode: str, seed, caller: str, rounds: int = 1,
+                 threshold: float = float("nan")) -> HybridPlan:
+    """The plan keeping the ascending rows ``deterministic`` at weight 1 and
+    drawing ``sample_count`` picks from the rest, uniformly or by their
+    leverage scores (uniformly when those are all zero).  With no picks to
+    draw or no rows left to draw from, the plan is saturated."""
+    if remainder_mode not in REMAINDER_MODES:
+        raise ValueError(
+            f"{caller}: remainder_mode must be one of {REMAINDER_MODES}"
+        )
+    n = B.shape[0]
+    keep = np.ones(n, dtype=bool)
+    keep[deterministic] = False
+    remainder = np.flatnonzero(keep)
+    m = remainder.size
+    if sample_count > 0 and m > 0:
+        probs = np.full(m, 1.0 / m)
+        if remainder_mode == "leverage":
+            scores = exact_leverage_scores(B[remainder])
+            total = scores.sum()
+            if total > 0.0:
+                probs = scores / total
+        sampled = build_sampling_sketch(probs, sample_count, seed=seed)
     else:
-        scores = exact_leverage_scores(np.asarray(B)[remainder])
-        total = scores.sum()
-        if total <= 0.0:
-            probs = np.full(n_rem, 1.0 / n_rem)
-        else:
-            probs = scores / total
-    return build_sampling_sketch(probs, h, seed=seed)
+        sampled = SamplingSketch(m, np.zeros(0, dtype=np.int64), np.zeros(0))
+    return HybridPlan(
+        source_rows=n,
+        deterministic_rows=deterministic,
+        remainder=remainder,
+        sampled=sampled,
+        rounds=rounds,
+        threshold=float(threshold),
+        remainder_mode=remainder_mode,
+        saturated=len(sampled) == 0,
+    )
 
 
 def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
@@ -88,10 +102,11 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
 
     Per round, leverage scores of the still-unselected rows are recomputed
     and every row scoring >= ``threshold`` moves to the deterministic set,
-    capped at ``cap`` rows per round (default 2*cols), largest scores first.
-    After ``rounds`` rounds, ``sample_count`` rows are drawn i.i.d. from the
-    remainder — uniformly (weights sqrt(n_remaining/sample_count)) or by
-    remainder leverage scores.  Deterministic rows always carry weight 1.
+    capped at ``cap`` rows per round (default 2*cols), largest scores first
+    (ties to the lowest row).  After ``rounds`` rounds, ``sample_count``
+    rows are drawn i.i.d. from the remainder — uniformly (weights
+    sqrt(n_remaining/sample_count)) or by remainder leverage scores.
+    Deterministic rows always carry weight 1.
 
     A ``threshold`` above 1 selects nothing (no leverage score exceeds 1) and
     the plan degenerates to pure sampling.  An empty remainder yields a
@@ -99,50 +114,29 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
     """
     B = np.asarray(B)
     n, d = B.shape
-    if rounds < 1:
+    if check_int(rounds, "ls_det_sample: rounds") < 1:
         raise ValueError("ls_det_sample: rounds must be >= 1")
     if threshold <= 0.0:
         raise ValueError("ls_det_sample: threshold must be positive")
-    if sample_count < 1:
+    if check_int(sample_count, "ls_det_sample: sample_count") < 1:
         raise ValueError("ls_det_sample: sample_count must be >= 1")
-    if remainder_mode not in REMAINDER_MODES:
-        raise ValueError(
-            f"ls_det_sample: remainder_mode must be one of {REMAINDER_MODES}"
-        )
-    cap = 2 * d if cap is None else int(cap)
+    cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap")
     if cap < 1:
         raise ValueError("ls_det_sample: cap must be >= 1")
 
-    remaining = np.arange(n)
-    chosen: list[np.ndarray] = []
+    taken = np.zeros(n, dtype=bool)
     for _ in range(rounds):
+        remaining = np.flatnonzero(~taken)
         if remaining.size == 0:
             break
         scores = exact_leverage_scores(B[remaining])
         eligible = np.flatnonzero(scores >= threshold)
         if eligible.size == 0:
             break
-        order = eligible[np.argsort(-scores[eligible], kind="stable")]
-        take = order[:cap]
-        chosen.append(remaining[take])
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[take] = False
-        remaining = remaining[keep]
-
-    deterministic = (
-        np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.int64)
-    )
-    sampled = _sample_remainder(B, remaining, sample_count, remainder_mode, seed)
-    return HybridPlan(
-        source_rows=n,
-        deterministic_rows=deterministic,
-        remainder=remaining,
-        sampled=sampled,
-        rounds=rounds,
-        threshold=float(threshold),
-        remainder_mode=remainder_mode,
-        saturated=len(sampled) == 0,
-    )
+        top = _top_k_rows(scores[eligible], min(cap, eligible.size))
+        taken[remaining[eligible[top]]] = True
+    return _hybrid_plan(B, np.flatnonzero(taken), sample_count, remainder_mode,
+                        seed, "ls_det_sample", rounds, threshold)
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
@@ -157,34 +151,17 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     """
     B = np.asarray(B)
     n, _ = B.shape
-    if budget < 1:
+    if check_int(budget, "ls_det_fraction_plan: budget") < 1:
         raise ValueError("ls_det_fraction_plan: budget must be >= 1")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("ls_det_fraction_plan: fraction must be in [0, 1]")
-    if remainder_mode not in REMAINDER_MODES:
-        raise ValueError(
-            f"ls_det_fraction_plan: remainder_mode must be one of {REMAINDER_MODES}"
-        )
-    k = int(round(fraction * budget))
-    k = min(k, n)
+    k = min(int(round(fraction * budget)), n)
     if k > 0:
         deterministic = _top_k_rows(exact_leverage_scores(B), k)
     else:
         deterministic = np.zeros(0, dtype=np.int64)
-    mask = np.ones(n, dtype=bool)
-    mask[deterministic] = False
-    remainder = np.flatnonzero(mask)
-    sampled = _sample_remainder(B, remainder, budget - k, remainder_mode, seed)
-    return HybridPlan(
-        source_rows=n,
-        deterministic_rows=deterministic,
-        remainder=remainder,
-        sampled=sampled,
-        rounds=1,
-        threshold=float("nan"),
-        remainder_mode=remainder_mode,
-        saturated=len(sampled) == 0,
-    )
+    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, seed,
+                        "ls_det_fraction_plan")
 
 
 def hybrid_gram(plan: HybridPlan, B) -> np.ndarray:

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import (child_seed, lift_matrix, lp_of_norms, phi,
-                           seeded_generator, unphi)
-from .sketch_sampling import exact_leverage_scores, span_basis
+from .core_complex import (check_int, child_seed, lift_matrix, lp_of_norms,
+                           phi, seeded_generator, unphi)
+from .sketch_sampling import (_embedded_factor, exact_leverage_scores,
+                              span_basis)
 
 __all__ = [
     "BlockSketch",
@@ -196,7 +197,7 @@ def gaussian_moment_scale(p) -> float:
 
 
 def _enumeration_width(s, caller) -> int:
-    s = int(s)
+    s = check_int(s, "%s: s" % caller)
     if s < 1:
         raise ValueError("%s: s must be >= 1" % caller)
     if s > MAX_ENUMERATION_BITS:
@@ -220,34 +221,24 @@ def sign_enumeration_matrix(s) -> np.ndarray:
 def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     """Row p-norm masses of an l2 well-conditioned basis for span(M).
 
-    The basis is ``U = M R^{-1}`` with ``R`` from a QR factorization of a
-    Gaussian row-compression of ``M``; each row's score is ``||U_i||_p^p``.
-    ``p = 2`` short-circuits to exact leverage scores.  Rank-deficient inputs
-    fall back to an orthonormal span basis from the SVD (pseudoinverse path).
+    The basis is ``U = M R^{-1}`` with ``R`` from the Gaussian-embedding
+    whitening kernel of ``approx_leverage_scores`` (QR of ``S M``, ``S``
+    ``embed_rows`` x n, default 4 cols); each row's score is ``||U_i||_p^p``.
+    ``p = 2`` short-circuits to exact leverage scores.  When ``R`` fails the
+    kernel's rank test (smallest diagonal magnitude at most
+    max(embed_rows, cols) * eps times the largest), ``U`` is the orthonormal
+    ``span_basis`` of M from the SVD instead.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("lp_leverage_scores: M must be a matrix")
-    if not np.isfinite(M).all():
-        raise ValueError("lp_leverage_scores: M must be finite")
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("lp_leverage_scores: p must be finite and >= 1")
-    n, k = M.shape
     if p == 2.0:
         return exact_leverage_scores(M)
-
-    embed_rows = 4 * k if embed_rows is None else int(embed_rows)
-    if embed_rows < k:
-        raise ValueError("lp_leverage_scores: embed_rows must be >= cols")
-    rng = seeded_generator(seed)
-    S = rng.standard_normal((embed_rows, n)) / np.sqrt(float(embed_rows))
-    R = np.linalg.qr(S @ M, mode="r")
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
-        U = span_basis(M)
-    else:
-        U = np.linalg.solve(R.T, M.T).T
+    R, _ = _embedded_factor(M, embed_rows, seed, "lp_leverage_scores")
+    U = span_basis(M) if R is None else np.linalg.solve(R.T, M.T).T
     return np.sum(np.abs(U) ** p, axis=1)
 
 
@@ -300,7 +291,7 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("build_sketch_finite_p: p must be finite and >= 1")
-    t = int(t)
+    t = check_int(t, "build_sketch_finite_p: t")
     if t < 1:
         raise ValueError("build_sketch_finite_p: t must be >= 1")
     heavy_set = {int(i) for i in heavy}
@@ -745,6 +736,10 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     compressed instance is solved without assembling its rows.
     Returns its complex solution together with its certified objective.
     """
+    if t is not None:
+        t = check_int(t, "sketch_and_solve: t")
+    if s is not None:
+        s = check_int(s, "sketch_and_solve: s")
     A = np.asarray(A, dtype=complex)
     lifted = lift_instance(A, b)
     n = A.shape[0]

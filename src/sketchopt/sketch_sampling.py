@@ -4,7 +4,8 @@ A sampling sketch selects t rows independently with replacement from a
 probability vector p and rescales pick j of row i by 1/sqrt(t * p_i), making
 the sampled Gram matrix an unbiased estimate: E[C^T C] = B^T B.  Scores can be
 exact (Cholesky-QR, with the thin SVD as fallback), approximated in o(n d^2)
-structure (Gaussian embedding + QR + JL projection), or derived from an
+structure (Gaussian embedding + QR + JL projection, the whitening kernel
+shared with ``lp_regression.lp_leverage_scores``), or derived from an
 optimization problem's local curvature ("schemes": uniform / leverage /
 row-norm / their mixed variants).
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hessian_oracle
-from .core_complex import check_int, qr, seeded_generator, spectral_norm, svd
+from .core_complex import (_check_finite, check_int, seeded_generator,
+                           spectral_norm, svd)
 from .hessian_oracle import _charge
 
 #: The row-sampling schemes of ``scheme_probabilities``, canonically spelled.
@@ -31,11 +33,6 @@ class SamplingSketch:
     source_rows: int
     rows: np.ndarray
     weights: np.ndarray
-
-    @property
-    def picks(self):
-        """(row_index, weight) pairs, one per sampled row."""
-        return list(zip(self.rows.tolist(), self.weights.tolist()))
 
     def __len__(self) -> int:
         return int(self.rows.size)
@@ -108,6 +105,33 @@ def _gram_cholesky(B) -> np.ndarray | None:
     return L if np.linalg.cond(L) <= CHOLESKY_QR_MAX_COND else None
 
 
+def _embedded_factor(M, embed_rows, seed, caller):
+    """R factor of the Gaussian embedding S M, and the stream S came from.
+
+    S is ``embed_rows`` x n (default 4 cols) with N(0, 1/embed_rows) entries,
+    the first draw of ``seeded_generator(seed)``; callers draw on from the
+    returned generator.  R comes from ``np.linalg.qr(S @ M, mode="r")``, so
+    no Q is formed.  R is None when it fails the rank test: its smallest
+    diagonal magnitude is at most max(embed_rows, cols) * eps times its
+    largest, the cutoff for the size of the matrix factored.
+    """
+    n, d = M.shape
+    s = 4 * d if embed_rows is None else check_int(embed_rows,
+                                                   f"{caller}: embed_rows")
+    if s < d:
+        raise ValueError(f"{caller}: embed_rows must be >= cols")
+    _check_finite(M, caller)
+    rng = seeded_generator(seed)
+    S = rng.standard_normal((s, n)) / np.sqrt(s)
+    R = np.linalg.qr(S @ M, mode="r")
+    diag = np.abs(np.diag(R))
+    tol = max(s, d) * np.finfo(np.float64).eps
+    # written so that a NaN diagonal (S M overflowed) fails the test too
+    if diag.size == 0 or not diag.min() > tol * diag.max():
+        return None, rng
+    return R, rng
+
+
 def approx_leverage_scores(B, embed_rows: int | None = None,
                            jl_cols: int | None = None, seed=0) -> np.ndarray:
     """Approximate leverage scores without forming any n x n intermediate.
@@ -115,31 +139,32 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     Pipeline: a dense Gaussian embedding S (``embed_rows`` x n, default 4d
     rows) compresses B; the R factor of QR(S B) whitens it; a JL projection G
     (d x ``jl_cols`` Gaussian, scaled 1/sqrt(jl_cols), default
-    ceil(8 ln n) columns) reduces the row-norm computation.  Returns
+    ceil(8 ln n) columns) reduces the row-norm computation.  S and then G
+    come from one Philox stream seeded by ``seed``.  Returns
     ||e_i^T B R^{-1} G||^2, a (1 +- O(eps)) estimate of the exact scores with
-    high probability.  NumPy only, as in ``exact_leverage_scores``: the d x d
-    factor is inverted by ``np.linalg.solve``, not by ``scipy.linalg``.
+    high probability.  NumPy only, as in ``exact_leverage_scores``: R is
+    taken by ``np.linalg.qr(mode="r")`` and R^{-1} G by ``np.linalg.solve``.
 
-    Raises ValueError when the R factor is singular (rank-deficient B); use
-    exact_leverage_scores in that case.
+    Raises ValueError when R fails the rank test of the embedding (smallest
+    diagonal magnitude at most max(embed_rows, d) * eps times the largest:
+    rank-deficient B); use exact_leverage_scores in that case.
     """
     B = np.asarray(B)
     n, d = B.shape
-    s = int(embed_rows) if embed_rows is not None else 4 * d
-    r = int(jl_cols) if jl_cols is not None else int(np.ceil(8 * np.log(max(n, 2))))
-    if s < d:
-        raise ValueError("approx_leverage_scores: embed_rows must be >= cols")
-    rng = seeded_generator(seed)
-    S = rng.standard_normal((s, n)) / np.sqrt(s)
-    _, T = qr(S @ B)
-    diag = np.abs(np.diag(T))
-    if diag.min() <= max(s, d) * np.finfo(np.float64).eps * max(diag.max(), 1e-300):
+    if jl_cols is None:
+        r = int(np.ceil(8 * np.log(max(n, 2))))
+    else:
+        r = check_int(jl_cols, "approx_leverage_scores: jl_cols")
+        if r < 1:
+            raise ValueError("approx_leverage_scores: jl_cols must be >= 1")
+    R, rng = _embedded_factor(B, embed_rows, seed, "approx_leverage_scores")
+    if R is None:
         raise ValueError(
             "approx_leverage_scores: rank-deficient input (singular R factor); "
             "use exact_leverage_scores instead"
         )
     G = rng.standard_normal((d, r)) / np.sqrt(r)
-    W = np.linalg.solve(T, G)  # R^{-1} G, d x r
+    W = np.linalg.solve(R, G)  # R^{-1} G, d x r
     proj = B @ W
     return np.sum(np.abs(proj) ** 2, axis=1)
 

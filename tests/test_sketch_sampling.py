@@ -12,9 +12,13 @@ import scipy.linalg
 
 from sketchopt import sketch_sampling
 from sketchopt.bench.datasets import synth_planted
-from sketchopt.core_complex import min_eig_hermitian, spectral_norm
+from sketchopt.core_complex import (lift_matrix, min_eig_hermitian,
+                                    spectral_norm)
 from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
                                       make_loss)
+from sketchopt.hybrid_sampling import ls_det_fraction_plan, ls_det_sample
+from sketchopt.lp_regression import (build_sketch_finite_p, build_sketch_inf,
+                                     lp_leverage_scores, sketch_and_solve)
 from sketchopt.sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -132,17 +136,25 @@ def test_exact_scores_fall_back_to_svd(svd_calls, B, rank):
     assert abs(scores.sum() - rank) <= 1e-8
 
 
-def test_planted_design_scores_skip_svd_and_scipy(svd_calls, monkeypatch):
-    # scipy.linalg runs on its own BLAS thread pool, which contends with
-    # NumPy's; the fast path must stay inside NumPy.
-    scipy_calls = []
+@pytest.fixture
+def scipy_calls(monkeypatch):
+    """Names of the ``scipy.linalg`` callables called until the test's
+    ``monkeypatch.undo()``.  scipy.linalg runs on its own BLAS thread pool,
+    which contends with NumPy's, so the sampling kernels must not call it."""
+    calls = []
     for name in dir(scipy.linalg):
         fn = getattr(scipy.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                scipy_calls.append(_name)
+                calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+def test_planted_design_scores_skip_svd_and_scipy(svd_calls, scipy_calls,
+                                                  monkeypatch):
+    # the fast path must stay inside NumPy
     A, labels = synth_planted(5000, 20, 20, 1e3, seed=1)
     prob = _toy_problem(A, labels=labels, loss="nlls_classification")
     B = np.sqrt(np.abs(d_diag(prob, np.zeros(20))))[:, None] * A
@@ -167,19 +179,10 @@ def test_approx_scores_near_isometric_embedding():
 
 
 def test_approx_scores_skip_scipy_and_match_the_triangular_solve(
-        monkeypatch):
-    # the d x d factor is inverted by NumPy: scipy.linalg's own BLAS thread
-    # pool would contend with NumPy's
+        scipy_calls, monkeypatch):
+    # the d x d factor is inverted by NumPy, not by scipy.linalg
     rng = np.random.default_rng(17)
     inputs = (rng.standard_normal((500, 8)), rand_cmat(rng, 300, 5))
-    scipy_calls = []
-    for name in dir(scipy.linalg):
-        fn = getattr(scipy.linalg, name)
-        if callable(fn) and not isinstance(fn, type):
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                scipy_calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(scipy.linalg, name, counted)
     scores = [approx_leverage_scores(B, seed=4) for B in inputs]
     assert scipy_calls == []
     monkeypatch.undo()
@@ -189,6 +192,34 @@ def test_approx_scores_skip_scipy_and_match_the_triangular_solve(
     for B, got in zip(inputs, scores):
         np.testing.assert_allclose(got, approx_leverage_scores(B, seed=4),
                                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("complex_input", [False, True],
+                         ids=["real", "complex"])
+def test_embedded_scores_follow_the_documented_draw_order(complex_input):
+    # one Philox stream draws S, then G; R from QR(S B) alone; R^{-1} by
+    # np.linalg.solve.  lp_leverage_scores takes real input, so a complex
+    # instance enters it lifted.
+    rng = np.random.default_rng(31)
+    B = rand_cmat(rng, 90, 4) if complex_input else rng.standard_normal((90, 4))
+    M = lift_matrix(B) if complex_input else B
+
+    def embedding(X):
+        stream = np.random.Generator(np.random.Philox(9))
+        s = 4 * X.shape[1]
+        S = stream.standard_normal((s, X.shape[0])) / np.sqrt(s)
+        return stream, np.linalg.qr(S @ X, mode="r")
+
+    stream, R = embedding(B)
+    r = int(np.ceil(8 * np.log(B.shape[0])))
+    G = stream.standard_normal((B.shape[1], r)) / np.sqrt(r)
+    expect = np.sum(np.abs(B @ np.linalg.solve(R, G)) ** 2, axis=1)
+    assert np.array_equal(approx_leverage_scores(B, seed=9), expect)
+
+    _, R = embedding(M)
+    U = np.linalg.solve(R.T, M.T).T
+    expect = np.sum(np.abs(U) ** 1.5, axis=1)
+    assert np.array_equal(lp_leverage_scores(M, 1.5, seed=9), expect)
 
 
 def test_approx_scores_default_quality_over_seeds():
@@ -217,6 +248,13 @@ def test_approx_scores_no_square_intermediate():
     tracemalloc.stop()
     # an n x n dense float64 intermediate would need 8 MB; stay far below
     assert peak < n * n * 8 / 4
+
+
+def test_approx_scores_reject_an_empty_projection():
+    # jl_cols = 0 would give all-zero scores
+    B = np.random.default_rng(33).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="jl_cols must be >= 1"):
+        approx_leverage_scores(B, jl_cols=0)
 
 
 def test_approx_scores_singular_r_factor():
@@ -261,6 +299,42 @@ def test_sketch_rejects_bad_probs():
 def test_sketch_rejects_a_non_integer_row_count(t):
     with pytest.raises(ValueError, match="t must be an integer"):
         build_sampling_sketch(np.full(4, 0.25), t=t, seed=0)
+
+
+def _size_cases():
+    rng = np.random.default_rng(32)
+    B = rng.standard_normal((40, 3))
+    A, b = rand_cmat(rng, 12, 2), rand_cmat(rng, 12, 1)[:, 0]
+    pairs = [(0, 1), (2, 3)]
+    cases = {
+        "sketch_and_solve: t": lambda v: sketch_and_solve(A, b, 1.0, t=v),
+        "sketch_and_solve: s": lambda v: sketch_and_solve(A, b, np.inf, s=v),
+        "build_sketch_finite_p: t":
+            lambda v: build_sketch_finite_p(pairs, [0], v, 1.0),
+        "build_sketch_inf: s": lambda v: build_sketch_inf(pairs, v),
+        "approx_leverage_scores: jl_cols":
+            lambda v: approx_leverage_scores(B, jl_cols=v),
+        "approx_leverage_scores: embed_rows":
+            lambda v: approx_leverage_scores(B, embed_rows=v),
+        "lp_leverage_scores: embed_rows":
+            lambda v: lp_leverage_scores(B, 1.5, embed_rows=v),
+        "ls_det_fraction_plan: budget":
+            lambda v: ls_det_fraction_plan(B, v, 0.5),
+        "ls_det_sample: rounds": lambda v: ls_det_sample(B, v, sample_count=4),
+        "ls_det_sample: sample_count":
+            lambda v: ls_det_sample(B, sample_count=v),
+        "ls_det_sample: cap": lambda v: ls_det_sample(B, sample_count=4, cap=v),
+    }
+    return [pytest.param(name, call, id=name.replace(": ", "-"))
+            for name, call in cases.items()]
+
+
+@pytest.mark.parametrize("name, call", _size_cases())
+def test_sizes_reject_non_integers(name, call):
+    call(np.int64(3))
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(bad)
 
 
 def test_sketch_reproducible():

@@ -4,11 +4,12 @@ Each row pair (a_i, b_i) is hashed into k buckets as a degree-2 tensor
 sketch; the accumulated buckets answer any query u, v later.  A stream fed
 through `ingest` never forms A^T B; the one-call `estimate` used here sees
 all rows at once and scatters A^T B into the buckets directly, which gives
-the same sketch.  Because the
-accumulator is linear in sum_i a_i (x) b_i, estimates concentrate around the
-true bilinear form: quadrupling the bucket count roughly halves the error,
-and a stream whose rank-one terms cancel exactly is estimated as zero even
-when the naive magnitude sum is enormous.
+the same sketch, then pairs the buckets with the query by a gather instead
+of sketching u (x) v by FFTs.  Because the accumulator is linear in
+sum_i a_i (x) b_i, estimates concentrate around the true bilinear form:
+quadrupling the bucket count roughly halves the error, and a stream whose
+rank-one terms cancel exactly is estimated as zero even when the naive
+magnitude sum is enormous.
 """
 
 import numpy as np

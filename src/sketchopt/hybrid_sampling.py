@@ -108,16 +108,18 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
     sqrt(n_remaining/sample_count)) or by remainder leverage scores.
     Deterministic rows always carry weight 1.
 
-    A ``threshold`` above 1 selects nothing (no leverage score exceeds 1) and
-    the plan degenerates to pure sampling.  An empty remainder yields a
+    A ``threshold`` above 1, ``inf`` included, selects nothing (no leverage
+    score exceeds 1) and the plan degenerates to pure sampling; a NaN
+    ``threshold`` raises like a non-positive one.  An empty remainder yields a
     saturated plan whose Gram estimate is exact.
     """
     B = np.asarray(B)
     n, d = B.shape
     if check_int(rounds, "ls_det_sample: rounds") < 1:
         raise ValueError("ls_det_sample: rounds must be >= 1")
-    if threshold <= 0.0:
-        raise ValueError("ls_det_sample: threshold must be positive")
+    if not threshold > 0.0:
+        raise ValueError("ls_det_sample: threshold must be positive, "
+                         f"got {threshold!r}")
     if check_int(sample_count, "ls_det_sample: sample_count") < 1:
         raise ValueError("ls_det_sample: sample_count must be >= 1")
     cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap")

@@ -170,11 +170,18 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
 
 
 def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
-    """Draw t rows i.i.d. with replacement from probs; weight = 1/sqrt(t p_i)."""
+    """Draw t rows i.i.d. with replacement from probs; weight = 1/sqrt(t p_i).
+
+    The rows are the ones ``Generator.choice(probs.size, t, p=probs/total)``
+    draws, found by the inverse-CDF search ``choice`` runs after its own
+    input checks, which the checks here already cover.
+    """
     probs = np.asarray(probs, dtype=float)
     t = check_int(t, "build_sampling_sketch: t")
     if t < 1:
         raise ValueError("build_sampling_sketch: t must be >= 1")
+    if probs.ndim != 1:
+        raise ValueError("build_sampling_sketch: probabilities must be 1-D")
     if np.any(probs < 0) or not np.all(np.isfinite(probs)):
         raise ValueError("build_sampling_sketch: probabilities must be finite and >= 0")
     total = probs.sum()
@@ -182,8 +189,9 @@ def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
         raise ValueError(
             f"build_sampling_sketch: probabilities sum to {total!r}, expected 1"
         )
-    rng = seeded_generator(seed)
-    rows = rng.choice(probs.size, size=t, replace=True, p=probs / total)
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    rows = cdf.searchsorted(seeded_generator(seed).random(t), side="right")
     weights = 1.0 / np.sqrt(t * probs[rows])
     return SamplingSketch(source_rows=int(probs.size), rows=rows, weights=weights)
 

@@ -13,9 +13,12 @@ the gross row-norm mass.
 
 Because the accumulator is linear, it is also the count sketch of
 ``sum_i a_i (x) b_i = A^T B`` under the derived hash.  ``estimate``, which
-sees all rows at once, uses that: it forms the d x d Gram ``A^T B`` once and
-scatters it into each repetition's buckets, which gives the sketch the
-``ingest`` loop would build, up to rounding.
+sees all rows at once, uses that: it forms the d x d Gram ``A^T B`` once,
+scatters it into each repetition's buckets (the sketch the ``ingest`` loop
+would build, up to rounding) and pairs those buckets with the query by one
+d x d gather, ``sum_jl s1[j] u[j] q[(h1[j] + h2[l]) % k] s2[l] v[l]``, which
+equals ``estimate_vmv``'s pairing with the query sketch.  Only the streaming
+path runs FFTs.
 
 All inner products are bilinear (no conjugation): the target itself uses the
 plain transpose throughout, so complex inputs are supported by linearity.
@@ -23,6 +26,7 @@ plain transpose throughout, so complex inputs are supported by linearity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -127,18 +131,41 @@ def estimate_vmv(state: TensorSketchState, u, v) -> complex:
     return complex(np.sum(p * state.q))
 
 
-def _scatter_gram(state: TensorSketchState, G) -> None:
-    """Accumulate the count sketch of the d x d matrix ``G`` (in place).
+def _gram_estimate(G, u, v, k, seed) -> complex:
+    """One repetition of ``estimate`` on the shared Gram ``G = A^T B``.
 
     Entry ``G[j, l]`` lands in bucket ``(h1[j] + h2[l]) % k`` with sign
-    ``s1[j] s2[l]``: with ``G = A^T B`` this is the sum of
-    ``ts_pair(state, a_i, b_i)`` over the rows.
+    ``s1[j] s2[l]`` (with ``G = A^T B`` these buckets are the sum of
+    ``ts_pair(state, a_i, b_i)`` over the rows).  The query sketch is paired
+    with them entry by entry: the signs fold into ``u`` and ``v`` and the
+    buckets are gathered back onto the d x d grid, so no FFT runs.
     """
-    h1, h2, s1, s2 = state.tables(G.shape[0])
-    buckets = ((h1[:, None] + h2) % state.k).ravel()
-    w = (s1[:, None] * G * s2).ravel()
-    state.q += (np.bincount(buckets, w.real, state.k)
-                + 1j * np.bincount(buckets, w.imag, state.k))
+    h1, h2, s1, s2 = ts_new(k, seed).tables(G.shape[0])
+    buckets = (h1[:, None] + h2) % k
+    signs = s1[:, None] * s2
+    flat = buckets.ravel()
+    q = np.empty(k, dtype=complex)
+    q.real = np.bincount(flat, (signs * G.real).ravel(), k)
+    q.imag = np.bincount(flat, (signs * G.imag).ravel(), k)
+    return complex((s1 * u) @ (q[buckets] @ (s2 * v)))
+
+
+def _median_of_means(ests) -> complex:
+    """Median of the group means of ``ests``, real and imaginary parts apart.
+
+    Groups hold ``ceil(reps/3)`` estimates, so there are two or three means;
+    one-element groups are their own means.
+    """
+    group = math.ceil(len(ests) / 3)
+    means = ests if group == 1 else [
+        complex(np.mean(ests[j:j + group])) for j in range(0, len(ests), group)]
+
+    def median(xs):
+        xs = sorted(xs)
+        return xs[1] if len(xs) == 3 else (xs[0] + xs[1]) / 2
+
+    return complex(median([m.real for m in means]),
+                   median([m.imag for m in means]))
 
 
 def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
@@ -148,8 +175,15 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     ``child_seed(seed, r)``; for ``reps > 1`` the estimates are grouped into
     chunks of ``ceil(reps/3)`` and combined by the median of the group
     means, taken separately on real and imaginary parts.  Each state's
-    accumulator is the one ``ingest`` of every row pair would build (up to
-    rounding), filled by one scatter of the shared Gram ``A^T B``.
+    buckets are the ones ``ingest`` of every row pair would build (up to
+    rounding), filled by one scatter of the shared Gram ``A^T B``, and are
+    paired with the query by one gather rather than by ``query_vec``'s FFTs:
+    the result equals ``estimate_vmv`` on those buckets up to rounding.
+
+    Finiteness is checked on ``u``, ``v`` and the Gram: a NaN or Inf in
+    ``A`` or ``B`` reaches it, and so does a Gram that overflows although
+    ``A`` and ``B`` are finite.  Both raise ``ValueError``, as does a
+    repetition whose buckets or pairing overflow.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -161,22 +195,22 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
         raise ValueError("estimate: A and B must share their column count")
     if u.size != A.shape[1] or v.size != B.shape[1]:
         raise ValueError("estimate: query lengths must match column counts")
-    if not all(np.isfinite(x).all() for x in (A, B, u, v)):
-        raise ValueError("estimate: A, B, u and v must be finite "
-                         "(found NaN or Inf)")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("estimate: u and v must be finite (found NaN or Inf)")
     k = check_int(k, "estimate: k")
     reps = check_int(reps, "estimate: reps")
     if reps < 1:
         raise ValueError("estimate: reps must be >= 1")
-    G = A.T @ B
-    ests = np.empty(reps, dtype=complex)
-    for r in range(reps):
-        state = ts_new(k, child_seed(seed, r))
-        _scatter_gram(state, G)
-        ests[r] = estimate_vmv(state, u, v)
-    if reps == 1:
-        return complex(ests[0])
-    group = math.ceil(reps / 3)
-    means = np.array([ests[j:j + group].mean()
-                      for j in range(0, reps, group)])
-    return complex(np.median(means.real) + 1j * np.median(means.imag))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)  # built once, not once per rep
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ B
+        if not np.isfinite(G).all():
+            raise ValueError("estimate: A^T B must be finite (NaN or Inf in "
+                             "A or B, or the Gram overflowed)")
+        ests = [_gram_estimate(G, u, v, k, child_seed(seed, r))
+                for r in range(reps)]
+    if not all(cmath.isfinite(e) for e in ests):
+        raise ValueError("estimate: the sketched pairing is not finite "
+                         "(the buckets or the query overflowed)")
+    return ests[0] if reps == 1 else _median_of_means(ests)

@@ -107,6 +107,19 @@ def test_picks_disjoint_from_deterministic_rows():
     assert picked_source.isdisjoint(set(plan.deterministic_rows.tolist()))
 
 
+def test_nan_threshold_raises_and_inf_selects_nothing():
+    B = np.random.default_rng(42).standard_normal((50, 3))
+    B[0] *= 1e3
+    assert 0 in ls_det_sample(B, threshold=0.5, sample_count=4,
+                              seed=1).deterministic_rows.tolist()
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        ls_det_sample(B, threshold=float("nan"), sample_count=4, seed=1)
+    plan = ls_det_sample(B, threshold=float("inf"), sample_count=4, seed=1)
+    assert plan.deterministic_rows.size == 0
+    assert plan.remainder.tolist() == list(range(50))
+    assert plan.threshold == float("inf")
+
+
 def test_parameter_validation():
     B = np.eye(3)
     with pytest.raises(ValueError):

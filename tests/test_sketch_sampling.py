@@ -13,7 +13,7 @@ import scipy.linalg
 from sketchopt import sketch_sampling
 from sketchopt.bench.datasets import synth_planted
 from sketchopt.core_complex import (lift_matrix, min_eig_hermitian,
-                                    spectral_norm)
+                                    seeded_generator, spectral_norm)
 from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
                                       make_loss)
 from sketchopt.hybrid_sampling import ls_det_fraction_plan, ls_det_sample
@@ -293,6 +293,45 @@ def test_sketch_rejects_bad_probs():
         build_sampling_sketch(np.zeros(4), t=2, seed=0)
     with pytest.raises(ValueError):
         build_sampling_sketch(np.array([0.5, 0.6]), t=2, seed=0)
+
+
+def _choice_cases():
+    # (n, t, seed, probs): dense, sparse (zero-probability rows, leading
+    # and trailing), point-mass and heavy-tailed vectors; t = 1 included
+    rng = np.random.default_rng(40)
+    for case in range(300):
+        n = int(rng.integers(1, 400))
+        t = 1 if case % 5 == 0 else int(rng.integers(1, 600))
+        raw = rng.exponential(size=n) ** rng.uniform(0.5, 6.0)
+        if case % 3 == 1:
+            raw[rng.random(n) < 0.6] = 0.0
+            raw[rng.integers(n)] = 1.0
+        if case % 7 == 3:
+            raw = np.zeros(n)
+            raw[rng.integers(n)] = 1.0
+        yield n, t, case, raw / raw.sum()
+
+
+def test_sketch_rows_match_generator_choice():
+    for n, t, seed, probs in _choice_cases():
+        S = build_sampling_sketch(probs, t=t, seed=seed)
+        rng = seeded_generator(seed)
+        expected = rng.choice(n, size=t, replace=True, p=probs / probs.sum())
+        np.testing.assert_array_equal(S.rows, expected)
+        assert S.rows.dtype == expected.dtype
+        assert not np.any(probs[S.rows] == 0.0)
+    # a shared generator is left where choice would leave it
+    probs = np.array([0.2, 0.0, 0.5, 0.3])
+    mine, theirs = seeded_generator(9), seeded_generator(9)
+    build_sampling_sketch(probs, t=7, seed=mine)
+    theirs.choice(4, size=7, replace=True, p=probs)
+    assert mine.random() == theirs.random()
+
+
+def test_sketch_rejects_probabilities_that_are_not_a_vector():
+    for probs in (np.full((2, 2), 0.25), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            build_sampling_sketch(probs, t=2, seed=0)
 
 
 @pytest.mark.parametrize("t", [2.5, 3.0, True, None])

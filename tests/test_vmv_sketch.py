@@ -1,6 +1,7 @@
 """Tests for the tensor-product count sketch and bilinear-form estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,8 +329,24 @@ def test_estimate_rejects_nonfinite_input(where, bad):
     args = {"A": complex_rows(rng, 5, 3), "B": complex_rows(rng, 5, 3),
             "u": complex_rows(rng, 1, 3)[0], "v": complex_rows(rng, 1, 3)[0]}
     args[where].flat[1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        estimate(**args, k=4, reps=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            estimate(**args, k=4, reps=2)
+
+
+def test_estimate_rejects_an_overflowing_gram_of_finite_rows():
+    # every entry is finite, but A^T B sums 5 products of 1e200 * 1e200
+    A = np.full((5, 3), 1e200)
+    u = np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="A\\^T B must be finite"):
+            estimate(A, A, u, u, k=4, reps=3, seed=1)
+        # a finite Gram whose pairing with a large query overflows
+        G_scale = np.full((5, 3), 1e150)
+        with pytest.raises(ValueError, match="pairing is not finite"):
+            estimate(G_scale, G_scale, 1e10 * u, u, k=4, reps=3, seed=1)
 
 
 def test_seed_sequence_is_read_not_spawned():
@@ -389,6 +406,15 @@ def _cancellation():
     return A, B, *complex_rows(rng, 2, 5)
 
 
+def _strided():
+    # A is a transposed view, B every other row, u and v strided slices
+    rng = np.random.default_rng(27)
+    At = complex_rows(rng, 6, 300)
+    B2 = complex_rows(rng, 600, 6)
+    uv = complex_rows(rng, 1, 12)[0]
+    return At.T, B2[::2], uv[::2], uv[1::2]
+
+
 def _no_rows():
     rng = np.random.default_rng(26)
     return (np.zeros((0, 6)), np.zeros((0, 6), dtype=complex),
@@ -402,6 +428,8 @@ STREAM_CASES = {
     "complex-wide-k4-reps7": (lambda: _gaussian(30, 40, False), 4, 7),
     "real-wide-k4-reps1": (lambda: _gaussian(30, 40, True), 4, 1),
     "cancellation-reps3": (_cancellation, 16, 3),
+    "complex-k1-reps3": (lambda: _gaussian(50, 6, False), 1, 3),
+    "strided-views-reps5": (_strided, 32, 5),
     "no-rows-reps1": (_no_rows, 8, 1),
     "no-rows-reps7": (_no_rows, 8, 7),
 }
@@ -417,3 +445,14 @@ def test_estimate_matches_streaming_definition(case):
                   * np.sum(np.linalg.norm(A, axis=1)
                            * np.linalg.norm(B, axis=1)))
     assert abs(got - expected) <= 1e-12 * gross
+
+
+@pytest.mark.parametrize("reps", range(2, 13))
+def test_median_of_means_matches_the_numpy_combination(reps):
+    rng = np.random.default_rng(100 + reps)
+    ests = list(rng.standard_normal(reps) + 1j * rng.standard_normal(reps))
+    group = math.ceil(reps / 3)
+    means = np.array([np.mean(ests[j:j + group])
+                      for j in range(0, reps, group)])
+    expected = complex(np.median(means.real) + 1j * np.median(means.imag))
+    assert vmv_sketch._median_of_means(ests) == expected

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core_complex import seeded_generator
+from ..core_complex import lp_of_norms, seeded_generator
 from ..hessian_oracle import (FiniteSumProblem, convex_ridge_lambda, d_diag,
                               make_loss)
 from ..lp_regression import complex_lp_solve, sketch_and_solve
@@ -123,15 +123,6 @@ def _sweep_medians(rows, sweep):
 
 def _complex_gaussian(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-# Not core_complex.lp_of_norms: that one scales by the largest entry, which
-# rounds differently and would change the err_obj column of lpreg.csv.
-def _pnorm(residual, p):
-    mags = np.abs(np.asarray(residual).ravel())
-    if math.isinf(p):
-        return float(mags.max(initial=0.0))
-    return float(np.sum(mags ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +333,8 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
             x_star = reference.x
         else:
             x_star = x_planted
-        instances.append((A, b, x_star, _pnorm(A @ x_star - b, p)))
+        instances.append(
+            (A, b, x_star, lp_of_norms(np.abs(A @ x_star - b), p)))
 
     cells = [(value, seed_idx)
              for value in sweep for seed_idx in range(n_seeds)]
@@ -354,7 +346,7 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
         result = sketch_and_solve(A, b, p, seed=seed,
                                   all_heavy=all_heavy, **kwargs)
         err_x = float(np.linalg.norm(result.xhat - x_star))
-        err_obj = _pnorm(A @ result.xhat - b, p) - obj_star
+        err_obj = lp_of_norms(np.abs(A @ result.xhat - b), p) - obj_star
         return (value, seed_idx, err_x, err_obj)
 
     rows = _run_cells(worker, cells, config.workers, master_seed)

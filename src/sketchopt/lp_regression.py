@@ -16,12 +16,13 @@ Newton steps under a halving temperature ``mu``: on
 smoothing lifts the minimum plus the Newton decrement, which together bound
 the objective's excess over the optimum, are at most ``tol`` times the
 objective (its p-th power at finite ``p``).  ``sketch_and_solve`` never
-assembles the compressed matrix.  At finite ``p`` every compressed row is a
+assembles the compressed matrix.  At every ``p`` each compressed row is a
 block row applied to its pair's lifted residual, so the Newton Hessian is
 ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per pair.  At
-``p = infinity`` the smoothed max over the ``2^s`` signed rows of a pair
-factors exactly into log-cosh terms of the ``s`` rows ``G_i r_i``, so the
-solve works on ``n s`` rows and never forms the ``n 2^s``.
+``p = infinity`` the block rows are the ``s`` rows of ``G_i``: the smoothed
+max over a pair's ``2^s`` signed rows factors exactly into log-cosh terms of
+its l1 group ``G_i r_i``, so the solve never forms the ``2^s`` rows and
+their cap ``MAX_ENUMERATION_BITS`` does not bound ``s``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ __all__ = [
     "small_lp_solve",
 ]
 
-#: Hard cap on the sign-enumeration width: 2^20 rows is the largest block a
-#: max-norm sketch may expand when its blocks are read.
+#: Cap on the sign-enumeration width where the 2^s sign rows are expanded
+#: (``BlockSketch.blocks``); solves on the s x 2 factors never expand them.
 MAX_ENUMERATION_BITS = 20
 
 
@@ -86,9 +87,10 @@ class BlockSketch:
     pair order.  The sketch keeps one draw per pair in ``factors``: at finite
     ``p`` the factor is the block itself; at ``p = infinity`` it is the
     ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where ``R`` holds
-    the ``2^s`` sign rows, and the blocks are expanded only when read.
-    ``apply`` never materializes the assembled matrix; use ``assembled`` only
-    at small sizes.
+    the ``2^s`` sign rows, and the blocks are expanded only when read (for
+    ``s`` up to ``MAX_ENUMERATION_BITS``; ``sketch_and_solve`` reads only
+    the factors).  ``apply`` never materializes the assembled matrix; use
+    ``assembled`` only at small sizes.
     """
 
     pairs: list
@@ -196,19 +198,12 @@ def gaussian_moment_scale(p) -> float:
     return math.exp(log_scale)
 
 
-def _enumeration_width(s, caller) -> int:
-    s = check_int(s, "%s: s" % caller)
-    if s < 1:
-        raise ValueError("%s: s must be >= 1" % caller)
-    if s > MAX_ENUMERATION_BITS:
-        raise ValueError("%s: s = %d exceeds the 2^%d-row budget"
-                         % (caller, s, MAX_ENUMERATION_BITS))
-    return s
-
-
 def sign_enumeration_matrix(s) -> np.ndarray:
     """All ``2^s`` sign rows in ``{-1,+1}^s``, so ``max |R z| = ||z||_1``."""
-    s = _enumeration_width(s, "sign_enumeration_matrix")
+    s = check_int(s, "sign_enumeration_matrix: s")
+    if not 1 <= s <= MAX_ENUMERATION_BITS:
+        raise ValueError("sign_enumeration_matrix: s = %d is outside the "
+                         "2^s-row budget [1, %d]" % (s, MAX_ENUMERATION_BITS))
     codes = (np.arange(2 ** s)[:, None] >> np.arange(s)[None, :]) & 1
     return codes.astype(float) * 2.0 - 1.0
 
@@ -314,9 +309,12 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
     Every pair gets ``R @ G`` where ``G`` is ``s x 2`` Gaussian with entry std
     ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``) and ``R`` enumerates all
     ``2^s`` sign rows, turning that l1 estimate into a max.  Only the
-    factors ``G`` are stored; ``R @ G`` is formed when the blocks are read.
+    factors ``G`` are stored; ``R @ G`` is formed (and its width capped)
+    only when the blocks are read, so any ``s >= 1`` is accepted.
     """
-    s = _enumeration_width(s, "build_sketch_inf")
+    s = check_int(s, "build_sketch_inf: s")
+    if s < 1:
+        raise ValueError("build_sketch_inf: s must be >= 1")
     scale = math.sqrt(math.pi / 2.0) / s
     return _block_sketch(pairs, np.inf, seed,
                          lambda _, rng: scale * rng.standard_normal((s, 2)))
@@ -392,12 +390,17 @@ class _DenseRows:
         """``M^T v``."""
         return self.M.T @ v
 
+    def group_rows(self, groups, u):
+        """Row g: ``sum_k u_k M_k`` over the rows ``k`` of group ``g``."""
+        return groups.rows(u, self.M)
+
 
 class _PairBlockRows:
-    """The rows of ``sketch.apply(Ap) y - sketch.apply(bp)``, not assembled.
+    """The rows ``b_k . r_i`` of pair blocks on ``Ap y - bp``, not assembled.
 
-    Row ``k`` is ``b_k . r_i``: its block row applied to its pair's lifted
-    residual ``r_i = Ap[pair i] y - bp[pair i]``.  Weighted by ``w``, the
+    Pair ``i`` is rows ``(2i, 2i+1)``, ``factors[i]`` holds its block rows
+    ``b_k`` (at ``p = infinity`` the ``s`` rows of ``G_i``), and
+    ``r_i = Ap[pair i] y - bp[pair i]``.  Weighted by ``w``, the
     rows of pair ``i`` contribute ``r_i^T C_i r_i`` with the 2 x 2
     ``C_i = sum_{k in pair i} w_k b_k b_k^T``: the weighted Gram matrix is
     ``sum_i Ap[pair i]^T C_i Ap[pair i]``, and the initial least-squares
@@ -406,14 +409,13 @@ class _PairBlockRows:
     ``Ap``.
     """
 
-    def __init__(self, Ap, bp, sketch: BlockSketch):
-        index = np.asarray(sketch.pairs, dtype=int).reshape(-1, 2)
-        self.A = Ap[index]  # (pairs, 2, d)
-        self.b = bp[index]  # (pairs, 2)
-        self.A_rows = self.A.reshape(-1, self.A.shape[2])  # pair-major rows
-        self.pair_rows = _Groups(np.array(
-            [blk.shape[0] for blk in sketch.blocks], dtype=int))
-        self.block_rows = np.concatenate([np.empty((0, 2))] + sketch.blocks)
+    def __init__(self, Ap, bp, factors):
+        self.A_rows = Ap
+        self.A = Ap.reshape(-1, 2, Ap.shape[1])  # (pairs, 2, d)
+        self.b = bp.reshape(-1, 2)  # (pairs, 2)
+        self.pair_rows = _Groups(np.array([f.shape[0] for f in factors],
+                                          dtype=int))
+        self.block_rows = np.concatenate([np.empty((0, 2))] + list(factors))
         self.b0, self.b1 = self.block_rows.T.copy()  # block row entries
         self.outer = np.stack([self.b0 * self.b0, self.b0 * self.b1,
                                self.b1 * self.b1], axis=1)
@@ -449,12 +451,23 @@ class _PairBlockRows:
 
     def gram(self, row_weights):
         """``M^T diag(row_weights) M`` for the unassembled rows ``M``."""
-        C = self._pair_grams(row_weights)
-        return self.A_rows.T @ (C @ self.A).reshape(self.A_rows.shape)
+        C, A = self._pair_grams(row_weights), self.A
+        live = C.any(axis=(1, 2))  # pairs whose C_i is 0 add nothing
+        if not live.all():
+            C, A = C[live], A[live]
+        return (A.reshape(-1, A.shape[2]).T
+                @ (C @ A).reshape(-1, A.shape[2]))
 
     def rmatvec(self, v):
         """``M^T v`` for the unassembled rows ``M``."""
         return self.A_rows.T @ self.pair_rows.rows(v, self.block_rows).ravel()
+
+    def group_rows(self, groups, u):
+        """Row i: ``sum_k u_k M_k`` over pair ``i``'s rows; pairs only."""
+        if not np.array_equal(groups.sizes, self.pair_rows.sizes):
+            raise ValueError("pair-block rows: groups must be the pairs")
+        v = self.pair_rows.rows(u, self.block_rows)  # row i: sum_k u_k b_k
+        return (v[:, None] @ self.A)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +578,7 @@ def _solve_grouped_finite(rows, sizes, y, p, tol):
         if groups.width == 1:
             hess = rows.gram(curv * ((mu / h) ** 2 + (p - 1.0) * u * u))
         else:
-            D = groups.rows(u, rows.M)  # row g: M_g^T u_g
+            D = rows.group_rows(groups, u)  # row g: M_g^T u_g
             hess = rows.gram(groups.spread(curv)) \
                 + D.T @ (((p - 2.0) * curv)[:, None] * D)
         grad = rows.rmatvec(groups.spread(curv * h) * u)
@@ -635,7 +648,7 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
             h_rows = groups.spread(h)
             u = r / h_rows
             row_w = groups.spread(soft) / h_rows
-        D = groups.rows(u, rows.M)  # row g: the gradient of h_g
+        D = rows.group_rows(groups, u)  # row g: the gradient of h_g
         grad = soft @ D
         Dc = D - grad
         # at small mu most weights underflow to 0; those rows add nothing
@@ -687,10 +700,15 @@ def _solve_grouped(M, c, groups, p, tol):
                              "exactly one group")
         M, c = M[order], c[order]
         sizes = np.array([g.size for g in members if g.size], dtype=int)
-    rows = _DenseRows(M, c)
+    return _solve_rows(_DenseRows(M, c), sizes, p, groups is None, tol)
+
+
+def _solve_rows(rows, sizes, p, l1, tol):
+    """Solve on consecutive groups of ``sizes`` rows from the rows' lstsq
+    fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups."""
     y = rows.lstsq()
     if np.isinf(p):
-        return _solve_grouped_inf(rows, sizes, y, groups is None, tol)
+        return _solve_grouped_inf(rows, sizes, y, l1, tol)
     return _solve_grouped_finite(rows, sizes, y, p, tol)
 
 
@@ -731,18 +749,17 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     Finite ``p`` uses Gaussian pair blocks (every pair heavy by default, the
     experimental setting; otherwise heavy pairs are detected from the p-norm
     leverage scores of the lifted ``[A b]``) and takes ``t``.  ``p = infinity``
-    uses the sign-enumeration route and requires ``s``; it is solved on the
-    ``n s`` rows ``G_i Ap[pair i]``, never on the ``n 2^s`` signed rows.  The
-    compressed instance is solved without assembling its rows.
+    uses the sign-enumeration route and requires ``s`` (any ``s >= 1``); its
+    pair blocks are the ``G_i``, whose ``s`` rows are pair ``i``'s l1 group,
+    never the ``n 2^s`` signed rows.  Neither route assembles its rows.
     Returns its complex solution together with its certified objective.
     """
     if t is not None:
         t = check_int(t, "sketch_and_solve: t")
     if s is not None:
         s = check_int(s, "sketch_and_solve: s")
-    A = np.asarray(A, dtype=complex)
     lifted = lift_instance(A, b)
-    n = A.shape[0]
+    n = len(lifted.pairs)
     p = float(p)
     heavy, light = np.arange(n), np.empty(0, dtype=int)
     if np.isinf(p):
@@ -751,18 +768,6 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
         if t is not None:
             raise ValueError("sketch_and_solve: t applies to finite p only")
         sketch = build_sketch_inf(lifted.pairs, s, seed=seed)
-        # l1 groups G_i r_i on the n s rows J_i = G_i Ap[pair i]; the first
-        # fit minimizes sum_i ||G_i r_i||^2 on the 2n rows R_i Ap[pair i],
-        # with R_i^T R_i = G_i^T G_i from a QR of G_i
-        G = np.stack(sketch.factors)
-        A2 = lifted.Ap.reshape(n, 2, -1)
-        b2 = lifted.bp.reshape(n, 2, 1)
-        R = np.linalg.qr(G, mode="r")
-        y = np.linalg.lstsq((R @ A2).reshape(-1, A2.shape[2]),
-                            (R @ b2).ravel(), rcond=None)[0]
-        rows = _DenseRows((G @ A2).reshape(-1, A2.shape[2]),
-                          (G @ b2).ravel())
-        sol = _solve_grouped_inf(rows, np.full(n, G.shape[1]), y, True, tol)
     else:
         if s is not None:
             raise ValueError("sketch_and_solve: s applies to p = inf only")
@@ -773,9 +778,11 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
             scores = lp_leverage_scores(scored, p, seed=seed)
             heavy, light = classify_pairs(scores, scored.shape[1], p)
         sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
-        rows = _PairBlockRows(lifted.Ap, lifted.bp, sketch)
-        sizes = np.ones(sketch.total_rows, dtype=int)
-        sol = _solve_grouped_finite(rows, sizes, rows.lstsq(), p, tol)
+    # at p = inf pair i's rows G_i r_i are one l1 group, else each row is one
+    rows = _PairBlockRows(lifted.Ap, lifted.bp, sketch.factors)
+    sizes = rows.pair_rows.sizes if np.isinf(p) \
+        else np.ones(rows.block_rows.shape[0], dtype=int)
+    sol = _solve_rows(rows, sizes, p, True, tol)
     return SketchSolveResult(xhat=unphi(sol.y),
                              sketched_objective=sol.objective,
                              converged=sol.converged,

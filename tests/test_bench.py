@@ -466,11 +466,14 @@ class TestRunLpreg:
             assert err_x <= 1e-6 and abs(err_obj) <= 1e-6
 
     def test_inf_norm_route_uses_s_values(self, tmp_path):
+        # s = 24 lies past the 2^20-row enumeration cap, which the solve
+        # never meets
         cfg = ExperimentConfig("lpreg", {"n": "16", "d": "4", "p": "inf",
-                                         "s_values": "2,3", "seeds": "2"})
+                                         "s_values": "2,3,24", "seeds": "2"})
         paths = run_lpreg(cfg, 9, tmp_path / "o")
         rows = open(paths[0]).read().splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["2", "2", "3", "3"]
+        assert [r.split(",")[0] for r in rows] == ["2", "2", "3", "3", "24",
+                                                  "24"]
         for row in rows:
             assert float(row.split(",")[2]) <= 1e-6
 

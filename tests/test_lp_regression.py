@@ -535,9 +535,15 @@ def test_sketch_and_solve_rejects_a_size_its_route_ignores():
 
 
 def test_build_sketch_inf_rejects_enumeration_width_out_of_range():
-    for s in (0, MAX_ENUMERATION_BITS + 1):
-        with pytest.raises(ValueError):
-            build_sketch_inf([(0, 1)], s=s)
+    with pytest.raises(ValueError):
+        build_sketch_inf([(0, 1)], s=0)
+    # past the cap the sketch is built, but its 2^s rows are never expanded
+    wide = build_sketch_inf([(0, 1)], s=MAX_ENUMERATION_BITS + 1)
+    assert wide.total_rows == 2 ** (MAX_ENUMERATION_BITS + 1)
+    with pytest.raises(ValueError):
+        wide.blocks
+    with pytest.raises(ValueError):
+        sign_enumeration_matrix(MAX_ENUMERATION_BITS + 1)
 
 
 # seeds of the block sketches ------------------------------------------------
@@ -667,16 +673,33 @@ def test_pair_block_inf_solve_forms_no_matrix_taller_than_the_lift(
     assert max(rows_seen) <= 2 * n
 
 
-def test_pair_block_rows_match_dense_rows():
+def _materialized_pair_rows(lifted, sketch):
+    """The rows ``F_i Ap[pair i]`` and ``F_i bp[pair i]`` of the factors."""
+    M = np.concatenate([F @ lifted.Ap[[a, c]]
+                        for (a, c), F in zip(sketch.pairs, sketch.factors)])
+    rhs = np.concatenate([F @ lifted.bp[[a, c]]
+                          for (a, c), F in zip(sketch.pairs, sketch.factors)])
+    return M, rhs
+
+
+@pytest.mark.parametrize("kind", ["finite-p", "p-inf"])
+def test_pair_block_rows_match_dense_rows(kind):
     rng = np.random.default_rng(104)
     A = complex_matrix(rng, 20, 3)
     b = complex_vector(rng, 20)
     lifted = lift_instance(A, b)
-    heavy = np.arange(0, 20, 2)
-    sketch = build_sketch_finite_p(lifted.pairs, heavy, 4, 1.0, seed=1)
-    M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
+    if kind == "finite-p":
+        heavy = np.arange(0, 20, 2)
+        sketch = build_sketch_finite_p(lifted.pairs, heavy, 4, 1.0, seed=1)
+        M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
+    else:
+        # the s rows G_i Ap[pair i] of each pair, not its 2^s signed rows
+        sketch = build_sketch_inf(lifted.pairs, 3, seed=1)
+        M, c = _materialized_pair_rows(lifted, sketch)
+        assert M.shape[0] == 20 * 3
     dense = lp_regression._DenseRows(M, c)
-    blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp, sketch)
+    blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp,
+                                          sketch.factors)
     y = rng.standard_normal(6)
     np.testing.assert_allclose(blocks.residual(y), dense.residual(y),
                                rtol=1e-12, atol=1e-12)
@@ -687,12 +710,59 @@ def test_pair_block_rows_match_dense_rows():
                                rtol=1e-9)
     np.testing.assert_allclose(blocks.rmatvec(weights),
                                dense.rmatvec(weights), rtol=1e-9)
-    # weight on two pairs only: a singular Gram, the same from both
+    # weight on the first five rows only: a singular Gram, the same from both
     sparse = np.zeros(M.shape[0])
     sparse[:5] = 1.0
     ref = M[:5].T @ M[:5]
     np.testing.assert_allclose(blocks.gram(sparse), ref, atol=1e-9)
     np.testing.assert_allclose(dense.gram(sparse), ref, atol=1e-9)
+    # the pair groups: row i is sum_k u_k M_k over pair i's rows
+    sizes = np.array([F.shape[0] for F in sketch.factors])
+    pairs = lp_regression._Groups(sizes)
+    u = rng.standard_normal(M.shape[0])
+    np.testing.assert_allclose(blocks.group_rows(pairs, u),
+                               dense.group_rows(pairs, u), rtol=1e-9,
+                               atol=1e-12)
+
+
+def test_pair_block_group_rows_reject_groups_other_than_the_pairs():
+    rng = np.random.default_rng(108)
+    lifted = lift_instance(complex_matrix(rng, 6, 2), complex_vector(rng, 6))
+    sketch = build_sketch_inf(lifted.pairs, 3, seed=2)
+    blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp,
+                                          sketch.factors)
+    u = rng.standard_normal(18)
+    for sizes in (np.ones(18, dtype=int), np.full(9, 2), np.full(3, 6),
+                  np.array([3, 3, 3, 3, 6]), np.full(5, 3)):
+        with pytest.raises(ValueError):
+            blocks.group_rows(lp_regression._Groups(sizes), u)
+    assert blocks.group_rows(lp_regression._Groups(np.full(6, 3)),
+                             u).shape == (6, 4)
+
+
+@pytest.mark.parametrize("kind", ["finite-p", "p-inf"])
+def test_pair_block_gram_skips_pairs_of_weight_zero(kind):
+    rng = np.random.default_rng(109)
+    lifted = lift_instance(complex_matrix(rng, 12, 3),
+                           complex_vector(rng, 12))
+    if kind == "finite-p":
+        sketch = build_sketch_finite_p(lifted.pairs, [0, 3, 4], 5, 1.5,
+                                       seed=3)
+    else:
+        sketch = build_sketch_inf(lifted.pairs, 4, seed=3)
+    M, c = _materialized_pair_rows(lifted, sketch)
+    blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp,
+                                          sketch.factors)
+    owner = np.repeat(np.arange(12), [F.shape[0] for F in sketch.factors])
+    weights = rng.uniform(0.1, 2.0, M.shape[0])
+    weights[np.isin(owner, [0, 1, 4, 7, 8, 11])] = 0.0  # whole pairs at 0
+    live = weights > 0.0
+    ref = M[live].T @ (weights[live, None] * M[live])
+    np.testing.assert_allclose(blocks.gram(weights), ref, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(lp_regression._DenseRows(M, c).gram(weights),
+                               ref, rtol=1e-12, atol=1e-12)
+    assert not blocks.gram(np.zeros(M.shape[0])).any()
 
 
 # factored smoothed max at p = inf -------------------------------------------
@@ -729,6 +799,26 @@ def test_pinf_sketch_solve_never_expands_the_sign_rows(monkeypatch):
     objective = max(np.abs(G @ r[[a, c]]).sum()
                     for (a, c), G in zip(sketch.pairs, sketch.factors))
     assert result.sketched_objective == pytest.approx(objective, rel=1e-10)
+
+
+def test_pinf_sketch_solve_past_the_enumeration_cap(monkeypatch):
+    # s = 24 > MAX_ENUMERATION_BITS: the 2^24 signed rows of a pair are
+    # never formed, so the width caps nothing
+    rng = np.random.default_rng(110)
+    n, s = 40, 24
+    A = complex_matrix(rng, n, 3)
+    b = complex_vector(rng, n)
+    result, sketch = _recorded_sketch(monkeypatch, A, b, np.inf, s=s)
+    assert s > MAX_ENUMERATION_BITS
+    assert sketch.total_rows == n * 2 ** s
+    assert result.converged
+    M, c = _materialized_pair_rows(lift_instance(A, b), sketch)
+    dense = lp_regression._DenseRows(M, c)
+    ref = lp_regression._solve_grouped_inf(dense, np.full(n, s),
+                                           dense.lstsq(), True, 1e-10)
+    assert ref.converged
+    assert result.sketched_objective == pytest.approx(ref.objective,
+                                                      rel=1e-9)
 
 
 _HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,

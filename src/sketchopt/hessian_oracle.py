@@ -36,12 +36,14 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossFamily:
-    """Pointwise loss f(t; b) with first and second derivatives in t."""
+    """Pointwise loss f(t; b) with first and second derivatives in t, and
+    ``bound`` >= sup_t |f''(t; b)| when one is known."""
 
     tag: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bound: float | None = None
 
 
 def _nlls_f(t, b):
@@ -81,9 +83,19 @@ _FAMILIES = {
         f=lambda t, b: 0.5 * (t - b) ** 2,
         f1=lambda t, b: t - b,
         f2=lambda t, b: np.ones_like(np.asarray(t, dtype=float)),
+        bound=1.0,
     ),
-    "nlls_classification": LossFamily("nlls_classification", _nlls_f, _nlls_f1, _nlls_f2),
-    "tukey_biweight": LossFamily("tukey_biweight", _tukey_f, _tukey_f1, _tukey_f2),
+    # sup_t |f''(t; b)| over both labels b in {0, 1}: with s = sigmoid(t),
+    # f''(t; 0) = 2 s^2 (1 - s)(2 - 3 s) and f''(-t; 1) = f''(t; 0).  Its
+    # stationary points in (0, 1) are s = (15 -+ sqrt(33)) / 24, with values
+    # 0.15405857012135 and -0.12020440345468, so the maximum magnitude is the
+    # first.  It is stored with a 1e-9 relative margin; the literal sits a
+    # few ulps above that product and is kept as is so the convex_auto ridge
+    # weights, and the outputs built on them, stay bitwise.
+    "nlls_classification": LossFamily("nlls_classification", _nlls_f, _nlls_f1,
+                                      _nlls_f2, bound=0.15405857027540912),
+    "tukey_biweight": LossFamily("tukey_biweight", _tukey_f, _tukey_f1,
+                                 _tukey_f2, bound=2.0),
 }
 
 
@@ -97,18 +109,6 @@ def make_loss(tag: str) -> LossFamily:
         ) from None
 
 
-# sup_t |f''(t; b)| per loss family, over both labels b in {0, 1}.  For
-# nlls_classification, with s = sigmoid(t), f''(t; 0) = 2 s^2 (1 - s)(2 - 3 s)
-# and f''(-t; 1) = f''(t; 0).  Its stationary points in (0, 1) are
-# s = (15 -+ sqrt(33)) / 24, with values 0.15405857012135 and -0.12020440345468,
-# so the maximum magnitude is the first.  It is stored with a 1e-9 relative
-# margin; the literal sits a few ulps above that product and is kept as is so
-# the convex_auto ridge weights, and the outputs built on them, stay bitwise.
-_CURVATURE_BOUNDS: dict[str, float] = {
-    "quadratic": 1.0, "tukey_biweight": 2.0,
-    "nlls_classification": 0.15405857027540912}
-
-
 def curvature_bound(loss: LossFamily) -> float:
     """An upper bound h >= sup_t |f''(t; b)| for the family.
 
@@ -116,12 +116,10 @@ def curvature_bound(loss: LossFamily) -> float:
     sigmoid-squared classification loss it is the closed-form maximum plus a
     1e-9 relative margin.  A family without a known bound is a ValueError.
     """
-    try:
-        return _CURVATURE_BOUNDS[loss.tag]
-    except KeyError:
+    if loss.bound is None:
         raise ValueError(
-            f"curvature_bound: no bound known for loss family {loss.tag!r}"
-        ) from None
+            f"curvature_bound: no bound known for loss family {loss.tag!r}")
+    return loss.bound
 
 
 @dataclass
@@ -208,21 +206,6 @@ def hessp_full(problem: FiniteSumProblem, x, v,
         + problem.ridge_lambda * v
 
 
-def _plan_parts(sketch):
-    """Extract (deterministic rows, sampled rows, weights) from a sketch/plan.
-
-    Hybrid plans store picks relative to their remainder set; those indices
-    are mapped back to original row numbers here.
-    """
-    det = getattr(sketch, "deterministic_rows", np.empty(0, dtype=int))
-    sampled = getattr(sketch, "sampled", sketch)
-    remainder = getattr(sketch, "remainder", None)
-    rows = np.asarray(sampled.rows, dtype=int)
-    if remainder is not None and rows.size:
-        rows = np.asarray(remainder, dtype=int)[rows]
-    return np.asarray(det, dtype=int), rows, np.asarray(sampled.weights)
-
-
 @dataclass(frozen=True)
 class SketchedHessian:
     """The sketched Hessian at one iterate, gathered once for many products.
@@ -260,16 +243,24 @@ def sketched_hessian(problem: FiniteSumProblem, x, sketch,
                      dvec=None) -> SketchedHessian:
     """Gather the rows and w^2 f'' coefficients of ``sketch`` at iterate x.
 
-    ``sketch`` may be a SamplingSketch or a hybrid plan carrying both
-    deterministic rows (weight 1) and sampled picks.  The weighted rows fold
-    as w_j^2 * f''_{p_j} regardless of the curvature sign, so the operator is
-    real even where D^{1/2} would be imaginary.  If ``dvec`` (the d_diag
-    vector at x) is given, only slices of it are used; otherwise the needed
-    entries are evaluated locally.  Building charges no meter units: the
-    per-product charge of ``hessp_sketched`` covers the t rows touched.
+    ``sketch`` is a SamplingSketch or a hybrid plan, whose
+    ``deterministic_rows`` (weight 1) and ``sampled`` picks both number rows
+    of the design; a plain sketch has no deterministic rows.  A sketch built
+    over other than ``problem.n`` rows is a ValueError.  The weighted rows
+    fold as w_j^2 * f''_{p_j} regardless of the curvature sign, so the
+    operator is real even where D^{1/2} would be imaginary.  If ``dvec``
+    (the d_diag vector at x) is given, only slices of it are used; otherwise
+    the needed entries are evaluated locally.  Building charges no meter
+    units: the per-product charge of ``hessp_sketched`` covers the t rows
+    touched.
     """
     x = np.asarray(x, dtype=float)
-    det, rows, weights = _plan_parts(sketch)
+    det = getattr(sketch, "deterministic_rows", np.zeros(0, dtype=np.int64))
+    sampled = getattr(sketch, "sampled", sketch)
+    if sampled.source_rows != problem.n:
+        raise ValueError(
+            f"sketched_hessian: sketch built over {sampled.source_rows} rows "
+            f"for a problem with {problem.n}")
 
     def _gather(idx):
         Asub = problem.A[idx]
@@ -278,10 +269,10 @@ def sketched_hessian(problem: FiniteSumProblem, x, sketch,
         return Asub, problem.loss.f2(Asub @ x, problem.labels[idx])
 
     A_det, c_det = _gather(det)
-    A_rows, d_rows = _gather(rows)
+    A_rows, d_rows = _gather(sampled.rows)
     return SketchedHessian(n=problem.n, ridge_lambda=problem.ridge_lambda,
                            A_det=A_det, c_det=c_det, A_rows=A_rows,
-                           c_rows=weights**2 * d_rows)
+                           c_rows=sampled.weights**2 * d_rows)
 
 
 def hessp_sketched(op: SketchedHessian, v,

@@ -27,23 +27,17 @@ REMAINDER_MODES = ("uniform", "leverage")
 
 @dataclass
 class HybridPlan:
-    """Deterministic row set plus a sampling sketch over the remainder.
+    """Deterministic row set plus a sampling sketch over the other rows.
 
-    ``deterministic_rows`` and ``remainder`` partition a subset of
-    ``range(source_rows)``; ``sampled.rows`` index into ``remainder`` (so the
-    original indices of the picks are ``remainder[sampled.rows]``).
-    ``saturated`` means the plan has no random picks at all — either every row
-    went deterministic, or the budget left nothing for sampling.
+    ``deterministic_rows`` (ascending, weight 1) and ``sampled`` both number
+    rows of the source matrix, whose row count is ``sampled.source_rows``:
+    the picks lie in the remainder, the rows not kept deterministically.  A
+    plan with no picks (every row went deterministic, or the budget left
+    nothing for sampling) has an empty ``sampled``.
     """
 
-    source_rows: int
     deterministic_rows: np.ndarray
-    remainder: np.ndarray
     sampled: SamplingSketch
-    rounds: int
-    threshold: float
-    remainder_mode: str
-    saturated: bool
 
 
 def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -58,12 +52,11 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
-                 remainder_mode: str, seed, caller: str, rounds: int = 1,
-                 threshold: float = float("nan")) -> HybridPlan:
+                 remainder_mode: str, seed, caller: str) -> HybridPlan:
     """The plan keeping the ascending rows ``deterministic`` at weight 1 and
     drawing ``sample_count`` picks from the rest, uniformly or by their
-    leverage scores (uniformly when those are all zero).  With no picks to
-    draw or no rows left to draw from, the plan is saturated."""
+    leverage scores (uniformly when those are all zero).  The picks are
+    drawn over the remainder and returned as rows of B."""
     if remainder_mode not in REMAINDER_MODES:
         raise ValueError(
             f"{caller}: remainder_mode must be one of {REMAINDER_MODES}"
@@ -73,6 +66,7 @@ def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
     keep[deterministic] = False
     remainder = np.flatnonzero(keep)
     m = remainder.size
+    rows, weights = np.zeros(0, dtype=np.int64), np.zeros(0)
     if sample_count > 0 and m > 0:
         probs = np.full(m, 1.0 / m)
         if remainder_mode == "leverage":
@@ -80,19 +74,9 @@ def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
             total = scores.sum()
             if total > 0.0:
                 probs = scores / total
-        sampled = build_sampling_sketch(probs, sample_count, seed=seed)
-    else:
-        sampled = SamplingSketch(m, np.zeros(0, dtype=np.int64), np.zeros(0))
-    return HybridPlan(
-        source_rows=n,
-        deterministic_rows=deterministic,
-        remainder=remainder,
-        sampled=sampled,
-        rounds=rounds,
-        threshold=float(threshold),
-        remainder_mode=remainder_mode,
-        saturated=len(sampled) == 0,
-    )
+        local = build_sampling_sketch(probs, sample_count, seed=seed)
+        rows, weights = remainder[local.rows], local.weights
+    return HybridPlan(deterministic, SamplingSketch(n, rows, weights))
 
 
 def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
@@ -106,12 +90,13 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
     (ties to the lowest row).  After ``rounds`` rounds, ``sample_count``
     rows are drawn i.i.d. from the remainder — uniformly (weights
     sqrt(n_remaining/sample_count)) or by remainder leverage scores.
-    Deterministic rows always carry weight 1.
+    Deterministic rows always carry weight 1.  Both row sets of the plan are
+    rows of B.
 
     A ``threshold`` above 1, ``inf`` included, selects nothing (no leverage
     score exceeds 1) and the plan degenerates to pure sampling; a NaN
     ``threshold`` raises like a non-positive one.  An empty remainder yields a
-    saturated plan whose Gram estimate is exact.
+    plan with no picks, whose Gram estimate is exact.
     """
     B = np.asarray(B)
     n, d = B.shape
@@ -138,7 +123,7 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
         top = _top_k_rows(scores[eligible], min(cap, eligible.size))
         taken[remaining[eligible[top]]] = True
     return _hybrid_plan(B, np.flatnonzero(taken), sample_count, remainder_mode,
-                        seed, "ls_det_sample", rounds, threshold)
+                        seed, "ls_det_sample")
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
@@ -170,18 +155,17 @@ def hybrid_gram(plan: HybridPlan, B) -> np.ndarray:
     """Gram estimate: exact part over the deterministic rows + sampled part.
 
     Returns sum_{i in deterministic} B_i^T B_i + C^T C with
-    C = apply_sketch(plan.sampled, B[plan.remainder]).  Transposes are plain
-    (non-conjugated), matching the unbiasedness target E[C^T C] = B^T B.
+    C = apply_sketch(plan.sampled, B), which rejects a B whose row count is
+    not the plan's.  Transposes are plain (non-conjugated), matching the
+    unbiasedness target E[C^T C] = B^T B.
     """
     B = np.asarray(B)
-    if B.shape[0] != plan.source_rows:
-        raise ValueError("hybrid_gram: plan built over a different row count")
+    C = apply_sketch(plan.sampled, B)
     d = B.shape[1]
     out = np.zeros((d, d), dtype=B.dtype)
     if plan.deterministic_rows.size:
         BE = B[plan.deterministic_rows]
         out = out + BE.T @ BE
-    C = apply_sketch(plan.sampled, B[plan.remainder])
     if C.shape[0]:
         out = out + C.T @ C
     return out

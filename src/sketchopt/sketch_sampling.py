@@ -43,7 +43,6 @@ class SchemeResult:
     """Normalized sampling probabilities plus a degenerate-input flag."""
 
     probs: np.ndarray
-    scheme: str
     fell_back: bool = False
 
 
@@ -237,7 +236,7 @@ def scheme_probabilities(problem, x, scheme: str, meter=None,
     A = problem.A
     n, d = A.shape
     if scheme == "uniform":
-        return SchemeResult(np.full(n, 1.0 / n), scheme)
+        return SchemeResult(np.full(n, 1.0 / n))
     if cache is None:
         cache = {}
     dvec = hessian_oracle.d_diag(problem, x, meter=meter)
@@ -264,8 +263,8 @@ def scheme_probabilities(problem, x, scheme: str, meter=None,
             f"scheme {scheme!r}: all scores are zero; falling back to uniform",
             RuntimeWarning,
         )
-        return SchemeResult(np.full(n, 1.0 / n), scheme, fell_back=True)
-    return SchemeResult(scores / total, scheme)
+        return SchemeResult(np.full(n, 1.0 / n), fell_back=True)
+    return SchemeResult(scores / total)
 
 
 def _cached_row_sqnorms(A, cache: dict) -> np.ndarray:

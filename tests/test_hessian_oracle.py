@@ -286,6 +286,16 @@ def test_curvature_bound_rejects_unknown_family():
         curvature_bound(LossFamily("mystery", nlls.f, nlls.f1, nlls.f2))
 
 
+def test_curvature_bound_reads_the_family_bound():
+    assert curvature_bound(make_loss("quadratic")) == 1.0
+    assert curvature_bound(make_loss("tukey_biweight")) == 2.0
+    assert curvature_bound(make_loss("nlls_classification")) == \
+        0.15405857027540912
+    quad = make_loss("quadratic")
+    assert curvature_bound(
+        LossFamily("scaled", quad.f, quad.f1, quad.f2, bound=3.5)) == 3.5
+
+
 def test_sketched_hessian_psd_under_convex_ridge():
     rng = np.random.default_rng(43)
     n, d = 80, 3
@@ -327,9 +337,9 @@ def test_sketched_product_with_hybrid_plan_maps_remainder_indices():
     v = rng.standard_normal(4)
     plan = ls_det_fraction_plan(A, budget=10, fraction=0.3, seed=5)
     got = hessp_sketched(sketched_hessian(problem, x, plan), v)
-    # manual: deterministic rows weight 1, picks mapped through the remainder
+    # manual: deterministic rows weight 1, picks numbered by source row
     det = plan.deterministic_rows
-    picks = plan.remainder[plan.sampled.rows]
+    picks = plan.sampled.rows
     w2 = plan.sampled.weights ** 2
     dvec = d_diag(problem, x)
     expect = problem.ridge_lambda * v
@@ -338,19 +348,36 @@ def test_sketched_product_with_hybrid_plan_maps_remainder_indices():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+def test_sketched_hessian_rejects_a_sketch_over_another_row_count():
+    from sketchopt.hybrid_sampling import ls_det_fraction_plan
+
+    rng = np.random.default_rng(80)
+    problem = FiniteSumProblem(
+        A=rng.standard_normal((15, 3)), labels=rng.standard_normal(15),
+        loss=make_loss("quadratic"),
+    )
+    x = rng.standard_normal(3)
+    for rows in (10, 40):
+        probs = np.full(rows, 1.0 / rows)
+        sketches = [
+            build_sampling_sketch(probs, t=6, seed=1),
+            ls_det_fraction_plan(rng.standard_normal((rows, 3)), budget=6,
+                                 fraction=0.5, seed=1),
+        ]
+        for sketch in sketches:
+            with pytest.raises(ValueError, match="sketch built over"):
+                sketched_hessian(problem, x, sketch)
+
+
 # ---------------------------------------------------------------------------
 # prepared sketched-Hessian operator
 
 
 def _per_product_reference(problem, x, v, sketch, dvec=None):
     """The per-product formula: gather rows and f'' afresh for every v."""
-    det = np.asarray(getattr(sketch, "deterministic_rows", np.empty(0, int)),
-                     dtype=int)
+    det = getattr(sketch, "deterministic_rows", np.empty(0, int))
     sampled = getattr(sketch, "sampled", sketch)
-    rows = np.asarray(sampled.rows, dtype=int)
-    remainder = getattr(sketch, "remainder", None)
-    if remainder is not None and rows.size:
-        rows = np.asarray(remainder, dtype=int)[rows]
+    rows = sampled.rows
     n = problem.n
     out = problem.ridge_lambda * v
 
@@ -365,7 +392,7 @@ def _per_product_reference(problem, x, v, sketch, dvec=None):
     if det.size:
         out = out + rows_term(det, 1.0) / n
     if rows.size:
-        out = out + rows_term(rows, np.asarray(sampled.weights) ** 2) / n
+        out = out + rows_term(rows, sampled.weights ** 2) / n
     return out
 
 

@@ -1,5 +1,7 @@
 """Tests for deterministic-plus-sampled row selection and its Gram estimate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,8 @@ def test_identity_rows_all_go_deterministic():
     B = np.eye(d)
     plan = ls_det_sample(B, rounds=1, threshold=0.5, sample_count=3, seed=0)
     assert sorted(plan.deterministic_rows.tolist()) == list(range(d))
-    assert plan.remainder.size == 0
     assert len(plan.sampled) == 0
-    assert plan.saturated
+    assert plan.sampled.source_rows == d
 
 
 def test_huge_row_lands_deterministic():
@@ -52,12 +53,11 @@ def test_threshold_above_one_degenerates_to_pure_sampling():
         remainder_mode="leverage", seed=7,
     )
     assert plan.deterministic_rows.size == 0
-    assert plan.remainder.tolist() == list(range(50))
     scores = exact_leverage_scores(B)
     ref = build_sampling_sketch(scores / scores.sum(), 12, seed=7)
     assert plan.sampled.rows.tolist() == ref.rows.tolist()
     np.testing.assert_allclose(plan.sampled.weights, ref.weights, rtol=1e-12)
-    assert not plan.saturated
+    assert plan.sampled.source_rows == 50
 
 
 def test_uniform_remainder_weights():
@@ -68,8 +68,7 @@ def test_uniform_remainder_weights():
         B, rounds=1, threshold=0.5, sample_count=8, remainder_mode="uniform",
         seed=3,
     )
-    n_rem = plan.remainder.size
-    assert n_rem == 40 - plan.deterministic_rows.size
+    n_rem = 40 - plan.deterministic_rows.size
     np.testing.assert_allclose(plan.sampled.weights, np.sqrt(n_rem / 8.0))
 
 
@@ -83,7 +82,7 @@ def test_rounds_recompute_scores_with_per_round_cap():
         B, rounds=2, threshold=0.5, sample_count=1, cap=2, seed=0
     )
     assert sorted(plan.deterministic_rows.tolist()) == [0, 1, 3, 4]
-    assert sorted(plan.remainder.tolist()) == [2, 5]
+    assert set(plan.sampled.rows.tolist()) <= {2, 5}
 
 
 def test_deterministic_part_identical_across_seeds():
@@ -103,8 +102,35 @@ def test_picks_disjoint_from_deterministic_rows():
     B = rng.standard_normal((80, 4))
     B[[2, 9, 30]] *= 30.0
     plan = ls_det_sample(B, rounds=1, threshold=0.5, sample_count=20, seed=5)
-    picked_source = set(plan.remainder[plan.sampled.rows].tolist())
+    picked_source = set(plan.sampled.rows.tolist())
     assert picked_source.isdisjoint(set(plan.deterministic_rows.tolist()))
+
+
+@pytest.mark.parametrize("remainder_mode", ["uniform", "leverage"])
+def test_picks_are_numbered_by_source_row(remainder_mode):
+    # the picks are the rows of a draw over the remainder alone, mapped back
+    # to rows of B, with that draw's weights
+    rng = np.random.default_rng(53)
+    B = rng.standard_normal((70, 4))
+    B[[6, 40, 41]] *= 25.0
+    plans = [
+        ls_det_sample(B, rounds=2, threshold=0.5, sample_count=15,
+                      remainder_mode=remainder_mode, seed=8),
+        ls_det_fraction_plan(B, budget=25, fraction=0.4,
+                             remainder_mode=remainder_mode, seed=8),
+    ]
+    for plan in plans:
+        assert plan.deterministic_rows.size > 0
+        remainder = np.setdiff1d(np.arange(70), plan.deterministic_rows)
+        if remainder_mode == "uniform":
+            probs = np.full(remainder.size, 1.0 / remainder.size)
+        else:
+            scores = exact_leverage_scores(B[remainder])
+            probs = scores / scores.sum()
+        local = build_sampling_sketch(probs, len(plan.sampled), seed=8)
+        assert np.array_equal(plan.sampled.rows, remainder[local.rows])
+        assert np.array_equal(plan.sampled.weights, local.weights)
+        assert plan.sampled.source_rows == 70
 
 
 def test_nan_threshold_raises_and_inf_selects_nothing():
@@ -116,8 +142,7 @@ def test_nan_threshold_raises_and_inf_selects_nothing():
         ls_det_sample(B, threshold=float("nan"), sample_count=4, seed=1)
     plan = ls_det_sample(B, threshold=float("inf"), sample_count=4, seed=1)
     assert plan.deterministic_rows.size == 0
-    assert plan.remainder.tolist() == list(range(50))
-    assert plan.threshold == float("inf")
+    assert len(plan.sampled) == 4
 
 
 def test_parameter_validation():
@@ -143,7 +168,7 @@ def test_exactness_limit_all_rows_deterministic_complex():
     B = complex_matrix(rng, 12, 3)
     plan = ls_det_sample(B, rounds=1, threshold=1e-9, sample_count=1,
                          cap=12, seed=0)
-    assert plan.remainder.size == 0 and plan.saturated
+    assert plan.deterministic_rows.size == 12 and len(plan.sampled) == 0
     G = hybrid_gram(plan, B)
     # plain (non-conjugated) transpose Gram, matching the unbiased target
     np.testing.assert_allclose(G, B.T @ B, atol=1e-10)
@@ -166,10 +191,20 @@ def test_gram_splits_between_exact_and_sampled_parts():
     B[4] *= 40.0
     plan = ls_det_sample(B, rounds=1, threshold=0.5, sample_count=10, seed=9)
     E = plan.deterministic_rows
-    N = plan.remainder
-    C = apply_sketch(plan.sampled, B[N])
+    C = apply_sketch(plan.sampled, B)
     expected = B[E].T @ B[E] + C.T @ C
     np.testing.assert_allclose(hybrid_gram(plan, B), expected, atol=1e-12)
+
+
+def test_hybrid_gram_rejects_a_matrix_of_another_row_count():
+    rng = np.random.default_rng(54)
+    B = rng.standard_normal((30, 3))
+    B[4] *= 40.0
+    for fraction in (0.0, 0.5, 1.0):
+        plan = ls_det_fraction_plan(B, budget=10, fraction=fraction, seed=2)
+        for rows in (29, 31):
+            with pytest.raises(ValueError, match="row count"):
+                hybrid_gram(plan, rng.standard_normal((rows, 3)))
 
 
 def test_hybrid_gram_is_unbiased_over_remainder():
@@ -228,7 +263,7 @@ def test_fraction_zero_is_pure_sampling():
     plan = ls_det_fraction_plan(B, budget=20, fraction=0.0, seed=4)
     assert plan.deterministic_rows.size == 0
     assert len(plan.sampled) == 20
-    assert plan.remainder.tolist() == list(range(60))
+    assert plan.sampled.source_rows == 60
 
 
 def test_fraction_one_is_top_leverage_rows():
@@ -238,7 +273,6 @@ def test_fraction_one_is_top_leverage_rows():
     plan = ls_det_fraction_plan(B, budget=5, fraction=1.0, seed=4)
     assert plan.deterministic_rows.size == 5
     assert len(plan.sampled) == 0
-    assert plan.saturated
     scores = exact_leverage_scores(B)
     top5 = set(np.argsort(-scores)[:5].tolist())
     assert set(plan.deterministic_rows.tolist()) == top5
@@ -266,7 +300,7 @@ def test_fraction_splits_budget():
     plan = ls_det_fraction_plan(B, budget=20, fraction=0.5, seed=4)
     assert plan.deterministic_rows.size == 10
     assert len(plan.sampled) == 10
-    assert plan.deterministic_rows.size + plan.remainder.size == 100
+    assert plan.sampled.source_rows == 100
     with pytest.raises(ValueError):
         ls_det_fraction_plan(B, budget=0, fraction=0.5)
     with pytest.raises(ValueError):
@@ -279,7 +313,6 @@ def test_plan_type_fields():
     plan = ls_det_sample(B, rounds=2, threshold=0.5, sample_count=4,
                          remainder_mode="uniform", seed=0)
     assert isinstance(plan, HybridPlan)
-    assert plan.rounds == 2
-    assert plan.threshold == 0.5
-    assert plan.remainder_mode == "uniform"
-    assert plan.source_rows == 30
+    assert [f.name for f in dataclasses.fields(plan)] == [
+        "deterministic_rows", "sampled"]
+    assert plan.sampled.source_rows == 30

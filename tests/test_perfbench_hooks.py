@@ -43,7 +43,9 @@ def test_every_hook_target_resolves(tracing):
 
 @pytest.mark.parametrize("scheme, extra", [
     ("ls", set()),
-    ("ls-det", {"hybrid_sampling.ls_det_fraction_plan"}),
+    ("ls-det", {"hybrid_sampling.ls_det_fraction_plan",
+                "sketch_sampling.exact_leverage_scores",
+                "sketch_sampling.build_sampling_sketch"}),
 ])
 def test_newton_cg_oracle_calls_pass_through_their_hooks(tracing, scheme,
                                                          extra):

@@ -56,11 +56,11 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config, args.subcommand)
-        master_seed = args.seed if args.seed is not None else config.seed
-        out_dir = args.out if args.out is not None else config.out
-        svg = args.svg or config.svg
-        written = _RUNNERS[args.subcommand](config, master_seed, out_dir,
-                                            svg=svg)
+        # read even when overridden, so no run reports them as unread
+        seed, out_dir, svg = config.seed, config.out, config.svg
+        written = _RUNNERS[args.subcommand](
+            config, seed if args.seed is None else args.seed,
+            out_dir if args.out is None else args.out, svg=args.svg or svg)
     except BenchError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

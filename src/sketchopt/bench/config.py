@@ -33,17 +33,26 @@ class BenchError(Exception):
         self.code = code
 
 
+def _check_floor(key, value, minimum):
+    if minimum is not None and value < minimum:
+        raise BenchError("CONFIG_INVALID", f"key {key!r}: must be >= {minimum}")
+
+
 @dataclass
 class ExperimentConfig:
     """A subcommand plus its flat string options.
 
     Typed accessors validate on demand and raise ``BenchError`` with code
     CONFIG_INVALID on malformed values, so every config mistake surfaces as a
-    clean CLI error rather than a traceback.
+    clean CLI error rather than a traceback.  ``minimum`` is the floor of a
+    count.  The accessors record every key they read, so
+    ``check_all_read`` can reject a key no run uses, such as a misspelling.
     """
 
     subcommand: str
     options: dict = field(default_factory=dict)
+    _read: set = field(default_factory=set, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
@@ -55,24 +64,27 @@ class ExperimentConfig:
     # -- typed accessors ----------------------------------------------------
 
     def get_str(self, key, default=None, required=False):
+        self._read.add(key)
         if key in self.options:
             return self.options[key].strip()
         if required:
             raise BenchError("CONFIG_INVALID", f"missing required key {key!r}")
         return default
 
-    def get_int(self, key, default=None, required=False):
-        raw = self.get_str(key, None, required)
+    def get_int(self, key, default=None, minimum=None):
+        raw = self.get_str(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise BenchError("CONFIG_INVALID",
                              f"key {key!r}: expected an integer, got {raw!r}")
+        _check_floor(key, value, minimum)
+        return value
 
-    def get_float(self, key, default=None, required=False):
-        raw = self.get_str(key, None, required)
+    def get_float(self, key, default=None):
+        raw = self.get_str(key)
         if raw is None:
             return default
         try:
@@ -106,15 +118,26 @@ class ExperimentConfig:
             raise BenchError("CONFIG_INVALID", f"key {key!r}: empty list")
         return items
 
-    def get_int_list(self, key, default=None, required=False):
+    def get_int_list(self, key, required=False, minimum=None):
         items = self.get_list(key, None, required)
         if items is None:
-            return list(default) if default is not None else None
+            return None
         try:
-            return [int(s) for s in items]
+            values = [int(s) for s in items]
         except ValueError:
             raise BenchError("CONFIG_INVALID",
                              f"key {key!r}: expected a comma list of integers")
+        _check_floor(key, min(values), minimum)
+        return values
+
+    def check_all_read(self):
+        """Raise CONFIG_INVALID naming every key no accessor has read."""
+        unread = sorted(set(self.options) - self._read)
+        if unread:
+            raise BenchError(
+                "CONFIG_INVALID",
+                f"keys not read by {self.subcommand}: "
+                f"{', '.join(map(repr, unread))}")
 
     # -- fields shared across runners ----------------------------------------
 
@@ -128,10 +151,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> int:
-        n = self.get_int("seeds", 1)
-        if n < 1:
-            raise BenchError("CONFIG_INVALID", "key 'seeds': must be >= 1")
-        return n
+        return self.get_int("seeds", 1, minimum=1)
 
     @property
     def svg(self) -> bool:
@@ -139,8 +159,9 @@ class ExperimentConfig:
 
     @property
     def workers(self) -> int:
-        n = self.get_int("workers", 0)
-        return n if n and n > 0 else min(4, os.cpu_count() or 1)
+        """Thread count; 0, the default, means min(4, cpu count)."""
+        return self.get_int("workers", 0, minimum=0) \
+            or min(4, os.cpu_count() or 1)
 
     @property
     def dataset(self) -> str:

@@ -6,7 +6,9 @@ CSV files (plus optional SVG plots drawn from the values written to those
 CSVs).  All determinism flows from ``(config, master seed)``: ``_run_cells``
 derives every cell's seed from the master seed and the cell's position in the
 grid, so reruns reproduce the output files byte for byte and thread
-scheduling cannot change results.
+scheduling cannot change results.  A runner reads every config key it uses
+before any cell runs; a key it never read, such as a misspelling or a key
+of another subcommand, is then a CONFIG_INVALID error.
 
 CSV conventions: a header line is always present, floats are written with 17
 significant digits (``%.17g``), the decimal separator is ``.``, and lines end
@@ -97,13 +99,6 @@ def _run_cells(worker, cells, n_workers, master_seed):
         return [worker(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
         return list(pool.map(lambda job: worker(*job), jobs))
-
-
-def _positive_int(config, key, default):
-    value = config.get_int(key, default)
-    if value < 1:
-        raise BenchError("CONFIG_INVALID", f"key {key!r}: must be >= 1")
-    return value
 
 
 def _parse_p(config):
@@ -201,21 +196,14 @@ def run_optimize(config, master_seed, out_dir, svg=False):
     problem = FiniteSumProblem(A, labels, loss, ridge_lambda=ridge_lambda)
 
     multi_size = "sample_sizes" in config.options
-    sizes = (config.get_int_list("sample_sizes")
-             if multi_size else [config.get_int("sample_size")])
-    size_key = "sample_sizes" if multi_size else "sample_size"
-    if any(size is not None and size < 1 for size in sizes):
-        raise BenchError("CONFIG_INVALID", f"key '{size_key}': must be >= 1")
-    opt_keys = dict(
-        max_outer=config.get_int("max_outer", 100),
-        max_oracle_calls=config.get_int("max_oracle_calls"),
-        grad_tol=config.get_float("grad_tol", 1e-8),
-        inner_cap=config.get_int("inner_cap", 100),
-        inner_tol=config.get_float("inner_tol", 1e-8),
-        tr_delta0=config.get_float("tr_delta0", 1.0),
-        tr_eta=config.get_float("tr_eta", 0.8),
-        tr_gamma=config.get_float("tr_gamma", 1.2),
-    )
+    sizes = (config.get_int_list("sample_sizes", minimum=1) if multi_size
+             else [config.get_int("sample_size", minimum=1)])
+    # only the knobs the config sets: OptConfig owns the defaults
+    knobs = [(key, config.get_int(key))
+             for key in ("max_outer", "max_oracle_calls", "inner_cap")]
+    knobs += [(key, config.get_float(key)) for key in
+              ("grad_tol", "inner_tol", "tr_delta0", "tr_eta", "tr_gamma")]
+    opt_keys = {key: value for key, value in knobs if value is not None}
     cells, built = [], set()
     for token in config.schemes:
         scheme, fraction = _parse_scheme_token(token)
@@ -234,6 +222,8 @@ def run_optimize(config, master_seed, out_dir, svg=False):
             built.add(oc)
             cells += [(token, oc, size, seed_idx)
                       for seed_idx in range(config.seeds)]
+    workers = config.workers
+    config.check_all_read()
 
     def worker(cell, seed):
         _, oc, _, seed_idx = cell
@@ -248,7 +238,7 @@ def run_optimize(config, master_seed, out_dir, svg=False):
         except (BenchError, ValueError, np.linalg.LinAlgError) as exc:
             return (f"error_{type(exc).__name__}", [])
 
-    results = _run_cells(worker, cells, config.workers, master_seed)
+    results = _run_cells(worker, cells, workers, master_seed)
     for i, result in enumerate(results):
         if result is None:  # a cell's seeds are consecutive, seed 0 first
             results[i] = results[i - 1]
@@ -302,23 +292,21 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
     ``d``.  Errors are measured against the planted solution when the
     residual is zero, otherwise against an unsketched reference solve.
     """
-    n = _positive_int(config, "n", 100)
-    d = _positive_int(config, "d", 50)
+    n = config.get_int("n", 100, minimum=1)
+    d = config.get_int("d", 50, minimum=1)
     if n <= d:
         # every sketch then fits the instance exactly: a flat error curve
         raise BenchError("CONFIG_INVALID",
                          f"key 'n': must exceed d (got n={n}, d={d})")
     p = _parse_p(config)
-    if math.isinf(p):
-        sweep = config.get_int_list("s_values", required=True)
-    else:
-        sweep = config.get_int_list("t_values", required=True)
-    if any(v < 1 for v in sweep):
-        raise BenchError("CONFIG_INVALID", "sweep values must be >= 1")
+    sweep = config.get_int_list("s_values" if math.isinf(p) else "t_values",
+                                required=True, minimum=1)
     n_seeds = config.seeds
     zero_residual = config.get_bool("zero_residual", True)
     noise_scale = config.get_float("noise_scale", 0.1)
     all_heavy = config.get_bool("all_heavy", True)
+    workers = config.workers
+    config.check_all_read()
 
     instances = []
     for seed_idx in range(n_seeds):
@@ -349,7 +337,7 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
         err_obj = lp_of_norms(np.abs(A @ result.xhat - b), p) - obj_star
         return (value, seed_idx, err_x, err_obj)
 
-    rows = _run_cells(worker, cells, config.workers, master_seed)
+    rows = _run_cells(worker, cells, workers, master_seed)
     written = [_write_csv(out_dir, "lpreg.csv",
                           ["t_or_s", "seed", "err_x", "err_obj"], rows)]
     if svg:
@@ -369,8 +357,8 @@ def run_lpreg(config, master_seed, out_dir, svg=False):
 
 
 def _vmv_instance(config, master_seed):
-    rows = _positive_int(config, "rows", 50)
-    cols = _positive_int(config, "cols", 5)
+    rows = config.get_int("rows", 50, minimum=1)
+    cols = config.get_int("cols", 5, minimum=1)
     kind = config.get_str("instance", "gaussian")
     rng = seeded_generator(_derived_seed(master_seed, _STREAM_INSTANCE))
     if kind == "gaussian":
@@ -404,13 +392,13 @@ def run_vmv(config, master_seed, out_dir, svg=False):
     ``k_values``, ``reps``, ``seeds``.  The instance is fixed across all
     cells so error statistics at different widths are directly comparable.
     """
-    k_values = config.get_int_list("k_values", required=True)
-    if any(k < 1 for k in k_values):
-        raise BenchError("CONFIG_INVALID", "k_values must be >= 1")
-    reps = _positive_int(config, "reps", 1)
+    k_values = config.get_int_list("k_values", required=True, minimum=1)
+    reps = config.get_int("reps", 1, minimum=1)
     n_seeds = config.seeds
 
     A, B, u, v = _vmv_instance(config, master_seed)
+    workers = config.workers
+    config.check_all_read()
     exact = complex(u @ (A.T @ B) @ v)
 
     cells = [(k, seed_idx) for k in k_values for seed_idx in range(n_seeds)]
@@ -420,7 +408,7 @@ def run_vmv(config, master_seed, out_dir, svg=False):
         est = estimate(A, B, u, v, k, reps=reps, seed=seed)
         return (k, seed_idx, abs(est - exact))
 
-    rows = _run_cells(worker, cells, config.workers, master_seed)
+    rows = _run_cells(worker, cells, workers, master_seed)
     written = [_write_csv(out_dir, "vmv.csv", ["k", "seed", "abs_err"], rows)]
     if svg:
         written.append(_write_svg(
@@ -449,6 +437,9 @@ def run_scores(config, master_seed, out_dir, svg=False):
     loss = make_loss(config.loss)
     ridge_lambda = _resolve_ridge(config, A, labels, loss)
     problem = FiniteSumProblem(A, labels, loss, ridge_lambda=ridge_lambda)
+    embed_rows = config.get_int("embed_rows")
+    jl_cols = config.get_int("jl_cols")
+    config.check_all_read()
     x0 = np.zeros(problem.d)
 
     dvec = d_diag(problem, x0)
@@ -456,9 +447,7 @@ def run_scores(config, master_seed, out_dir, svg=False):
     exact = exact_leverage_scores(weighted)
     try:
         approx = approx_leverage_scores(
-            weighted,
-            embed_rows=config.get_int("embed_rows"),
-            jl_cols=config.get_int("jl_cols"),
+            weighted, embed_rows=embed_rows, jl_cols=jl_cols,
             seed=_derived_seed(master_seed, _STREAM_CELL))
     except ValueError as exc:
         raise BenchError("RUN_FAILED", f"approximate scores failed: {exc}")

@@ -29,10 +29,13 @@ def _check_finite(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}: input has non-finite entries")
 
 
-def check_int(value, name: str) -> int:
-    """``value`` as an ``int``; a bool or a non-integer raises ``ValueError``."""
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; a bool, a non-integer or a value below
+    ``minimum`` raises ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
 
 

@@ -100,16 +100,12 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
     """
     B = np.asarray(B)
     n, d = B.shape
-    if check_int(rounds, "ls_det_sample: rounds") < 1:
-        raise ValueError("ls_det_sample: rounds must be >= 1")
+    check_int(rounds, "ls_det_sample: rounds", 1)
     if not threshold > 0.0:
         raise ValueError("ls_det_sample: threshold must be positive, "
                          f"got {threshold!r}")
-    if check_int(sample_count, "ls_det_sample: sample_count") < 1:
-        raise ValueError("ls_det_sample: sample_count must be >= 1")
-    cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap")
-    if cap < 1:
-        raise ValueError("ls_det_sample: cap must be >= 1")
+    check_int(sample_count, "ls_det_sample: sample_count", 1)
+    cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap", 1)
 
     taken = np.zeros(n, dtype=bool)
     for _ in range(rounds):
@@ -138,8 +134,7 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     """
     B = np.asarray(B)
     n, _ = B.shape
-    if check_int(budget, "ls_det_fraction_plan: budget") < 1:
-        raise ValueError("ls_det_fraction_plan: budget must be >= 1")
+    check_int(budget, "ls_det_fraction_plan: budget", 1)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("ls_det_fraction_plan: fraction must be in [0, 1]")
     k = min(int(round(fraction * budget)), n)

@@ -15,7 +15,8 @@ Newton steps under a halving temperature ``mu``: on
 ``p = infinity``.  ``converged`` is a certificate: the bound on how far the
 smoothing lifts the minimum plus the Newton decrement, which together bound
 the objective's excess over the optimum, are at most ``tol`` times the
-objective (its p-th power at finite ``p``).  ``sketch_and_solve`` never
+objective (its p-th power at finite ``p``); every solver raises
+``ValueError`` unless ``tol`` is finite and >= 0.  ``sketch_and_solve`` never
 assembles the compressed matrix.  At every ``p`` each compressed row is a
 block row applied to its pair's lifted residual, so the Newton Hessian is
 ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per pair.  At
@@ -247,9 +248,7 @@ def classify_pairs(scores, d, p):
     scores = np.asarray(scores, dtype=float).ravel()
     if scores.size % 2:
         raise ValueError("classify_pairs: scores must cover whole row pairs")
-    d = int(d)
-    if d < 1:
-        raise ValueError("classify_pairs: d must be >= 1")
+    d = check_int(d, "classify_pairs: d", 1)
     p = float(p)
     if not (p >= 1.0):
         raise ValueError("classify_pairs: p must satisfy p >= 1")
@@ -286,10 +285,9 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("build_sketch_finite_p: p must be finite and >= 1")
-    t = check_int(t, "build_sketch_finite_p: t")
-    if t < 1:
-        raise ValueError("build_sketch_finite_p: t must be >= 1")
-    heavy_set = {int(i) for i in heavy}
+    t = check_int(t, "build_sketch_finite_p: t", 1)
+    heavy_set = {check_int(i, "build_sketch_finite_p: heavy index")
+                 for i in heavy}
     if any(not 0 <= i < len(pairs) for i in heavy_set):
         raise ValueError("build_sketch_finite_p: heavy index out of range")
     sigma = gaussian_moment_scale(p)
@@ -312,9 +310,7 @@ def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
     factors ``G`` are stored; ``R @ G`` is formed (and its width capped)
     only when the blocks are read, so any ``s >= 1`` is accepted.
     """
-    s = check_int(s, "build_sketch_inf: s")
-    if s < 1:
-        raise ValueError("build_sketch_inf: s must be >= 1")
+    s = check_int(s, "build_sketch_inf: s", 1)
     scale = math.sqrt(math.pi / 2.0) / s
     return _block_sketch(pairs, np.inf, seed,
                          lambda _, rng: scale * rng.standard_normal((s, 2)))
@@ -706,6 +702,8 @@ def _solve_grouped(M, c, groups, p, tol):
 def _solve_rows(rows, sizes, p, l1, tol):
     """Solve on consecutive groups of ``sizes`` rows from the rows' lstsq
     fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("lp solve: tol must be finite and >= 0")
     y = rows.lstsq()
     if np.isinf(p):
         return _solve_grouped_inf(rows, sizes, y, l1, tol)

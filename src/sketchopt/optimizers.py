@@ -71,19 +71,17 @@ class OptConfig:
     grad_tol: float = 1e-8
     seed: int = 0
     ls_det_fraction: float = 0.5
-    keep_iterates: bool = False
 
     def __post_init__(self):
         scheme = canonical_scheme(self.scheme)
         if scheme not in ("full", "ls-det") + SAMPLING_SCHEMES:
             raise ValueError(f"OptConfig: unknown scheme {self.scheme!r}")
         object.__setattr__(self, "scheme", scheme)
-        required = ("max_outer", "inner_cap", "seed")
-        for name in required + ("sample_size", "max_oracle_calls"):
-            val = getattr(self, name)
-            if val is None and name not in required:
-                continue
-            check_int(val, f"OptConfig: {name}")
+        for name, floor in (("max_outer", 1), ("inner_cap", 1), ("seed", 0)):
+            check_int(getattr(self, name), f"OptConfig: {name}", floor)
+        for name, floor in (("sample_size", None), ("max_oracle_calls", 0)):
+            if getattr(self, name) is not None:
+                check_int(getattr(self, name), f"OptConfig: {name}", floor)
         if scheme != "full" and (self.sample_size is None or self.sample_size < 1):
             raise ValueError(
                 f"OptConfig: scheme {scheme!r} requires sample_size >= 1"
@@ -94,14 +92,6 @@ class OptConfig:
             raise ValueError("OptConfig: tr_gamma must be finite and > 1")
         if not (math.isfinite(self.tr_delta0) and self.tr_delta0 > 0.0):
             raise ValueError("OptConfig: tr_delta0 must be finite and > 0")
-        if self.max_outer < 1:
-            raise ValueError("OptConfig: max_outer must be >= 1")
-        if self.inner_cap < 1:
-            raise ValueError("OptConfig: inner_cap must be >= 1")
-        if self.max_oracle_calls is not None and self.max_oracle_calls < 0:
-            raise ValueError("OptConfig: max_oracle_calls must be >= 0")
-        if self.seed < 0:
-            raise ValueError("OptConfig: seed must be >= 0")
         for name in ("inner_tol", "grad_tol"):
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol >= 0.0):
@@ -131,7 +121,6 @@ class OptTrace:
     accepted: list = field(default_factory=list)
     status: str = "running"
     flags: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
     x_final: np.ndarray | None = None
 
     def record(self, iteration: int, calls: int, objective: float,
@@ -368,8 +357,6 @@ class _Run:
     def record(self, k: int, step_or_radius: float, accepted: bool) -> None:
         self.trace.record(k, self.meter.function_evals, self.F,
                           np.linalg.norm(self.g), step_or_radius, accepted)
-        if self.config.keep_iterates:
-            self.trace.iterates.append(self.x.copy())
 
 
 def _drive(problem: FiniteSumProblem, config: OptConfig, algorithm: str, step,

@@ -153,9 +153,7 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     if jl_cols is None:
         r = int(np.ceil(8 * np.log(max(n, 2))))
     else:
-        r = check_int(jl_cols, "approx_leverage_scores: jl_cols")
-        if r < 1:
-            raise ValueError("approx_leverage_scores: jl_cols must be >= 1")
+        r = check_int(jl_cols, "approx_leverage_scores: jl_cols", 1)
     R, rng = _embedded_factor(B, embed_rows, seed, "approx_leverage_scores")
     if R is None:
         raise ValueError(
@@ -176,9 +174,7 @@ def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
     input checks, which the checks here already cover.
     """
     probs = np.asarray(probs, dtype=float)
-    t = check_int(t, "build_sampling_sketch: t")
-    if t < 1:
-        raise ValueError("build_sampling_sketch: t must be >= 1")
+    t = check_int(t, "build_sampling_sketch: t", 1)
     if probs.ndim != 1:
         raise ValueError("build_sampling_sketch: probabilities must be 1-D")
     if np.any(probs < 0) or not np.all(np.isfinite(probs)):

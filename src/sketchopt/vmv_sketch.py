@@ -75,17 +75,15 @@ class TensorSketchState:
 
     def tables(self, d: int):
         """Hash and sign tables for dimension ``d``: ``(h1, h2, s1, s2)``."""
-        self._ensure(int(d))
-        d = int(d)
+        d = check_int(d, "TensorSketchState.tables: d", 0)
+        self._ensure(d)
         return (self._h1[:d].copy(), self._h2[:d].copy(),
                 self._s1[:d].copy(), self._s2[:d].copy())
 
 
 def ts_new(k, seed=0) -> TensorSketchState:
     """Fresh sketch state with ``k`` buckets and seed-fixed hash functions."""
-    k = check_int(k, "ts_new: k")
-    if k < 1:
-        raise ValueError("ts_new: k must be >= 1")
+    k = check_int(k, "ts_new: k", 1)
     return TensorSketchState(k=k, q=np.zeros(k, dtype=complex),
                              _streams=[child_seed(seed, j) for j in range(4)])
 
@@ -198,9 +196,7 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("estimate: u and v must be finite (found NaN or Inf)")
     k = check_int(k, "estimate: k")
-    reps = check_int(reps, "estimate: reps")
-    if reps < 1:
-        raise ValueError("estimate: reps must be >= 1")
+    reps = check_int(reps, "estimate: reps", 1)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)  # built once, not once per rep
     with np.errstate(over="ignore", invalid="ignore"):

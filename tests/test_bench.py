@@ -102,6 +102,21 @@ schemes = full, ls
                 call()
             assert err.value.code == "CONFIG_INVALID"
 
+    def test_count_floors_name_the_key(self):
+        cfg = ExperimentConfig("vmv", {"k_values": "4,0", "workers": "-3",
+                                       "reps": "0", "seeds": "0"})
+        for call, message in (
+                (lambda: cfg.get_int_list("k_values", minimum=1),
+                 "key 'k_values': must be >= 1"),
+                (lambda: cfg.get_int("reps", 1, minimum=1),
+                 "key 'reps': must be >= 1"),
+                (lambda: cfg.workers, "key 'workers': must be >= 0"),
+                (lambda: cfg.seeds, "key 'seeds': must be >= 1")):
+            with pytest.raises(BenchError) as err:
+                call()
+            assert err.value.code == "CONFIG_INVALID"
+            assert str(err.value) == message
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(BenchError):
             ExperimentConfig("frobnicate", {})
@@ -645,9 +660,13 @@ class TestCli:
         ("lpreg", "n = 0"),
         ("lpreg", "n = 3\nd = 8"),
         ("vmv", "instance = cancellation\nrows = 5"),
+        ("vmv", "workers = -3"),
+        ("vmv", "k_values = 0"),
+        ("vmv", "reps = 2.5"),
     ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf", "noise_scale-inf",
             "cancel_scale-inf", "heavy_scale-inf", "rows-neg", "cols-0", "d-0",
-            "n-0", "n-le-d", "cancellation-odd-rows"])
+            "n-0", "n-le-d", "cancellation-odd-rows", "workers-neg",
+            "k_values-0", "reps-float"])
     def test_bad_values_are_config_errors_before_any_cell(
             self, tmp_path, capsys, sub, extra):
         # later keys win, so each case overrides its base config
@@ -657,6 +676,34 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG_INVALID:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, extra, unread", [
+        ("optimize", "max_outr = 3", "'max_outr'"),
+        ("optimize", "lambda_policy = manual\nlambda_scale = 2",
+         "'lambda_scale'"),
+        ("lpreg", "s_values = 2\nseed_count = 2", "'s_values', 'seed_count'"),
+        ("scores", "dataset = synth:n=50,d=3\nseeds = 2", "'seeds'"),
+    ], ids=["misspelled", "manual-lambda_scale", "finite-p-s_values",
+            "scores-seeds"])
+    def test_unread_keys_are_config_errors_before_any_cell(
+            self, tmp_path, capsys, sub, extra, unread):
+        cfgp = _write(tmp_path / "e.cfg", self._BASE[sub] + extra + "\n")
+        out = tmp_path / "out"
+        rc = main([sub, "--config", cfgp, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG_INVALID: keys not read by {sub}: {unread}\n")
+        assert not out.exists()
+
+    def test_overridden_seed_out_and_svg_keys_count_as_read(self, tmp_path):
+        unused = tmp_path / "unused"
+        cfgp = _write(tmp_path / "e.cfg", self._BASE["vmv"]
+                      + f"seed = 1\nout = {unused}\nsvg = false\n")
+        out = tmp_path / "out"
+        assert main(["vmv", "--config", cfgp, "--seed", "2", "--out",
+                     str(out), "--svg"]) == 0
+        assert (out / "vmv.svg").exists()
+        assert not unused.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgp = _write(tmp_path / "e.cfg",

@@ -1044,6 +1044,23 @@ def test_dense_lp_solvers_reject_nonfinite_input(bad):
             small_lp_solve(M, c, p)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_solvers_reject_a_tol_that_is_not_finite_and_nonnegative(tol):
+    rng = np.random.default_rng(0)
+    M, c = rng.standard_normal((30, 4)), rng.standard_normal(30)
+    A, b = complex_matrix(rng, 15, 2), complex_vector(rng, 15)
+    groups = [[2 * i, 2 * i + 1] for i in range(15)]
+    for p in (1.0, 3.0, np.inf):
+        kw = {"s": 2} if np.isinf(p) else {"t": 2}
+        for solve in (lambda: small_lp_solve(M, c, p, tol=tol),
+                      lambda: grouped_lp_solve(M, c, groups, p, tol=tol),
+                      lambda: complex_lp_solve(A, b, p, tol=tol),
+                      lambda: sketch_and_solve(A, b, p, tol=tol, **kw)):
+            with pytest.raises(ValueError,
+                               match="tol must be finite and >= 0"):
+                solve()
+
+
 def test_build_sketch_finite_p_rejects_heavy_index_out_of_range():
     pairs = [(0, 1), (2, 3)]
     for heavy in ([5], [-1], [0, 2]):

@@ -1,5 +1,7 @@
 """Tests for the Newton-type optimizers and their inner subproblem solvers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -272,9 +274,14 @@ def test_newton_cg_error_decay_near_solution():
     ref = newton_cg(problem, OptConfig(grad_tol=1e-12, max_outer=100))
     x_star = ref.x_final
     cfg = OptConfig(scheme="ls", sample_size=200, grad_tol=1e-11,
-                    max_outer=100, seed=3, keep_iterates=True)
-    trace = newton_cg(problem, cfg)
-    errs = [np.linalg.norm(x - x_star) for x in trace.iterates]
+                    max_outer=100, seed=3)
+    last = newton_cg(problem, cfg).iteration[-1]
+    # iteration seeds come from the index, so the run capped at K
+    # iterations ends at iterate K of the uncapped run
+    iterates = [np.zeros(problem.d)] + [
+        newton_cg(problem, replace(cfg, max_outer=K)).x_final
+        for K in range(1, last + 1)]
+    errs = [np.linalg.norm(x - x_star) for x in iterates]
     tail = [e for e in errs if e > 1e-11][-5:]
     assert len(tail) >= 2
     assert all(b <= 0.9 * a for a, b in zip(tail, tail[1:]))
@@ -383,20 +390,6 @@ def test_budget_cutoff_overshoots_at_most_one_iteration():
         assert len(trace.oracle_calls) >= 2
         # every record but the last was within budget
         assert trace.oracle_calls[-2] <= 40
-
-
-def test_kept_iterates_match_records():
-    rng = np.random.default_rng(70)
-    problem = nlls_problem(rng, n=400, d=6, lam=0.01)
-    problem.labels[:40] = 1.0 - problem.labels[:40]
-    for kw in (dict(grad_tol=1e-6, max_outer=30),
-               dict(grad_tol=1e-14, max_outer=500, max_oracle_calls=60)):
-        for trace in run_all_three(problem, scheme="uniform", sample_size=8,
-                                   tr_delta0=100.0, seed=1,
-                                   keep_iterates=True, **kw):
-            assert len(trace.iterates) == len(trace.iteration)
-            assert np.array_equal(trace.iterates[0], np.zeros(6))
-            assert np.array_equal(trace.iterates[-1], trace.x_final)
 
 
 def test_identical_seed_identical_trace():

@@ -18,7 +18,9 @@ from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
                                       make_loss)
 from sketchopt.hybrid_sampling import ls_det_fraction_plan, ls_det_sample
 from sketchopt.lp_regression import (build_sketch_finite_p, build_sketch_inf,
-                                     lp_leverage_scores, sketch_and_solve)
+                                     classify_pairs, lp_leverage_scores,
+                                     sketch_and_solve)
+from sketchopt.optimizers import OptConfig
 from sketchopt.sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -30,6 +32,7 @@ from sketchopt.sketch_sampling import (
     scheme_probabilities,
     span_basis,
 )
+from sketchopt.vmv_sketch import estimate, ts_new
 
 
 def rand_cmat(rng, n, d):
@@ -341,39 +344,87 @@ def test_sketch_rejects_a_non_integer_row_count(t):
 
 
 def _size_cases():
+    """Each count: a call taking it, a value below its floor, and the
+    message that value raises."""
     rng = np.random.default_rng(32)
     B = rng.standard_normal((40, 3))
     A, b = rand_cmat(rng, 12, 2), rand_cmat(rng, 12, 1)[:, 0]
+    C, u = rand_cmat(rng, 5, 3), rand_cmat(rng, 1, 3)[0]
     pairs = [(0, 1), (2, 3)]
+    four_pairs = [(2 * i, 2 * i + 1) for i in range(4)]
     cases = {
-        "sketch_and_solve: t": lambda v: sketch_and_solve(A, b, 1.0, t=v),
-        "sketch_and_solve: s": lambda v: sketch_and_solve(A, b, np.inf, s=v),
+        "sketch_and_solve: t": (lambda v: sketch_and_solve(A, b, 1.0, t=v),
+                                0, "build_sketch_finite_p: t must be >= 1"),
+        "sketch_and_solve: s": (lambda v: sketch_and_solve(A, b, np.inf, s=v),
+                                0, "build_sketch_inf: s must be >= 1"),
         "build_sketch_finite_p: t":
-            lambda v: build_sketch_finite_p(pairs, [0], v, 1.0),
-        "build_sketch_inf: s": lambda v: build_sketch_inf(pairs, v),
+            (lambda v: build_sketch_finite_p(pairs, [0], v, 1.0), 0,
+             "build_sketch_finite_p: t must be >= 1"),
+        "build_sketch_finite_p: heavy index":
+            (lambda v: build_sketch_finite_p(four_pairs, [v], 2, 1.0), -1,
+             "build_sketch_finite_p: heavy index out of range"),
+        "build_sketch_inf: s": (lambda v: build_sketch_inf(pairs, v), 0,
+                                "build_sketch_inf: s must be >= 1"),
+        "classify_pairs: d": (lambda v: classify_pairs(np.full(4, 0.1), v, 1.5),
+                              0, "classify_pairs: d must be >= 1"),
         "approx_leverage_scores: jl_cols":
-            lambda v: approx_leverage_scores(B, jl_cols=v),
+            (lambda v: approx_leverage_scores(B, jl_cols=v), 0,
+             "approx_leverage_scores: jl_cols must be >= 1"),
         "approx_leverage_scores: embed_rows":
-            lambda v: approx_leverage_scores(B, embed_rows=v),
+            (lambda v: approx_leverage_scores(B, embed_rows=v), 2,
+             "approx_leverage_scores: embed_rows must be >= cols"),
         "lp_leverage_scores: embed_rows":
-            lambda v: lp_leverage_scores(B, 1.5, embed_rows=v),
+            (lambda v: lp_leverage_scores(B, 1.5, embed_rows=v), 2,
+             "lp_leverage_scores: embed_rows must be >= cols"),
+        "build_sampling_sketch: t":
+            (lambda v: build_sampling_sketch(np.full(4, 0.25), v), 0,
+             "build_sampling_sketch: t must be >= 1"),
         "ls_det_fraction_plan: budget":
-            lambda v: ls_det_fraction_plan(B, v, 0.5),
-        "ls_det_sample: rounds": lambda v: ls_det_sample(B, v, sample_count=4),
+            (lambda v: ls_det_fraction_plan(B, v, 0.5), 0,
+             "ls_det_fraction_plan: budget must be >= 1"),
+        "ls_det_sample: rounds":
+            (lambda v: ls_det_sample(B, v, sample_count=4), 0,
+             "ls_det_sample: rounds must be >= 1"),
         "ls_det_sample: sample_count":
-            lambda v: ls_det_sample(B, sample_count=v),
-        "ls_det_sample: cap": lambda v: ls_det_sample(B, sample_count=4, cap=v),
+            (lambda v: ls_det_sample(B, sample_count=v), 0,
+             "ls_det_sample: sample_count must be >= 1"),
+        "ls_det_sample: cap":
+            (lambda v: ls_det_sample(B, sample_count=4, cap=v), 0,
+             "ls_det_sample: cap must be >= 1"),
+        "ts_new: k": (ts_new, 0, "ts_new: k must be >= 1"),
+        "TensorSketchState.tables: d":
+            (lambda v: ts_new(4).tables(v), -1,
+             "TensorSketchState.tables: d must be >= 0"),
+        "estimate: k": (lambda v: estimate(C, C, u, u, v), 0,
+                        "ts_new: k must be >= 1"),
+        "estimate: reps": (lambda v: estimate(C, C, u, u, 4, reps=v), 0,
+                           "estimate: reps must be >= 1"),
+        "OptConfig: max_outer": (lambda v: OptConfig(max_outer=v), 0,
+                                 "OptConfig: max_outer must be >= 1"),
+        "OptConfig: inner_cap": (lambda v: OptConfig(inner_cap=v), 0,
+                                 "OptConfig: inner_cap must be >= 1"),
+        "OptConfig: seed": (lambda v: OptConfig(seed=v), -1,
+                            "OptConfig: seed must be >= 0"),
+        "OptConfig: max_oracle_calls":
+            (lambda v: OptConfig(max_oracle_calls=v), -1,
+             "OptConfig: max_oracle_calls must be >= 0"),
+        "OptConfig: sample_size":
+            (lambda v: OptConfig(scheme="ls", sample_size=v), 0,
+             "OptConfig: scheme 'ls' requires sample_size >= 1"),
     }
-    return [pytest.param(name, call, id=name.replace(": ", "-"))
-            for name, call in cases.items()]
+    return [pytest.param(name, *case, id=name.replace(": ", "-"))
+            for name, case in cases.items()]
 
 
-@pytest.mark.parametrize("name, call", _size_cases())
-def test_sizes_reject_non_integers(name, call):
+@pytest.mark.parametrize("name, call, below, message", _size_cases())
+def test_sizes_reject_non_integers(name, call, below, message):
     call(np.int64(3))
     for bad in (2.5, True):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call(bad)
+    with pytest.raises(ValueError) as err:
+        call(np.int64(below))
+    assert str(err.value) == message
 
 
 def test_sketch_reproducible():

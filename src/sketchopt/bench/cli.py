@@ -58,9 +58,12 @@ def main(argv=None) -> int:
         config = parse_config(args.config, args.subcommand)
         # read even when overridden, so no run reports them as unread
         seed, out_dir, svg = config.seed, config.out, config.svg
+        if args.seed is not None:  # --seed replaces the key, under its floor
+            config.options["seed"] = str(args.seed)
+            seed = config.seed
         written = _RUNNERS[args.subcommand](
-            config, seed if args.seed is None else args.seed,
-            out_dir if args.out is None else args.out, svg=args.svg or svg)
+            config, seed, out_dir if args.out is None else args.out,
+            svg=args.svg or svg)
     except BenchError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

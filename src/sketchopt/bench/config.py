@@ -147,7 +147,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.get_int("seed", 0)
+        return self.get_int("seed", 0, minimum=0)
 
     @property
     def seeds(self) -> int:

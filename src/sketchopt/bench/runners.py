@@ -437,8 +437,8 @@ def run_scores(config, master_seed, out_dir, svg=False):
     loss = make_loss(config.loss)
     ridge_lambda = _resolve_ridge(config, A, labels, loss)
     problem = FiniteSumProblem(A, labels, loss, ridge_lambda=ridge_lambda)
-    embed_rows = config.get_int("embed_rows")
-    jl_cols = config.get_int("jl_cols")
+    embed_rows = config.get_int("embed_rows", minimum=1)
+    jl_cols = config.get_int("jl_cols", minimum=1)
     config.check_all_read()
     x0 = np.zeros(problem.d)
 

@@ -70,31 +70,29 @@ MAX_ENUMERATION_BITS = 20
 class LiftedRegression:
     """Real lift of a complex regression instance.
 
-    ``Ap`` is the 2n x 2d real representation of ``A``, ``bp`` the interleaved
-    real image of ``b``, and ``pairs`` lists the row pairs ``(2i, 2i+1)`` that
-    jointly carry complex residual ``i``.
+    ``Ap`` is the 2n x 2d real representation of ``A`` and ``bp`` the
+    interleaved real image of ``b``: pair ``i``, rows ``2i`` and ``2i+1``,
+    jointly carries complex residual ``i``.
     """
 
     Ap: np.ndarray
     bp: np.ndarray
-    pairs: list
 
 
 @dataclass
 class BlockSketch:
     """Block-diagonal compression aligned with residual pairs.
 
-    ``blocks[i]`` multiplies the two rows of ``pairs[i]``; results stack in
-    pair order.  The sketch keeps one draw per pair in ``factors``: at finite
-    ``p`` the factor is the block itself; at ``p = infinity`` it is the
-    ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where ``R`` holds
-    the ``2^s`` sign rows, and the blocks are expanded only when read (for
-    ``s`` up to ``MAX_ENUMERATION_BITS``; ``sketch_and_solve`` reads only
-    the factors).  ``apply`` never materializes the assembled matrix; use
+    ``blocks[i]`` multiplies pair ``i``, rows ``2i`` and ``2i+1``; results
+    stack in pair order.  The sketch keeps one draw per pair in ``factors``:
+    at finite ``p`` the factor is the block itself; at ``p = infinity`` it
+    is the ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where ``R``
+    holds the ``2^s`` sign rows, and the blocks are expanded only when read
+    (for ``s`` up to ``MAX_ENUMERATION_BITS``; ``sketch_and_solve`` reads
+    only the factors).  ``apply`` never materializes the assembled matrix; use
     ``assembled`` only at small sizes.
     """
 
-    pairs: list
     factors: list
     p: float
 
@@ -113,24 +111,24 @@ class BlockSketch:
         return int(sum(rows))
 
     def apply(self, M):
-        """Multiply the block-diagonal sketch against rows of ``M``."""
-        M = np.asarray(M, dtype=float)
-        pieces = [blk @ M[list(pair)] for pair, blk in zip(self.pairs, self.blocks)]
-        if not pieces:
-            shape = (0,) if M.ndim == 1 else (0, M.shape[1])
-            return np.zeros(shape)
-        return np.concatenate(pieces, axis=0)
+        """Multiply the block-diagonal sketch against the rows of ``M``, two
+        rows per pair."""
+        # C order: each pair's row slice multiplies as a contiguous copy would
+        M = np.ascontiguousarray(M, dtype=float)
+        if M.shape[0] != 2 * len(self.factors):
+            raise ValueError("BlockSketch.apply: M must have two rows per "
+                             "pair")
+        return np.concatenate([np.empty((0,) + M.shape[1:])]
+                              + [blk @ M[2 * i:2 * i + 2]
+                                 for i, blk in enumerate(self.blocks)])
 
     def assembled(self) -> np.ndarray:
         """Dense block-diagonal matrix (small instances only)."""
-        n_cols = 1 + max(max(pair) for pair in self.pairs) if self.pairs else 0
-        G = np.zeros((self.total_rows, n_cols))
+        G = np.zeros((self.total_rows, 2 * len(self.factors)))
         pos = 0
-        for (a, b), blk in zip(self.pairs, self.blocks):
-            rows = blk.shape[0]
-            G[pos:pos + rows, a] = blk[:, 0]
-            G[pos:pos + rows, b] = blk[:, 1]
-            pos += rows
+        for i, blk in enumerate(self.blocks):
+            G[pos:pos + blk.shape[0], 2 * i:2 * i + 2] = blk
+            pos += blk.shape[0]
         return G
 
 
@@ -175,8 +173,7 @@ def lift_instance(A, b) -> LiftedRegression:
         raise ValueError("lift_instance: A and b row counts differ")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("lift_instance: A and b must be finite")
-    pairs = [(2 * i, 2 * i + 1) for i in range(A.shape[0])]
-    return LiftedRegression(Ap=lift_matrix(A), bp=phi(b), pairs=pairs)
+    return LiftedRegression(Ap=lift_matrix(A), bp=phi(b))
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +262,31 @@ def classify_pairs(scores, d, p):
 # ---------------------------------------------------------------------------
 
 
-def _block_sketch(pairs, p, seed, draw) -> BlockSketch:
+def _block_sketch(n_pairs, p, seed, draw) -> BlockSketch:
     """Factors ``draw(i, rng)``, each from pair ``i``'s own child of
     ``seed``."""
-    pairs = [(int(a), int(b)) for a, b in pairs]
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)  # built once, not once per pair
     factors = [draw(i, seeded_generator(child_seed(seed, i)))
-               for i in range(len(pairs))]
-    return BlockSketch(pairs=pairs, factors=factors, p=p)
+               for i in range(n_pairs)]
+    return BlockSketch(factors=factors, p=p)
 
 
-def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
-    """Independent Gaussian blocks: ``t x 2`` for heavy pairs, ``1 x 2`` else.
+def build_sketch_finite_p(n_pairs, heavy, t, p, seed=0) -> BlockSketch:
+    """Independent Gaussian blocks for ``n_pairs`` pairs: ``t x 2`` for the
+    pairs listed in ``heavy``, ``1 x 2`` for the rest.
 
     Entries have std ``gaussian_moment_scale(p)``; heavy blocks are scaled by
     ``t^(-1/p)`` so heavy and light contributions estimate the same pair norm.
     """
+    n_pairs = check_int(n_pairs, "build_sketch_finite_p: n_pairs", 0)
     p = float(p)
     if not (1.0 <= p < np.inf):
         raise ValueError("build_sketch_finite_p: p must be finite and >= 1")
     t = check_int(t, "build_sketch_finite_p: t", 1)
     heavy_set = {check_int(i, "build_sketch_finite_p: heavy index")
                  for i in heavy}
-    if any(not 0 <= i < len(pairs) for i in heavy_set):
+    if any(not 0 <= i < n_pairs for i in heavy_set):
         raise ValueError("build_sketch_finite_p: heavy index out of range")
     sigma = gaussian_moment_scale(p)
     heavy_scale = sigma * t ** (-1.0 / p)
@@ -298,21 +296,23 @@ def build_sketch_finite_p(pairs, heavy, t, p, seed=0) -> BlockSketch:
             return heavy_scale * rng.standard_normal((t, 2))
         return sigma * rng.standard_normal((1, 2))
 
-    return _block_sketch(pairs, p, seed, draw)
+    return _block_sketch(n_pairs, p, seed, draw)
 
 
-def build_sketch_inf(pairs, s, seed=0) -> BlockSketch:
+def build_sketch_inf(n_pairs, s, seed=0) -> BlockSketch:
     """Sign-enumeration blocks for the max-norm route.
 
-    Every pair gets ``R @ G`` where ``G`` is ``s x 2`` Gaussian with entry std
-    ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``) and ``R`` enumerates all
-    ``2^s`` sign rows, turning that l1 estimate into a max.  Only the
-    factors ``G`` are stored; ``R @ G`` is formed (and its width capped)
-    only when the blocks are read, so any ``s >= 1`` is accepted.
+    Each of the ``n_pairs`` pairs gets ``R @ G`` where ``G`` is ``s x 2``
+    Gaussian with entry std ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``)
+    and ``R`` enumerates all ``2^s`` sign rows, turning that l1 estimate
+    into a max.  Only the factors ``G`` are stored; ``R @ G`` is formed (and
+    its width capped) only when the blocks are read, so any ``s >= 1`` is
+    accepted.
     """
+    n_pairs = check_int(n_pairs, "build_sketch_inf: n_pairs", 0)
     s = check_int(s, "build_sketch_inf: s", 1)
     scale = math.sqrt(math.pi / 2.0) / s
-    return _block_sketch(pairs, np.inf, seed,
+    return _block_sketch(n_pairs, np.inf, seed,
                          lambda _, rng: scale * rng.standard_normal((s, 2)))
 
 
@@ -683,9 +683,6 @@ def _solve_grouped(M, c, groups, p, tol):
         raise ValueError("lp solve: row counts of M and c differ")
     if not (np.isfinite(M).all() and np.isfinite(c).all()):
         raise ValueError("lp solve: M and c must be finite")
-    p = float(p)
-    if not (p == np.inf or p >= 1.0):
-        raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")
     if groups is None:
         sizes = np.ones(m, dtype=int)
     else:
@@ -702,6 +699,9 @@ def _solve_grouped(M, c, groups, p, tol):
 def _solve_rows(rows, sizes, p, l1, tol):
     """Solve on consecutive groups of ``sizes`` rows from the rows' lstsq
     fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups."""
+    p = float(p)
+    if not (p == np.inf or p >= 1.0):
+        raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("lp solve: tol must be finite and >= 0")
     y = rows.lstsq()
@@ -726,7 +726,8 @@ def grouped_lp_solve(M, c, groups, p, tol=1e-10) -> LpSolution:
 def complex_lp_solve(A, b, p, tol=1e-10) -> LpSolution:
     """Reference solver for ``min_x ||A x - b||_p`` over complex unknowns."""
     lifted = lift_instance(A, b)
-    sol = grouped_lp_solve(lifted.Ap, lifted.bp, lifted.pairs, p, tol)
+    sol = _solve_rows(_DenseRows(lifted.Ap, lifted.bp),
+                      np.full(lifted.bp.size // 2, 2), p, False, tol)
     sol.x = unphi(sol.y)
     return sol
 
@@ -757,7 +758,7 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     if s is not None:
         s = check_int(s, "sketch_and_solve: s")
     lifted = lift_instance(A, b)
-    n = len(lifted.pairs)
+    n = lifted.bp.size // 2
     p = float(p)
     heavy, light = np.arange(n), np.empty(0, dtype=int)
     if np.isinf(p):
@@ -765,7 +766,7 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
             raise ValueError("sketch_and_solve: p = inf requires s")
         if t is not None:
             raise ValueError("sketch_and_solve: t applies to finite p only")
-        sketch = build_sketch_inf(lifted.pairs, s, seed=seed)
+        sketch = build_sketch_inf(n, s, seed=seed)
     else:
         if s is not None:
             raise ValueError("sketch_and_solve: s applies to p = inf only")
@@ -775,7 +776,7 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
             scored = np.hstack([lifted.Ap, lifted.bp[:, None]])
             scores = lp_leverage_scores(scored, p, seed=seed)
             heavy, light = classify_pairs(scores, scored.shape[1], p)
-        sketch = build_sketch_finite_p(lifted.pairs, heavy, t, p, seed=seed)
+        sketch = build_sketch_finite_p(n, heavy, t, p, seed=seed)
     # at p = inf pair i's rows G_i r_i are one l1 group, else each row is one
     rows = _PairBlockRows(lifted.Ap, lifted.bp, sketch.factors)
     sizes = rows.pair_rows.sizes if np.isinf(p) \

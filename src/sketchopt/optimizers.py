@@ -152,12 +152,11 @@ class OptTrace:
 # ---------------------------------------------------------------------------
 
 
-def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
-    """Conjugate gradients on H p = -g; falls back on negative curvature.
-
-    Returns the current iterate when d^T H d <= 0 appears mid-run, and the
-    steepest-descent direction -g when it appears on the first iteration.
-    """
+def _cg(hessp, g, cap: int, tol: float, radius: float | None = None):
+    """CG on H p = -g from p = 0 to a residual of ``tol`` ||g||.  On
+    d^T H d <= 0 it returns -g at the first iteration and p after it, or,
+    given a ``radius``, the boundary crossing along d, as it does for a step
+    that would leave the ball."""
     g = np.asarray(g, dtype=float)
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
@@ -170,9 +169,14 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
         Hd = np.asarray(hessp(d))
         kappa = float(d @ Hd)
         if kappa <= 0.0:
-            return -g if j == 0 else p
+            if radius is None:
+                return -g if j == 0 else p
+            return p + _boundary_tau(p, d, radius) * d
         alpha = rs / kappa
-        p = p + alpha * d
+        p_new = p + alpha * d
+        if radius is not None and np.linalg.norm(p_new) >= radius:
+            return p + _boundary_tau(p, d, radius) * d
+        p = p_new
         r = r - alpha * Hd
         rs_new = float(r @ r)
         if math.sqrt(rs_new) <= tol * gnorm:
@@ -180,6 +184,15 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
         d = r + (rs_new / rs) * d
         rs = rs_new
     return p
+
+
+def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
+    """Conjugate gradients on H p = -g; falls back on negative curvature.
+
+    Returns the current iterate when d^T H d <= 0 appears mid-run, and the
+    steepest-descent direction -g when it appears on the first iteration.
+    """
+    return _cg(hessp, g, cap, tol)
 
 
 def minnorm_lsq(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
@@ -236,31 +249,7 @@ def cg_steihaug(hessp, g, radius: float, cap: int = 100,
     """
     if radius <= 0.0:
         raise ValueError("cg_steihaug: radius must be positive")
-    g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros_like(g)
-    z = np.zeros_like(g)
-    r = g.copy()
-    d = -g
-    rs = float(r @ r)
-    for _ in range(cap):
-        Hd = np.asarray(hessp(d))
-        kappa = float(d @ Hd)
-        if kappa <= 0.0:
-            return z + _boundary_tau(z, d, radius) * d
-        alpha = rs / kappa
-        z_new = z + alpha * d
-        if np.linalg.norm(z_new) >= radius:
-            return z + _boundary_tau(z, d, radius) * d
-        z = z_new
-        r = r + alpha * Hd
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol * gnorm:
-            return z
-        d = -r + (rs_new / rs) * d
-        rs = rs_new
-    return z
+    return _cg(hessp, g, cap, tol, radius)
 
 
 def model_reduction_ratio(actual: float, predicted: float,

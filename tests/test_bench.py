@@ -705,6 +705,23 @@ class TestCli:
         assert (out / "vmv.svg").exists()
         assert not unused.exists()
 
+    @pytest.mark.parametrize("sub, extra, flags, message", [
+        ("vmv", "seed = -1", [], "key 'seed': must be >= 0"),
+        ("lpreg", "", ["--seed", "-1"], "key 'seed': must be >= 0"),
+        ("scores", "dataset = synth:n=50,d=3\njl_cols = 0", [],
+         "key 'jl_cols': must be >= 1"),
+        ("scores", "dataset = synth:n=50,d=3\nembed_rows = -2", [],
+         "key 'embed_rows': must be >= 1"),
+    ], ids=["seed-key", "seed-flag", "jl_cols-0", "embed_rows-neg"])
+    def test_counts_below_their_floor_are_config_errors(
+            self, tmp_path, capsys, sub, extra, flags, message):
+        cfgp = _write(tmp_path / "e.cfg", self._BASE[sub] + extra + "\n")
+        out = tmp_path / "out"
+        rc = main([sub, "--config", cfgp, "--out", str(out)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG_INVALID: {message}\n"
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgp = _write(tmp_path / "e.cfg",
                       "n = 10\nd = 3\np = 2\nt_values = 2\nseeds = 1\n"

@@ -82,7 +82,7 @@ def test_lift_single_complex_entry():
     lifted = lift_instance(np.array([[1.0 + 0.0j]]), np.array([1.0 + 1.0j]))
     np.testing.assert_allclose(lifted.Ap, np.eye(2))
     np.testing.assert_allclose(lifted.bp, [1.0, 1.0])
-    assert lifted.pairs == [(0, 1)]
+    assert lifted.bp.size == 2  # one pair, rows 0 and 1
 
 
 def test_lift_real_instance_duplicates_residual():
@@ -172,7 +172,7 @@ def test_inf_block_unbiased_with_predicted_spread_s6():
     ynorm = np.linalg.norm(y)
     vals = []
     for seed in range(1000):
-        sk = build_sketch_inf([(0, 1)], s=6, seed=seed)
+        sk = build_sketch_inf(1, s=6, seed=seed)
         vals.append(np.max(np.abs(sk.blocks[0] @ y)))
     vals = np.asarray(vals) / ynorm
     assert abs(vals.mean() - 1.0) <= 0.03
@@ -256,13 +256,12 @@ def test_classification_invariant_to_right_multiplication(p):
 
 
 def test_finite_block_shapes_and_determinism():
-    pairs = [(0, 1), (2, 3), (4, 5)]
-    sk = build_sketch_finite_p(pairs, heavy=[1], t=8, p=1.0, seed=3)
+    sk = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=3)
     assert [b.shape for b in sk.blocks] == [(1, 2), (8, 2), (1, 2)]
-    sk2 = build_sketch_finite_p(pairs, heavy=[1], t=8, p=1.0, seed=3)
+    sk2 = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=3)
     for b1, b2 in zip(sk.blocks, sk2.blocks):
         np.testing.assert_array_equal(b1, b2)
-    sk3 = build_sketch_finite_p(pairs, heavy=[1], t=8, p=1.0, seed=4)
+    sk3 = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=4)
     assert any(not np.array_equal(b1, b3)
                for b1, b3 in zip(sk.blocks, sk3.blocks))
     G = sk.assembled()
@@ -278,7 +277,7 @@ def test_light_block_second_moment_p2():
     y = np.array([1.2, -0.5])
     vals = []
     for seed in range(20000):
-        sk = build_sketch_finite_p([(0, 1)], heavy=[], t=4, p=2.0, seed=seed)
+        sk = build_sketch_finite_p(1, heavy=[], t=4, p=2.0, seed=seed)
         vals.append((sk.blocks[0] @ y)[0] ** 2)
     assert np.mean(vals) == pytest.approx(np.linalg.norm(y) ** 2, rel=0.03)
 
@@ -289,7 +288,7 @@ def test_heavy_block_p1_moment_and_concentration():
     ynorm = np.linalg.norm(y)
     vals = []
     for seed in range(2000):
-        sk = build_sketch_finite_p([(0, 1)], heavy=[0], t=64, p=1.0, seed=seed)
+        sk = build_sketch_finite_p(1, heavy=[0], t=64, p=1.0, seed=seed)
         vals.append(np.abs(sk.blocks[0] @ y).sum())
     assert np.mean(vals) == pytest.approx(ynorm, rel=0.02)
     assert np.std(vals) <= 2.0 / np.sqrt(64) * ynorm
@@ -501,8 +500,8 @@ def test_sketch_objective_tracks_true_optimum_p1():
     y_star = phi(ref.x)
     ok = 0
     for seed in range(40):
-        sk = build_sketch_finite_p(lifted.pairs, heavy=range(len(lifted.pairs)),
-                                   t=64, p=1.0, seed=seed)
+        sk = build_sketch_finite_p(40, heavy=range(40), t=64, p=1.0,
+                                   seed=seed)
         val = np.abs(sk.apply(lifted.Ap @ y_star - lifted.bp)).sum()
         if abs(val - opt) <= 0.2 * opt:
             ok += 1
@@ -536,9 +535,9 @@ def test_sketch_and_solve_rejects_a_size_its_route_ignores():
 
 def test_build_sketch_inf_rejects_enumeration_width_out_of_range():
     with pytest.raises(ValueError):
-        build_sketch_inf([(0, 1)], s=0)
+        build_sketch_inf(1, s=0)
     # past the cap the sketch is built, but its 2^s rows are never expanded
-    wide = build_sketch_inf([(0, 1)], s=MAX_ENUMERATION_BITS + 1)
+    wide = build_sketch_inf(1, s=MAX_ENUMERATION_BITS + 1)
     assert wide.total_rows == 2 ** (MAX_ENUMERATION_BITS + 1)
     with pytest.raises(ValueError):
         wide.blocks
@@ -550,9 +549,8 @@ def test_build_sketch_inf_rejects_enumeration_width_out_of_range():
 
 
 def test_block_sketch_int_seed_draws_each_pair_from_its_spawned_child():
-    pairs = [(0, 1), (2, 3), (4, 5)]
-    children = np.random.SeedSequence(11).spawn(len(pairs))
-    finite = build_sketch_finite_p(pairs, heavy=[1], t=5, p=1.5, seed=11)
+    children = np.random.SeedSequence(11).spawn(3)
+    finite = build_sketch_finite_p(3, heavy=[1], t=5, p=1.5, seed=11)
     scale = gaussian_moment_scale(1.5)
     for i, (child, blk) in enumerate(zip(children, finite.blocks)):
         rows = 5 if i == 1 else 1
@@ -560,7 +558,7 @@ def test_block_sketch_int_seed_draws_each_pair_from_its_spawned_child():
         expected = (scale * 5 ** (-1.0 / 1.5)) * draw if i == 1 \
             else scale * draw
         np.testing.assert_array_equal(blk, expected)
-    inf = build_sketch_inf(pairs, s=3, seed=11)
+    inf = build_sketch_inf(3, s=3, seed=11)
     R = sign_enumeration_matrix(3)
     for child, blk in zip(children, inf.blocks):
         G = (np.sqrt(np.pi / 2.0) / 3) \
@@ -569,11 +567,10 @@ def test_block_sketch_int_seed_draws_each_pair_from_its_spawned_child():
 
 
 def test_block_sketch_accepts_seed_sequence_without_mutating_it():
-    pairs = [(0, 1), (2, 3)]
     root = np.random.SeedSequence(12)
-    for build in (lambda seed: build_sketch_finite_p(pairs, [0], 3, 1.0,
+    for build in (lambda seed: build_sketch_finite_p(2, [0], 3, 1.0,
                                                       seed=seed),
-                  lambda seed: build_sketch_inf(pairs, 2, seed=seed)):
+                  lambda seed: build_sketch_inf(2, 2, seed=seed)):
         from_seq = build(root)
         assert root.n_children_spawned == 0
         for b1, b2 in zip(from_seq.blocks, build(12).blocks):
@@ -581,8 +578,8 @@ def test_block_sketch_accepts_seed_sequence_without_mutating_it():
     # children derive from the index, not from what the caller spawned
     used = np.random.SeedSequence(12)
     used.spawn(3)
-    for b1, b2 in zip(build_sketch_inf(pairs, 2, seed=used).blocks,
-                      build_sketch_inf(pairs, 2, seed=12).blocks):
+    for b1, b2 in zip(build_sketch_inf(2, 2, seed=used).blocks,
+                      build_sketch_inf(2, 2, seed=12).blocks):
         np.testing.assert_array_equal(b1, b2)
     rng = np.random.default_rng(102)
     A = complex_matrix(rng, 10, 2)
@@ -675,10 +672,10 @@ def test_pair_block_inf_solve_forms_no_matrix_taller_than_the_lift(
 
 def _materialized_pair_rows(lifted, sketch):
     """The rows ``F_i Ap[pair i]`` and ``F_i bp[pair i]`` of the factors."""
-    M = np.concatenate([F @ lifted.Ap[[a, c]]
-                        for (a, c), F in zip(sketch.pairs, sketch.factors)])
-    rhs = np.concatenate([F @ lifted.bp[[a, c]]
-                          for (a, c), F in zip(sketch.pairs, sketch.factors)])
+    M = np.concatenate([F @ lifted.Ap[2 * i:2 * i + 2]
+                        for i, F in enumerate(sketch.factors)])
+    rhs = np.concatenate([F @ lifted.bp[2 * i:2 * i + 2]
+                          for i, F in enumerate(sketch.factors)])
     return M, rhs
 
 
@@ -690,11 +687,11 @@ def test_pair_block_rows_match_dense_rows(kind):
     lifted = lift_instance(A, b)
     if kind == "finite-p":
         heavy = np.arange(0, 20, 2)
-        sketch = build_sketch_finite_p(lifted.pairs, heavy, 4, 1.0, seed=1)
+        sketch = build_sketch_finite_p(20, heavy, 4, 1.0, seed=1)
         M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
     else:
         # the s rows G_i Ap[pair i] of each pair, not its 2^s signed rows
-        sketch = build_sketch_inf(lifted.pairs, 3, seed=1)
+        sketch = build_sketch_inf(20, 3, seed=1)
         M, c = _materialized_pair_rows(lifted, sketch)
         assert M.shape[0] == 20 * 3
     dense = lp_regression._DenseRows(M, c)
@@ -728,7 +725,7 @@ def test_pair_block_rows_match_dense_rows(kind):
 def test_pair_block_group_rows_reject_groups_other_than_the_pairs():
     rng = np.random.default_rng(108)
     lifted = lift_instance(complex_matrix(rng, 6, 2), complex_vector(rng, 6))
-    sketch = build_sketch_inf(lifted.pairs, 3, seed=2)
+    sketch = build_sketch_inf(6, 3, seed=2)
     blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp,
                                           sketch.factors)
     u = rng.standard_normal(18)
@@ -746,10 +743,9 @@ def test_pair_block_gram_skips_pairs_of_weight_zero(kind):
     lifted = lift_instance(complex_matrix(rng, 12, 3),
                            complex_vector(rng, 12))
     if kind == "finite-p":
-        sketch = build_sketch_finite_p(lifted.pairs, [0, 3, 4], 5, 1.5,
-                                       seed=3)
+        sketch = build_sketch_finite_p(12, [0, 3, 4], 5, 1.5, seed=3)
     else:
-        sketch = build_sketch_inf(lifted.pairs, 4, seed=3)
+        sketch = build_sketch_inf(12, 4, seed=3)
     M, c = _materialized_pair_rows(lifted, sketch)
     blocks = lp_regression._PairBlockRows(lifted.Ap, lifted.bp,
                                           sketch.factors)
@@ -796,8 +792,8 @@ def test_pinf_sketch_solve_never_expands_the_sign_rows(monkeypatch):
     # the objective is max_i ||G_i r_i||_1 = max_i max |R G_i r_i|
     lifted = lift_instance(A, b)
     r = lifted.Ap @ phi(result.xhat) - lifted.bp
-    objective = max(np.abs(G @ r[[a, c]]).sum()
-                    for (a, c), G in zip(sketch.pairs, sketch.factors))
+    objective = max(np.abs(G @ r[2 * i:2 * i + 2]).sum()
+                    for i, G in enumerate(sketch.factors))
     assert result.sketched_objective == pytest.approx(objective, rel=1e-10)
 
 
@@ -848,8 +844,9 @@ def _polygon_rows(A, b, angles):
     lifted = lift_instance(A, b)
     theta = 2.0 * np.pi * np.arange(angles) / angles
     P = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    M = np.concatenate([P @ lifted.Ap[[a, c]] for a, c in lifted.pairs])
-    rhs = np.concatenate([P @ lifted.bp[[a, c]] for a, c in lifted.pairs])
+    n = lifted.bp.size // 2
+    M = np.concatenate([P @ lifted.Ap[2 * i:2 * i + 2] for i in range(n)])
+    rhs = np.concatenate([P @ lifted.bp[2 * i:2 * i + 2] for i in range(n)])
     return M, rhs
 
 
@@ -1061,11 +1058,42 @@ def test_solvers_reject_a_tol_that_is_not_finite_and_nonnegative(tol):
                 solve()
 
 
+@pytest.mark.parametrize("p", [0.5, np.nan])
+def test_solvers_reject_a_p_below_one(p):
+    rng = np.random.default_rng(1)
+    M, c = rng.standard_normal((30, 4)), rng.standard_normal(30)
+    A, b = complex_matrix(rng, 15, 2), complex_vector(rng, 15)
+    groups = [[2 * i, 2 * i + 1] for i in range(15)]
+    for solve in (lambda: small_lp_solve(M, c, p),
+                  lambda: grouped_lp_solve(M, c, groups, p),
+                  lambda: complex_lp_solve(A, b, p)):
+        with pytest.raises(ValueError) as err:
+            solve()
+        assert str(err.value) == "lp solve: p must satisfy p >= 1 or p = inf"
+    with pytest.raises(ValueError):
+        sketch_and_solve(A, b, p, t=2)
+
+
+def test_block_sketch_apply_takes_two_rows_per_pair():
+    rng = np.random.default_rng(2)
+    for sketch in (build_sketch_finite_p(3, [1], 4, 1.5, seed=1),
+                   build_sketch_inf(3, 2, seed=1)):
+        M = rng.standard_normal((6, 2))
+        np.testing.assert_allclose(sketch.apply(M), sketch.assembled() @ M,
+                                   rtol=1e-12, atol=1e-12)
+        for bad in (np.ones((4, 2)), np.ones((7, 2)), np.ones((8, 2)),
+                    np.ones(5)):
+            with pytest.raises(ValueError, match="two rows per pair"):
+                sketch.apply(bad)
+    empty = build_sketch_inf(0, 2)
+    assert empty.assembled().shape == (0, 0)
+    assert empty.apply(np.ones((0, 3))).shape == (0, 3)
+
+
 def test_build_sketch_finite_p_rejects_heavy_index_out_of_range():
-    pairs = [(0, 1), (2, 3)]
     for heavy in ([5], [-1], [0, 2]):
         with pytest.raises(ValueError, match="heavy"):
-            build_sketch_finite_p(pairs, heavy, t=3, p=1.0)
+            build_sketch_finite_p(2, heavy, t=3, p=1.0)
 
 
 def test_lp_leverage_scores_rejects_embedding_narrower_than_columns():

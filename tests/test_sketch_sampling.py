@@ -350,21 +350,25 @@ def _size_cases():
     B = rng.standard_normal((40, 3))
     A, b = rand_cmat(rng, 12, 2), rand_cmat(rng, 12, 1)[:, 0]
     C, u = rand_cmat(rng, 5, 3), rand_cmat(rng, 1, 3)[0]
-    pairs = [(0, 1), (2, 3)]
-    four_pairs = [(2 * i, 2 * i + 1) for i in range(4)]
     cases = {
         "sketch_and_solve: t": (lambda v: sketch_and_solve(A, b, 1.0, t=v),
                                 0, "build_sketch_finite_p: t must be >= 1"),
         "sketch_and_solve: s": (lambda v: sketch_and_solve(A, b, np.inf, s=v),
                                 0, "build_sketch_inf: s must be >= 1"),
         "build_sketch_finite_p: t":
-            (lambda v: build_sketch_finite_p(pairs, [0], v, 1.0), 0,
+            (lambda v: build_sketch_finite_p(2, [0], v, 1.0), 0,
              "build_sketch_finite_p: t must be >= 1"),
         "build_sketch_finite_p: heavy index":
-            (lambda v: build_sketch_finite_p(four_pairs, [v], 2, 1.0), -1,
+            (lambda v: build_sketch_finite_p(4, [v], 2, 1.0), -1,
              "build_sketch_finite_p: heavy index out of range"),
-        "build_sketch_inf: s": (lambda v: build_sketch_inf(pairs, v), 0,
+        "build_sketch_finite_p: n_pairs":
+            (lambda v: build_sketch_finite_p(v, [0], 2, 1.0), -1,
+             "build_sketch_finite_p: n_pairs must be >= 0"),
+        "build_sketch_inf: s": (lambda v: build_sketch_inf(2, v), 0,
                                 "build_sketch_inf: s must be >= 1"),
+        "build_sketch_inf: n_pairs":
+            (lambda v: build_sketch_inf(v, 2), -1,
+             "build_sketch_inf: n_pairs must be >= 0"),
         "classify_pairs: d": (lambda v: classify_pairs(np.full(4, 0.1), v, 1.5),
                               0, "classify_pairs: d must be >= 1"),
         "approx_leverage_scores: jl_cols":

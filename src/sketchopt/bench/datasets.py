@@ -29,10 +29,16 @@ __all__ = ["parse_dataset_spec", "synth_planted", "load_dataset",
            "materialize_dataset"]
 
 LABEL_FLIP_FRACTION = 0.1
+#: the keys of a ``synth:`` spec; ``n`` and ``d`` are required
+SYNTH_KEYS = ("n", "d", "heavy_rows", "heavy_scale")
 
 
 def parse_dataset_spec(spec):
-    """Split ``kind:rest`` and validate the kind."""
+    """Split ``kind:rest`` and validate the kind.
+
+    A ``synth:`` spec names each of ``SYNTH_KEYS`` at most once and no other
+    key.
+    """
     if ":" not in spec:
         raise BenchError(
             "CONFIG_INVALID",
@@ -51,6 +57,14 @@ def parse_dataset_spec(spec):
                                  f"synth spec: expected k=v, got {item!r}")
             key, value = item.split("=", 1)
             key = key.strip()
+            if key not in SYNTH_KEYS:
+                raise BenchError(
+                    "CONFIG_INVALID",
+                    f"synth spec: unknown key {key!r}; expected "
+                    f"{', '.join(SYNTH_KEYS)}")
+            if key in params:
+                raise BenchError("CONFIG_INVALID",
+                                 f"synth spec: key {key!r} given twice")
             try:
                 params[key] = float(value) if key == "heavy_scale" \
                     else int(value)
@@ -253,12 +267,14 @@ def materialize_dataset(config, master_seed):
     """Resolve the config's dataset spec into (A, labels).
 
     Synthetic data derives its randomness from the master seed so a rerun with
-    the same config and seed reproduces the instance bit for bit.
+    the same config and seed reproduces the instance bit for bit.  Only a
+    ``csv:`` dataset reads ``delimiter``, and only a file dataset reads
+    ``standardize``; elsewhere they are unread keys.
     """
     kind, detail = parse_dataset_spec(config.dataset)
     if kind == "synth":
         return synth_planted(detail["n"], detail["d"], detail["heavy_rows"],
                              detail["heavy_scale"], master_seed)
-    return load_dataset(detail, kind,
-                        delimiter=config.get_str("delimiter", ","),
+    delimiter = config.get_str("delimiter", ",") if kind == "csv" else None
+    return load_dataset(detail, kind, delimiter=delimiter,
                         standardize=config.get_bool("standardize", True))

@@ -429,15 +429,21 @@ def run_scores(config, master_seed, out_dir, svg=False):
     """Tabulate exact vs approximate row scores and scheme probabilities.
 
     Config keys: ``dataset``, ``loss``, ``lambda_policy`` knobs,
-    ``embed_rows`` / ``jl_cols`` for the approximation.  Scores are taken at
-    the zero iterate on the curvature-weighted rows; each sampling scheme's
-    normalized probabilities are reported per row.
+    ``embed_rows`` (at least the dataset's column count) / ``jl_cols`` for
+    the approximation.  Scores are taken at the zero iterate on the
+    curvature-weighted rows; each sampling scheme's normalized probabilities
+    are reported per row.
     """
     A, labels = materialize_dataset(config, master_seed)
     loss = make_loss(config.loss)
     ridge_lambda = _resolve_ridge(config, A, labels, loss)
     problem = FiniteSumProblem(A, labels, loss, ridge_lambda=ridge_lambda)
     embed_rows = config.get_int("embed_rows", minimum=1)
+    if embed_rows is not None and embed_rows < problem.d:
+        raise BenchError(
+            "CONFIG_INVALID",
+            f"key 'embed_rows': must be >= {problem.d}, the dataset's "
+            f"column count")
     jl_cols = config.get_int("jl_cols", minimum=1)
     config.check_all_read()
     x0 = np.zeros(problem.d)

@@ -15,6 +15,7 @@ real vector of even length equals the complex lp norm before lifting.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -37,6 +38,19 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def check_p(value, name: str, finite: bool = False) -> float:
+    """``value`` as a ``float`` exponent: ``p >= 1``, or ``p = inf`` unless
+    ``finite``; a bool, a non-number or any other value raises
+    ``ValueError``."""
+    rule = "must be finite and >= 1" if finite \
+        else "must satisfy p >= 1 or p = inf"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (1.0 <= value < math.inf
+                    or (value == math.inf and not finite)):
+        raise ValueError(f"{name} {rule}")
+    return float(value)
 
 
 def seeded_generator(seed) -> np.random.Generator:
@@ -155,8 +169,7 @@ def mixed_norm(y, p):
     y = np.asarray(y, dtype=float).ravel()
     if y.size % 2:
         raise ValueError("mixed_norm: length must be even")
-    if not (p == np.inf or p >= 1):
-        raise ValueError("mixed_norm: p must satisfy p >= 1 or p = inf")
+    p = check_p(p, "mixed_norm: p")
     return lp_of_norms(np.hypot(y[0::2], y[1::2]), p)
 
 

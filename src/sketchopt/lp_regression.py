@@ -9,14 +9,17 @@ compressed coordinates reproduces the pair's Euclidean norm; for
 ``p = infinity`` an ``s x 2`` Gaussian ``G_i`` estimates the pair norm by
 ``||G_i r_i||_1``, which a sign-enumeration matrix turns into a max over
 ``2^s`` rows, so the compressed problem is again a plain max-norm fit.
-``p = 2`` is a least-squares fit.  Every other ``p`` is solved by damped
-Newton steps under a halving temperature ``mu``: on
+Every solve, dense or sketched, starts from the same least-squares fit and
+reports the objective of the iterate it returns.  At ``p = 2``, or when the
+start's objective is at most 1e-14 of the data scale, the start is the
+answer.  Every other solve takes damped Newton steps under a halving temperature ``mu``: on
 ``sum_g (||r_g||^2 + mu^2)^(p/2)`` at finite ``p``, on a smoothed max at
 ``p = infinity``.  ``converged`` is a certificate: the bound on how far the
 smoothing lifts the minimum plus the Newton decrement, which together bound
 the objective's excess over the optimum, are at most ``tol`` times the
 objective (its p-th power at finite ``p``); every solver raises
-``ValueError`` unless ``tol`` is finite and >= 0.  ``sketch_and_solve`` never
+``ValueError`` unless ``tol`` is finite and >= 0 and ``p >= 1`` or
+``p = infinity``.  ``sketch_and_solve`` never
 assembles the compressed matrix.  At every ``p`` each compressed row is a
 block row applied to its pair's lifted residual, so the Newton Hessian is
 ``Ap^T blockdiag(C_i) Ap`` with one 2 x 2 ``C_i`` per pair.  At
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import (check_int, child_seed, lift_matrix, lp_of_norms,
-                           phi, seeded_generator, unphi)
+from .core_complex import (check_int, check_p, child_seed, lift_matrix,
+                           lp_of_norms, phi, seeded_generator, unphi)
 from .sketch_sampling import (_embedded_factor, exact_leverage_scores,
                               span_basis)
 
@@ -188,9 +191,7 @@ def gaussian_moment_scale(p) -> float:
     ``sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)``; solving for the std that
     cancels the constant gives ``(sqrt(pi) / (2^{p/2} Gamma((p+1)/2)))^{1/p}``.
     """
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ValueError("gaussian_moment_scale: p must be finite and >= 1")
+    p = check_p(p, "gaussian_moment_scale: p", finite=True)
     log_scale = (0.5 * math.log(math.pi) - 0.5 * p * math.log(2.0)
                  - math.lgamma(0.5 * (p + 1.0))) / p
     return math.exp(log_scale)
@@ -225,9 +226,7 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("lp_leverage_scores: M must be a matrix")
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ValueError("lp_leverage_scores: p must be finite and >= 1")
+    p = check_p(p, "lp_leverage_scores: p", finite=True)
     if p == 2.0:
         return exact_leverage_scores(M)
     R, _ = _embedded_factor(M, embed_rows, seed, "lp_leverage_scores")
@@ -246,9 +245,7 @@ def classify_pairs(scores, d, p):
     if scores.size % 2:
         raise ValueError("classify_pairs: scores must cover whole row pairs")
     d = check_int(d, "classify_pairs: d", 1)
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError("classify_pairs: p must satisfy p >= 1")
+    p = check_p(p, "classify_pairs: p")
     inv_q = 1.0 - 1.0 / p  # 1/q with q = p/(p-1); zero at p = 1
     gamma = float(d) ** (-(inv_q + 1.0))
     pair_scores = np.maximum(scores[0::2], scores[1::2])
@@ -280,9 +277,7 @@ def build_sketch_finite_p(n_pairs, heavy, t, p, seed=0) -> BlockSketch:
     ``t^(-1/p)`` so heavy and light contributions estimate the same pair norm.
     """
     n_pairs = check_int(n_pairs, "build_sketch_finite_p: n_pairs", 0)
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ValueError("build_sketch_finite_p: p must be finite and >= 1")
+    p = check_p(p, "build_sketch_finite_p: p", finite=True)
     t = check_int(t, "build_sketch_finite_p: t", 1)
     heavy_set = {check_int(i, "build_sketch_finite_p: heavy index")
                  for i in heavy}
@@ -361,6 +356,11 @@ class _Groups:
             return np.add.reduceat(u[:, None] * M, self.starts, axis=0)
         return (u.reshape(-1, 1, self.width)
                 @ M.reshape(-1, self.width, M.shape[1]))[:, 0]
+
+    def norms(self, r, l1=False):
+        """Each group's norm of the row values ``r``: l1 when ``l1``, else
+        l2."""
+        return self.sum(np.abs(r)) if l1 else np.sqrt(self.sum(r * r))
 
 
 class _DenseRows:
@@ -488,8 +488,7 @@ def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
     the smoothing bound plus the decrement (an estimate of ``F - min F``),
     which together bound the objective's excess over the optimum, are at
     most ``tol`` times the best objective seen (and at least ``floor``).
-    Returns that best iterate, its objective, the flag and the number of
-    accepted steps.
+    Returns that best iterate, the flag and the number of accepted steps.
     """
     best_y, best_obj = y, obj
     iterations = 0
@@ -524,18 +523,19 @@ def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
         if converged or excess + level_end <= target:
             break
         mu *= fast_cut if first <= 0.1 * level_end else 0.5
-    return best_y, best_obj, converged, iterations
+    return best_y, converged, iterations
 
 
-def _solve_grouped_finite(rows, sizes, y, p, tol):
+def _solve_grouped_finite(rows, groups, y, norms, p, tol):
     """Smoothed grouped p-norm fit by damped Newton steps, temperature / 2.
 
-    The rows ``M y - c`` of ``rows`` come in consecutive groups of ``sizes``
-    rows, and the objective is ``f = sum_g ||r_g||^p``.  At temperature
-    ``mu`` it is smoothed into ``F = sum_g h_g^p`` with
-    ``h_g = sqrt(||r_g||^2 + mu^2)``.  For ``p <= 2`` each term is at most
-    ``mu^p`` above ``||r_g||^p``, so ``min F`` is at most ``G mu^p`` above
-    the optimum for ``G`` groups; for ``p > 2`` the excess is at most
+    The rows ``M y - c`` of ``rows`` come in the consecutive ``groups``, the
+    start ``y`` has group norms ``norms``, and the objective is
+    ``f = sum_g ||r_g||^p``.  At temperature ``mu`` it is smoothed into
+    ``F = sum_g h_g^p`` with ``h_g = sqrt(||r_g||^2 + mu^2)``.  For
+    ``p <= 2`` each term is at most ``mu^p`` above ``||r_g||^p``, so
+    ``min F`` is at most ``G mu^p`` above the optimum for ``G`` groups; for
+    ``p > 2`` the excess is at most
     ``(p/2) mu^2 sum_g h_g^(p-2)``, by Hoelder at most
     ``(p/2) mu^2 G^(2/p) F^(1-2/p)``.  ``mu`` starts at half the power mean
     of the starting group norms; a level ends when the Newton decrement is
@@ -547,23 +547,14 @@ def _solve_grouped_finite(rows, sizes, y, p, tol):
     two merge into the row weight ``p h^(p-2) ((mu/h)^2 + (p-1) u^2)``.
     Residuals are taken in units of the data scale, so neither ``h^(p-2)``
     nor ``h^p`` leaves the floating-point range on tiny or huge data.
+    Returns ``_newton_levels``' iterate, flag and step count.
     """
-    groups = _Groups(sizes)
-
-    def group_norms(r):
-        return np.sqrt(groups.sum(r * r))
-
-    norms = group_norms(rows.residual(y))
-    obj = lp_of_norms(norms, p)
-    if p == 2.0 or obj <= 1e-14 * rows.data_scale:
-        return LpSolution(y=y, objective=obj, converged=True, iterations=0)
-
     scale = rows.data_scale
-    n_groups = sizes.size
+    n_groups = groups.sizes.size
 
     def smoothed(y, mu):
         r = rows.residual(y) / scale
-        norms = group_norms(r)
+        norms = groups.norms(r)
         h = np.hypot(norms, mu)
         return float(np.sum(h ** p)), float(np.sum(norms ** p)), (r, h)
 
@@ -591,38 +582,32 @@ def _solve_grouped_finite(rows, sizes, y, p, tol):
 
     start = float(np.sum((norms / scale) ** p))
     floor = n_groups * 1e-15 ** p  # G mu^p at mu = 1e-15 of the data scale
-    y, _, converged, iterations = _newton_levels(
-        smoothed, newton_step, bound, y, start,
-        0.5 * (start / n_groups) ** (1.0 / p), tol, floor, fast_cut=0.25)
-    return LpSolution(y=y, objective=lp_of_norms(
-        group_norms(rows.residual(y)), p), converged=converged,
-        iterations=iterations)
+    return _newton_levels(smoothed, newton_step, bound, y, start,
+                          0.5 * (start / n_groups) ** (1.0 / p), tol, floor,
+                          fast_cut=0.25)
 
 
-def _solve_grouped_inf(rows, sizes, y, l1, tol):
+def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
     """Smoothed max-norm fit by damped Newton steps, temperature / 2.
 
-    The rows ``M y - c`` of ``rows`` come in consecutive groups of ``sizes``
-    rows, and the objective is the largest group norm: l1 when ``l1``, else
-    l2.  At temperature ``mu`` group ``g``'s norm is smoothed into
-    ``h_g = mu sum_k log 2cosh(r_k / mu)`` (l1, at most ``size mu log 2``
-    above it) or ``h_g = sqrt(||r_g||^2 + mu^2)`` (l2, at most ``mu`` above
-    it), and the max into ``F = mu log sum_g exp(h_g / mu)`` (at most
+    The rows ``M y - c`` of ``rows`` come in the consecutive ``groups``, the
+    start ``y`` has group norms ``norms``, and the objective is the largest
+    group norm: l1 when ``l1``, else l2.  At temperature ``mu`` group
+    ``g``'s norm is smoothed into ``h_g = mu sum_k log 2cosh(r_k / mu)``
+    (l1, at most ``size mu log 2`` above it) or
+    ``h_g = sqrt(||r_g||^2 + mu^2)`` (l2, at most ``mu`` above it), and the
+    max into ``F = mu log sum_g exp(h_g / mu)`` (at most
     ``mu log G`` above it).  For the l1 groups ``G_i r_i`` of a
     sign-enumeration sketch, ``F`` is exactly the log-sum-exp over all
     ``2^s`` signed rows ``sigma . G_i r_i``, because
     ``sum_sigma exp(sigma . g / mu) = prod_k 2cosh(g_k / mu)``; those rows
     are never formed.  ``mu`` starts at half the starting objective, and a
-    level ends when the Newton decrement is below ``mu / 10``.
+    level ends when the Newton decrement is below ``mu / 10``.  Returns
+    ``_newton_levels``' iterate, flag and step count.
     """
-    groups = _Groups(sizes)
-
-    def group_norms(r):
-        return groups.sum(np.abs(r)) if l1 else np.sqrt(groups.sum(r * r))
-
     def smoothed(y, mu):
         r = rows.residual(y)
-        norms = group_norms(r)
+        norms = groups.norms(r, l1)
         if l1:
             tail = np.exp(-2.0 * np.abs(r) / mu)
             h = norms + mu * groups.sum(np.log1p(tail))  # mu log 2cosh(r/mu)
@@ -654,17 +639,12 @@ def _solve_grouped_inf(rows, sizes, y, l1, tol):
         step = _newton_solve(hess, grad)
         return step, -float(grad @ step)
 
-    obj = float(group_norms(rows.residual(y)).max(initial=0.0))
-    if obj <= 1e-14 * rows.data_scale:
-        return LpSolution(y=y, objective=obj, converged=True, iterations=0)
-
-    gap_per_mu = math.log(sizes.size) + (
-        float(sizes.max()) * math.log(2.0) if l1 else 1.0)
-    y, obj, converged, iterations = _newton_levels(
+    obj = float(norms.max())
+    gap_per_mu = math.log(groups.sizes.size) + (
+        float(groups.sizes.max()) * math.log(2.0) if l1 else 1.0)
+    return _newton_levels(
         smoothed, newton_step, lambda mu, F: (mu * gap_per_mu, 0.1 * mu),
         y, obj, 0.5 * obj, tol, 1e-15 * rows.data_scale)
-    return LpSolution(y=y, objective=obj, converged=converged,
-                      iterations=iterations)
 
 
 def _solve_grouped(M, c, groups, p, tol):
@@ -698,16 +678,32 @@ def _solve_grouped(M, c, groups, p, tol):
 
 def _solve_rows(rows, sizes, p, l1, tol):
     """Solve on consecutive groups of ``sizes`` rows from the rows' lstsq
-    fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups."""
-    p = float(p)
-    if not (p == np.inf or p >= 1.0):
-        raise ValueError("lp solve: p must satisfy p >= 1 or p = inf")
+    fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups.
+
+    Every solve starts here and is scored here: the start is returned as it
+    is at ``p = 2`` or when its objective is at most 1e-14 of the data
+    scale, and otherwise the objective reported is that of the iterate the
+    smoothed solver returns.
+    """
+    p = check_p(p, "lp solve: p")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("lp solve: tol must be finite and >= 0")
+    groups = _Groups(sizes)
+    l1 = l1 and math.isinf(p)
     y = rows.lstsq()
-    if np.isinf(p):
-        return _solve_grouped_inf(rows, sizes, y, l1, tol)
-    return _solve_grouped_finite(rows, sizes, y, p, tol)
+    norms = groups.norms(rows.residual(y), l1)
+    obj = lp_of_norms(norms, p)
+    if p == 2.0 or obj <= 1e-14 * rows.data_scale:
+        return LpSolution(y=y, objective=obj, converged=True, iterations=0)
+    if math.isinf(p):
+        y, converged, iterations = _solve_grouped_inf(rows, groups, y, norms,
+                                                      l1, tol)
+    else:
+        y, converged, iterations = _solve_grouped_finite(rows, groups, y,
+                                                         norms, p, tol)
+    return LpSolution(y=y, objective=lp_of_norms(
+        groups.norms(rows.residual(y), l1), p), converged=converged,
+        iterations=iterations)
 
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
@@ -753,13 +749,13 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     never the ``n 2^s`` signed rows.  Neither route assembles its rows.
     Returns its complex solution together with its certified objective.
     """
+    p = check_p(p, "sketch_and_solve: p")
     if t is not None:
         t = check_int(t, "sketch_and_solve: t")
     if s is not None:
         s = check_int(s, "sketch_and_solve: s")
     lifted = lift_instance(A, b)
     n = lifted.bp.size // 2
-    p = float(p)
     heavy, light = np.arange(n), np.empty(0, dtype=int)
     if np.isinf(p):
         if s is None:

@@ -138,14 +138,6 @@ class OptTrace:
                         self.grad_norm, self.step_or_radius,
                         [int(a) for a in self.accepted]))
 
-    @property
-    def final_objective(self) -> float:
-        return self.objective[-1]
-
-    @property
-    def final_grad_norm(self) -> float:
-        return self.grad_norm[-1]
-
 
 # ---------------------------------------------------------------------------
 # inner solvers (operator-product access only)

@@ -37,6 +37,11 @@ def _write(path, text):
     return str(path)
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _dir_digest(d):
     h = hashlib.sha256()
     for name in sorted(os.listdir(d)):
@@ -139,6 +144,21 @@ class TestDatasets:
         for bad in ("plain", "synth:n=5", "hdf5:x", "csv:"):
             with pytest.raises(BenchError):
                 parse_dataset_spec(bad)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("synth:n=50,d=3,heavy_row=5,heavy_scal=100",
+         "synth spec: unknown key 'heavy_row'; expected n, d, heavy_rows, "
+         "heavy_scale"),
+        ("synth:n=50,d=3,n=60", "synth spec: key 'n' given twice"),
+        ("synth:n=50,d=3,heavy_scale=2,heavy_scale=2",
+         "synth spec: key 'heavy_scale' given twice"),
+    ], ids=["misspelled", "repeated", "repeated-same-value"])
+    def test_synth_spec_rejects_unknown_and_repeated_keys(self, spec,
+                                                          message):
+        with pytest.raises(BenchError) as err:
+            parse_dataset_spec(spec)
+        assert err.value.code == "CONFIG_INVALID"
+        assert str(err.value) == message
 
     def test_csv_values_and_binary_label_mapping(self, tmp_path):
         path = _write(tmp_path / "t.csv",
@@ -283,14 +303,14 @@ class TestRunOptimize:
         assert "summary.csv" in names
         assert "trace_full_seed0.csv" in names
         assert "trace_ls-det-0.5_seed1.csv" in names
-        header, *rows = open(paths[0]).read().splitlines()
+        header, *rows = _read(paths[0]).splitlines()
         assert header == ("iter,oracle_calls,objective,grad_norm,"
                           "step_or_radius,accepted")
         assert rows, "trace must contain at least one iteration row"
         for row in rows:
             values = [float(f) for f in row.split(",")]
             assert all(np.isfinite(values))
-        summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+        summary = _read(os.path.join(out, "summary.csv")).splitlines()
         assert summary[0] == ("scheme,algorithm,seed,status,oracle_calls,"
                               "final_objective,final_grad_norm")
         statuses = {line.split(",")[3] for line in summary[1:]}
@@ -308,8 +328,8 @@ class TestRunOptimize:
         a, b = tmp_path / "a", tmp_path / "b"
         run_optimize(cfg, 1, a)
         run_optimize(cfg, 2, b)
-        ta = open(a / "trace_ls_seed0.csv").read()
-        tb = open(b / "trace_ls_seed0.csv").read()
+        ta = _read(a / "trace_ls_seed0.csv")
+        tb = _read(b / "trace_ls_seed0.csv")
         assert ta != tb
 
     def test_failed_cell_recorded_without_crashing_batch(self, tmp_path,
@@ -330,12 +350,12 @@ class TestRunOptimize:
         cfg = _optimize_config(schemes="full,ls", seeds="1")
         out = tmp_path / "o"
         run_optimize(cfg, 5, out)
-        summary = open(out / "summary.csv").read().splitlines()[1:]
+        summary = _read(out / "summary.csv").splitlines()[1:]
         by_scheme = {line.split(",")[0]: line for line in summary}
         assert by_scheme["full"].split(",")[3] in ("converged", "max_outer")
         assert by_scheme["ls"].split(",")[3] == "error_ValueError"
         # the errored trace file still exists, header-only
-        trace = open(out / "trace_ls_seed0.csv").read().splitlines()
+        trace = _read(out / "trace_ls_seed0.csv").splitlines()
         assert len(trace) == 1 and trace[0].startswith("iter,")
 
     def test_full_cells_run_once_with_unchanged_outputs(self, tmp_path,
@@ -430,7 +450,7 @@ class TestRunOptimize:
         # "_" and "-" are interchangeable in scheme tokens
         paths = run_optimize(_optimize_config(schemes="ls_mx", seeds="1"), 0,
                              tmp_path / "mx")
-        summary = open(paths[-1]).read().splitlines()
+        summary = _read(paths[-1]).splitlines()
         assert summary[1].split(",")[:2] == ["ls_mx", "newton_mr"]
         assert not summary[1].split(",")[3].startswith("error")
 
@@ -473,7 +493,7 @@ class TestRunLpreg:
         cfg = ExperimentConfig("lpreg", {"n": "40", "d": "8", "p": "1",
                                          "t_values": "2,4", "seeds": "3"})
         paths = run_lpreg(cfg, 9, tmp_path / "o", svg=True)
-        header, *rows = open(paths[0]).read().splitlines()
+        header, *rows = _read(paths[0]).splitlines()
         assert header == "t_or_s,seed,err_x,err_obj"
         assert len(rows) == 6
         for row in rows:
@@ -486,7 +506,7 @@ class TestRunLpreg:
         cfg = ExperimentConfig("lpreg", {"n": "16", "d": "4", "p": "inf",
                                          "s_values": "2,3,24", "seeds": "2"})
         paths = run_lpreg(cfg, 9, tmp_path / "o")
-        rows = open(paths[0]).read().splitlines()[1:]
+        rows = _read(paths[0]).splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["2", "2", "3", "3", "24",
                                                   "24"]
         for row in rows:
@@ -497,7 +517,7 @@ class TestRunLpreg:
             "n": "60", "d": "6", "p": "1", "t_values": "1,24",
             "seeds": "9", "zero_residual": "false", "noise_scale": "0.5"})
         paths = run_lpreg(cfg, 21, tmp_path / "o")
-        rows = [r.split(",") for r in open(paths[0]).read().splitlines()[1:]]
+        rows = [r.split(",") for r in _read(paths[0]).splitlines()[1:]]
         med = {}
         for t, _, err_x, _ in rows:
             med.setdefault(int(t), []).append(float(err_x))
@@ -515,7 +535,7 @@ class TestRunVmv:
         cfg = ExperimentConfig("vmv", {"rows": "30", "cols": "4", "reps": "3",
                                        "k_values": "8,128", "seeds": "40"})
         paths = run_vmv(cfg, 5, tmp_path / "o", svg=True)
-        header, *rows = open(paths[0]).read().splitlines()
+        header, *rows = _read(paths[0]).splitlines()
         assert header == "k,seed,abs_err"
         errs = {}
         for row in rows:
@@ -528,7 +548,7 @@ class TestRunVmv:
                                        "k_values": "16,32", "seeds": "200"})
         paths = run_vmv(cfg, 12, tmp_path / "o")
         errs = {}
-        for row in open(paths[0]).read().splitlines()[1:]:
+        for row in _read(paths[0]).splitlines()[1:]:
             k, _, e = row.split(",")
             errs.setdefault(int(k), []).append(float(e) ** 2)
         ratio = np.mean(errs[32]) / np.mean(errs[16])
@@ -539,7 +559,7 @@ class TestRunVmv:
             "rows": "40", "cols": "3", "instance": "cancellation",
             "cancel_scale": "1000", "k_values": "4", "seeds": "5"})
         paths = run_vmv(cfg, 3, tmp_path / "o")
-        for row in open(paths[0]).read().splitlines()[1:]:
+        for row in _read(paths[0]).splitlines()[1:]:
             assert float(row.split(",")[2]) <= 1e-6
 
     def test_unknown_instance_rejected(self, tmp_path):
@@ -558,7 +578,7 @@ class TestRunScores:
                                           "standardize": "false",
                                           "loss": "quadratic"})
         paths = run_scores(cfg, 3, tmp_path / "o")
-        header, *rows = open(paths[0]).read().splitlines()
+        header, *rows = _read(paths[0]).splitlines()
         assert header == ("row,exact,approx,ratio,p_uniform,p_ls,p_rn,"
                           "p_ls_mx,p_rn_mx")
         assert len(rows) == d
@@ -574,7 +594,7 @@ class TestRunScores:
             "dataset": "synth:n=300,d=10,heavy_rows=10,heavy_scale=1000",
             "loss": "quadratic"})
         paths = run_scores(cfg, 6, tmp_path / "o", svg=True)
-        rows = [r.split(",") for r in open(paths[0]).read().splitlines()[1:]]
+        rows = [r.split(",") for r in _read(paths[0]).splitlines()[1:]]
         exact = np.array([float(r[1]) for r in rows])
         p_ls = np.array([float(r[5]) for r in rows])
         top = np.argsort(exact)[::-1][:10]
@@ -663,10 +683,13 @@ class TestCli:
         ("vmv", "workers = -3"),
         ("vmv", "k_values = 0"),
         ("vmv", "reps = 2.5"),
+        ("scores", "dataset = synth:n=50,d=3,heavy_row=5,heavy_scal=100"),
+        ("optimize", "dataset = synth:n=50,d=3,n=60"),
     ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf", "noise_scale-inf",
             "cancel_scale-inf", "heavy_scale-inf", "rows-neg", "cols-0", "d-0",
             "n-0", "n-le-d", "cancellation-odd-rows", "workers-neg",
-            "k_values-0", "reps-float"])
+            "k_values-0", "reps-float", "synth-unknown-keys",
+            "synth-repeated-key"])
     def test_bad_values_are_config_errors_before_any_cell(
             self, tmp_path, capsys, sub, extra):
         # later keys win, so each case overrides its base config
@@ -695,6 +718,22 @@ class TestCli:
             f"ERROR CONFIG_INVALID: keys not read by {sub}: {unread}\n")
         assert not out.exists()
 
+    def test_delimiter_is_read_only_for_a_csv_dataset(self, tmp_path,
+                                                      capsys):
+        rows = [f"{i % 3};{(i * 7) % 5};{i % 2}" for i in range(12)]
+        csv = _write(tmp_path / "t.csv", "\n".join(rows) + "\n")
+        svm = _write(tmp_path / "t.svm", "".join(
+            f"{i % 2} 1:{i % 3} 2:{(i * 7) % 5}\n" for i in range(12)))
+        for dataset, rc in ((f"csv:{csv}", 0), (f"libsvm:{svm}", 1)):
+            cfgp = _write(tmp_path / "e.cfg", self._BASE["scores"]
+                          + f"dataset = {dataset}\ndelimiter = ;\n")
+            out = tmp_path / f"out{rc}"
+            assert main(["scores", "--config", cfgp, "--out",
+                         str(out)]) == rc
+            assert out.exists() == (rc == 0)
+        assert capsys.readouterr().err == (
+            "ERROR CONFIG_INVALID: keys not read by scores: 'delimiter'\n")
+
     def test_overridden_seed_out_and_svg_keys_count_as_read(self, tmp_path):
         unused = tmp_path / "unused"
         cfgp = _write(tmp_path / "e.cfg", self._BASE["vmv"]
@@ -712,7 +751,10 @@ class TestCli:
          "key 'jl_cols': must be >= 1"),
         ("scores", "dataset = synth:n=50,d=3\nembed_rows = -2", [],
          "key 'embed_rows': must be >= 1"),
-    ], ids=["seed-key", "seed-flag", "jl_cols-0", "embed_rows-neg"])
+        ("scores", "dataset = synth:n=50,d=3\nembed_rows = 2", [],
+         "key 'embed_rows': must be >= 3, the dataset's column count"),
+    ], ids=["seed-key", "seed-flag", "jl_cols-0", "embed_rows-neg",
+            "embed_rows-below-cols"])
     def test_counts_below_their_floor_are_config_errors(
             self, tmp_path, capsys, sub, extra, flags, message):
         cfgp = _write(tmp_path / "e.cfg", self._BASE[sub] + extra + "\n")
@@ -730,8 +772,7 @@ class TestCli:
         assert main(["lpreg", "--config", cfgp, "--out", str(out1),
                      "--seed", "99"]) == 0
         assert main(["lpreg", "--config", cfgp, "--out", str(out2)]) == 0
-        assert (open(out1 / "lpreg.csv").read()
-                != open(out2 / "lpreg.csv").read())
+        assert _read(out1 / "lpreg.csv") != _read(out2 / "lpreg.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +788,8 @@ class TestSvg:
         a, b = tmp_path / "a", tmp_path / "b"
         run_vmv(cfg, 4, a, svg=True)
         run_vmv(cfg, 4, b, svg=True)
-        svg_a = open(a / "vmv.svg").read()
-        svg_b = open(b / "vmv.svg").read()
+        svg_a = _read(a / "vmv.svg")
+        svg_b = _read(b / "vmv.svg")
         assert svg_a.startswith("<svg")
         assert "</svg>" in svg_a
         assert "polyline" in svg_a
@@ -758,7 +799,7 @@ class TestSvg:
         # The runners draw each SVG from the rows they just wrote; %.17g
         # round-trips every value, so rendering the CSVs must match it.
         def read(path):
-            lines = open(path, encoding="utf-8").read().splitlines()[1:]
+            lines = _read(path).splitlines()[1:]
             return [[float(f) for f in line.split(",")] for line in lines]
 
         def medians(rows, sweep):

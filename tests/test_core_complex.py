@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sketchopt.core_complex import (
+    check_p,
     child_seed,
     lift_matrix,
     lift_scalar,
@@ -196,6 +197,21 @@ def test_mixed_norm_rejects_odd_length():
 def test_mixed_norm_rejects_bad_order():
     with pytest.raises(ValueError):
         mixed_norm(np.ones(4), 0.5)
+
+
+def test_check_p_takes_numbers_from_one_up():
+    for value in (1, 1.5, np.float64(3.0), np.int64(2)):
+        assert check_p(value, "f: p") == float(value)
+        assert check_p(value, "f: p", finite=True) == float(value)
+    assert check_p(np.inf, "f: p") == np.inf
+    for value in (True, 0.5, np.nan, -np.inf, "2", None):
+        with pytest.raises(ValueError,
+                           match="^f: p must satisfy p >= 1 or p = inf$"):
+            check_p(value, "f: p")
+    for value in (True, np.inf, np.nan, 0.5):
+        with pytest.raises(ValueError,
+                           match="^f: p must be finite and >= 1$"):
+            check_p(value, "f: p", finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -810,8 +810,8 @@ def test_pinf_sketch_solve_past_the_enumeration_cap(monkeypatch):
     assert result.converged
     M, c = _materialized_pair_rows(lift_instance(A, b), sketch)
     dense = lp_regression._DenseRows(M, c)
-    ref = lp_regression._solve_grouped_inf(dense, np.full(n, s),
-                                           dense.lstsq(), True, 1e-10)
+    ref = lp_regression._solve_rows(dense, np.full(n, s), np.inf, True,
+                                    1e-10)
     assert ref.converged
     assert result.sketched_objective == pytest.approx(ref.objective,
                                                       rel=1e-9)
@@ -1072,6 +1072,52 @@ def test_solvers_reject_a_p_below_one(p):
         assert str(err.value) == "lp solve: p must satisfy p >= 1 or p = inf"
     with pytest.raises(ValueError):
         sketch_and_solve(A, b, p, t=2)
+
+
+@pytest.mark.parametrize("p", [True, 0.5, np.nan, -np.inf, "3"])
+def test_every_p_check_rejects_the_same_values(p):
+    scores = np.full(8, 0.1)
+    finite_rule = "p must be finite and >= 1"
+    checks = [
+        (lambda: gaussian_moment_scale(p),
+         "gaussian_moment_scale: " + finite_rule),
+        (lambda: lp_leverage_scores(np.eye(4), p),
+         "lp_leverage_scores: " + finite_rule),
+        (lambda: build_sketch_finite_p(4, [], 2, p),
+         "build_sketch_finite_p: " + finite_rule),
+        (lambda: classify_pairs(scores, 2, p),
+         "classify_pairs: p must satisfy p >= 1 or p = inf"),
+        (lambda: mixed_norm(np.ones(4), p),
+         "mixed_norm: p must satisfy p >= 1 or p = inf"),
+    ]
+    for call, message in checks:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    for call in (lambda: gaussian_moment_scale(np.inf),
+                 lambda: build_sketch_finite_p(4, [], 2, np.inf)):
+        with pytest.raises(ValueError, match=finite_rule):
+            call()
+    heavy, _ = classify_pairs(scores, 2, np.inf)
+    assert heavy.size == 0
+
+
+@pytest.mark.parametrize("p,kwargs", [(-np.inf, {"t": 2}),
+                                      (-np.inf, {"s": 2}),
+                                      (0.5, {"t": 2}), (0.5, {"s": 2}),
+                                      (True, {"t": 2})])
+def test_sketch_and_solve_checks_p_before_it_routes(monkeypatch, p, kwargs):
+    def built(*args, **kw):
+        raise AssertionError("a sketch was built for a bad p")
+
+    monkeypatch.setattr(lp_regression, "build_sketch_inf", built)
+    monkeypatch.setattr(lp_regression, "build_sketch_finite_p", built)
+    rng = np.random.default_rng(3)
+    A, b = complex_matrix(rng, 15, 2), complex_vector(rng, 15)
+    with pytest.raises(ValueError) as err:
+        sketch_and_solve(A, b, p, **kwargs)
+    assert str(err.value) == \
+        "sketch_and_solve: p must satisfy p >= 1 or p = inf"
 
 
 def test_block_sketch_apply_takes_two_rows_per_pair():

@@ -11,6 +11,11 @@ its step-and-accept rule:
   on the objective.
 - ``newton_mr``: a minimum-norm least-squares step (suitable for indefinite
   or singular Hessians) with backtracking on the squared gradient norm.
+  ``minnorm_lsq`` computes the step by the MINRES-QLP recurrence: one
+  Hessian product per inner iteration, at most ``inner_cap`` iterations,
+  and a stop once ||H r|| <= inner_tol ||H g|| for the residual
+  r = -g - H p, on a Lanczos breakdown, or when the Krylov subproblem is
+  numerically singular.
 - ``trust_region``: a CG-Steihaug step with ratio-based accept/reject and
   geometric radius updates.  A rejected step keeps the iterate and so its
   operator, and the acceptance ratio compares like with like.
@@ -45,6 +50,13 @@ from .sketch_sampling import (SAMPLING_SCHEMES, build_sampling_sketch,
 _MAX_HALVINGS = 30
 _LINE_SEARCH_RHO = 1e-4  # sufficient-decrease constant of both line searches
 _RADIUS_FLOOR = 1e-16
+# MINRES-QLP, relative to ||T||: the rounding level of a Lanczos breakdown
+# and of a zero diagonal of L, and the factor on tol at which the last
+# diagonal of L also counts as zero.  On a singular H that diagonal falls
+# about as fast as ||H r|| / ||H g||, so a rank test a decade above tol
+# drops the near-null direction by the time the tol test passes.
+_QLP_ROUNDING = 100 * np.finfo(float).eps
+_QLP_RANK_SLACK = 10.0
 
 
 @dataclass(frozen=True)
@@ -187,39 +199,102 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     return _cg(hessp, g, cap, tol)
 
 
-def minnorm_lsq(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
-    """Minimum-norm least-squares step -H^+ g for symmetric H.
+def _reflect(a: float, b: float):
+    """The reflection [[c, s], [s, -c]] that maps (a, b) to (r, 0), r >= 0."""
+    r = math.hypot(a, b)
+    if r == 0.0:
+        return 1.0, 0.0, 0.0
+    return a / r, b / r, r
 
-    Conjugate gradients on the normal equations (CGLS) started from zero:
-    iterates stay in range(H), so the converged point is the pseudoinverse
-    solution, with exact zero along the kernel.
+
+def minnorm_lsq(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
+    """Minimum-norm least-squares step -H^+ g for symmetric H, by MINRES-QLP.
+
+    MINRES-QLP (Choi, Paige & Saunders, SIAM J. Sci. Comput. 2011) on
+    H p = -g from p = 0.  The Lanczos process gives H V_k = V_{k+1} T_k;
+    left reflections reduce T_k to upper-triangular R_k, as in MINRES, and
+    right reflections P_k reduce R_k to lower-triangular L_k, so that
+    p_k = V_k P_k u_k with L_k u_k = t_k.  On nonsingular H these are the
+    MINRES iterates.  Each iteration costs one product with H, and ``cap``
+    bounds the iterations.  Iteration k stops the solve, returning p_k, when
+
+    - ||H r_{k-1}|| <= tol ||H g||, with r_j = -g - H p_j, read from the
+      recurrences (the k-th product is the first that shows it);
+    - k > 1 and the last diagonal of L_k is at most max(10 tol, 100 eps)
+      ||T||: T_k is numerically singular, and setting the last u_k to zero
+      drops its near-null direction, which leaves the minimum-norm
+      solution on the Krylov space;
+    - the Lanczos process breaks down, beta_{k+1} <= 100 eps ||T||.
+
+    ||T|| is the largest column norm of T_k seen so far.  The iterates lie
+    in the Krylov space of g, so on a singular H they carry a component in
+    the kernel until T_k turns singular, and a solve that the tol test
+    stops first returns that component.
     """
     g = np.asarray(g, dtype=float)
-    if not np.any(g):
-        return np.zeros_like(g)
-    x = np.zeros_like(g)
-    r = -g  # residual of H x = -g at x = 0
-    s = np.asarray(hessp(r))
-    gamma = float(s @ s)
-    snorm0 = math.sqrt(gamma)
-    if snorm0 == 0.0:
-        return x  # g entirely in the kernel: -H^+ g = 0
-    d = s.copy()
-    for _ in range(cap):
-        q = np.asarray(hessp(d))
-        delta = float(q @ q)
-        if delta <= 0.0:
+    beta1 = math.sqrt(float(g @ g))
+    p_done = np.zeros_like(g)  # the part of p_k that later steps keep
+    if beta1 == 0.0:
+        return p_done
+    rank_tol = max(_QLP_RANK_SLACK * tol, _QLP_ROUNDING)
+    v_prev, v, beta = np.zeros_like(g), -g / beta1, 0.0
+    t_norm = hg = 0.0
+    # left reflection Q_{k-1}, the entries it left in column k of T
+    # (dbar, eps_k) and the residual norm phi = ||r_{k-1}||
+    c, s, dbar, eps_k, phi = -1.0, 0.0, 0.0, 0.0, beta1
+    # trailing columns of L: l2 = L[k-2, k-2], l21 = L[k-1, k-2],
+    # l1 = L[k-1, k-1]; final entries of rows k-1 and k-2 of L, L u = t:
+    # eta1 = L[k-1, k-3], eta2 = L[k-2, k-4], th2 = L[k-2, k-3]; t entries
+    # tau1 = t_{k-1}, tau2 = t_{k-2}; final u3 = u_{k-3}, u4 = u_{k-4}
+    l2 = l21 = l1 = eta1 = eta2 = th2 = 0.0
+    tau1 = tau2 = u1 = u3 = u4 = 0.0
+    w2, w1 = np.zeros_like(g), np.zeros_like(g)  # columns k-2, k-1 of V P
+    for k in range(1, cap + 1):
+        q = np.asarray(hessp(v), dtype=float)
+        alpha = float(v @ q)
+        q = q - alpha * v - beta * v_prev
+        beta_next = math.sqrt(float(q @ q))
+        t_norm = max(t_norm, math.hypot(beta, alpha, beta_next))
+        # Q_{k-1} on column k of T, and its share of column k+1
+        delta = c * dbar + s * alpha
+        gbar = s * dbar - c * alpha
+        eps_next, dbar = s * beta_next, -c * beta_next
+        hr = abs(phi) * math.hypot(gbar, dbar)  # ||H r_{k-1}||
+        if k == 1:
+            hg = hr
+        c, s, gamma = _reflect(gbar, beta_next)
+        tau, phi = c * phi, s * phi
+        # P_{k-2,k} and P_{k-1,k} on column (eps_k, delta, gamma) of R
+        eta0 = th1 = u2 = l10 = 0.0
+        w0 = v
+        if k >= 3:
+            c2, s2, l2 = _reflect(l2, eps_k)
+            th1 = c2 * l21 + s2 * delta
+            eta0 = s2 * gamma
+            delta, gamma = s2 * l21 - c2 * delta, -c2 * gamma
+            w2, w0 = c2 * w2 + s2 * v, s2 * w2 - c2 * v
+            u2 = (tau2 - eta2 * u4 - th2 * u3) / l2
+            p_done = p_done + u2 * w2
+        l0 = gamma
+        if k >= 2:
+            c1, s1, l1 = _reflect(l1, delta)
+            l10, l0 = s1 * gamma, -c1 * gamma
+            w1, w0 = c1 * w1 + s1 * w0, s1 * w1 - c1 * w0
+            u1 = (tau1 - eta1 * u3 - th1 * u2) / l1
+        # L_1 = ||T_1||, singular only when H g = 0
+        singular = (abs(l0) <= rank_tol * t_norm if k > 1 else l0 == 0.0)
+        u0 = 0.0 if singular else (tau - eta0 * u2 - l10 * u1) / l0
+        if (singular or beta_next <= _QLP_ROUNDING * t_norm
+                or hr <= tol * hg or k == cap):
             break
-        alpha = gamma / delta
-        x = x + alpha * d
-        r = r - alpha * q
-        s = np.asarray(hessp(r))
-        gamma_new = float(s @ s)
-        if math.sqrt(gamma_new) <= tol * snorm0:
-            break
-        d = s + (gamma_new / gamma) * d
-        gamma = gamma_new
-    return x
+        eps_k = eps_next
+        tau2, tau1 = tau1, tau
+        eta2, eta1, th2 = eta1, eta0, th1
+        l2, l21, l1 = l1, l10, l0
+        u4, u3 = u3, u2
+        w2, w1 = w1, w0
+        v_prev, v, beta = v, q / beta_next, beta_next
+    return p_done + u1 * w1 + u0 * w0
 
 
 def _boundary_tau(z, d, radius: float) -> float:
@@ -424,6 +499,9 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     ||g(x + a p)||^2 <= ||g||^2 + 2 rho a <p, H g>, so accepted gradient
     norms never increase.  Objective values are recorded for the trace
     without charging the meter (the algorithm itself never consumes F).
+    When every halving fails, one exact product (charged) gives the true
+    slope <p, H g>, and the flag ``newton_mr_slopes_iter_{k}`` records the
+    sketched slope, the true slope and ||p|| / ||g||.
     """
     def step(run, k):
         hp = run.hessp(k)
@@ -435,6 +513,12 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
             lambda alpha, g_new: float(g_new @ g_new)
                 <= gsq + 2.0 * _LINE_SEARCH_RHO * alpha * slope)
         if found is None:
+            true_slope = float(p @ hessp_full(problem, run.x, run.g,
+                                              meter=run.meter))
+            run.trace.flags.append(
+                f"newton_mr_slopes_iter_{k}: sketched={slope:.3e} "
+                f"true={true_slope:.3e} "
+                f"step_ratio={np.linalg.norm(p) / math.sqrt(gsq):.3e}")
             return "line_search_failed"
         alpha, g_new = found
         x = run.x + alpha * p

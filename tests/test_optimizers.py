@@ -1,5 +1,6 @@
 """Tests for the Newton-type optimizers and their inner subproblem solvers."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,45 @@ def test_minnorm_matches_dense_pseudoinverse():
     g = rng.standard_normal(6)
     p = minnorm_lsq(matvec(H), g, cap=200, tol=1e-14)
     np.testing.assert_allclose(p, -np.linalg.pinv(H) @ g, atol=1e-6)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 50])
+def test_minnorm_takes_one_product_per_iteration(cap):
+    rng = np.random.default_rng(62)
+    M = rng.standard_normal((80, 80))
+    H = M + M.T
+    products = []
+
+    def hessp(v):
+        products.append(v)
+        return H @ v
+
+    minnorm_lsq(hessp, rng.standard_normal(80), cap=cap, tol=1e-12)
+    assert 1 <= len(products) <= cap + 1
+
+
+def test_minnorm_indefinite_rank_deficient_returns_pseudoinverse_step():
+    rng = np.random.default_rng(63)
+    Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    w = np.concatenate([rng.uniform(0.3, 3.0, 9), -rng.uniform(0.3, 3.0, 9),
+                        np.zeros(12)])
+    H = (Q * w) @ Q.T
+    H = 0.5 * (H + H.T)
+    kernel = Q[:, 18:]
+    g = rng.standard_normal(30)
+    assert np.linalg.norm(kernel.T @ g) > 1.0
+    p = minnorm_lsq(matvec(H), g, cap=200, tol=1e-10)
+    np.testing.assert_allclose(p, -np.linalg.pinv(H) @ g, atol=1e-6)
+    assert np.linalg.norm(kernel.T @ p) <= 1e-10
+
+
+def test_minnorm_zero_tol_stops_on_lanczos_breakdown():
+    # Tier-1 runs with warnings as errors, so the breakdown must not divide
+    # by a zero beta
+    H = np.diag([1.0, 2.0, 3.0])
+    g = np.array([1.0, -2.0, 0.5])
+    p = minnorm_lsq(matvec(H), g, cap=100, tol=0.0)
+    np.testing.assert_allclose(p, -np.linalg.solve(H, g), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +338,33 @@ def test_newton_mr_matches_newton_cg_on_strongly_convex_quadratic():
     t_cg = newton_cg(problem, OptConfig(grad_tol=1e-10))
     t_mr = newton_mr(problem, OptConfig(grad_tol=1e-10))
     assert np.linalg.norm(t_cg.x_final - t_mr.x_final) <= 1e-8
+
+
+def test_newton_mr_flags_both_slopes_when_its_line_search_fails(
+        monkeypatch):
+    rng = np.random.default_rng(70)
+    problem = nlls_problem(rng, n=400, d=6, lam=0.01)
+    problem.labels[:40] = 1.0 - problem.labels[:40]
+    meters = []
+    exact = optimizers_mod.hessp_full
+
+    def counted(problem, x, v, meter=None, dvec=None):
+        meters.append(meter)
+        return exact(problem, x, v, meter=meter, dvec=dvec)
+
+    monkeypatch.setattr(optimizers_mod, "hessp_full", counted)
+    trace = newton_mr(problem, OptConfig(scheme="uniform", sample_size=8,
+                                         grad_tol=1e-14, seed=1))
+    assert trace.status == "line_search_failed"
+    k = trace.iteration[-1] + 1
+    match = re.fullmatch(
+        rf"newton_mr_slopes_iter_{k}: sketched=(\S+) true=(\S+) "
+        r"step_ratio=(\S+)", trace.flags[-1])
+    sketched, true, ratio = (float(x) for x in match.groups())
+    # the sketched model promises descent that the true Hessian refuses
+    assert sketched < 0.0 < true
+    assert ratio > 1.0
+    assert len(meters) == 1 and meters[0] is not None
 
 
 def test_newton_mr_nonconvex_gradnorm_monotone():
@@ -513,7 +580,7 @@ def _trace_bytes(trace):
             trace.x_final.tobytes(), trace.status, tuple(trace.flags))
 
 
-@pytest.mark.parametrize("algo, budget", [(newton_cg, 100), (newton_mr, 100),
+@pytest.mark.parametrize("algo, budget", [(newton_cg, 100), (newton_mr, 60),
                                           (trust_region, 200)])
 def test_budget_stopped_trace_independent_of_max_outer(algo, budget,
                                                        monkeypatch):

@@ -18,7 +18,10 @@ its step-and-accept rule:
   numerically singular.
 - ``trust_region``: a CG-Steihaug step with ratio-based accept/reject and
   geometric radius updates.  A rejected step keeps the iterate and so its
-  operator, and the acceptance ratio compares like with like.
+  operator, and the acceptance ratio compares like with like.  The first
+  solve on an operator records its CG path, which holds the step for every
+  smaller radius, so a rejection replays it: one objective evaluation plus
+  the one product of the model value, and no CG product.
 
 All oracle work is charged to an OracleMeter in function-evaluation units;
 traces record the cumulative meter alongside objective and gradient-norm
@@ -156,30 +159,34 @@ class OptTrace:
 # ---------------------------------------------------------------------------
 
 
-def _cg(hessp, g, cap: int, tol: float, radius: float | None = None):
-    """CG on H p = -g from p = 0 to a residual of ``tol`` ||g||.  On
-    d^T H d <= 0 it returns -g at the first iteration and p after it, or,
-    given a ``radius``, the boundary crossing along d, as it does for a step
-    that would leave the ball."""
+def _cg(hessp, g, cap: int, tol: float, path: _SteihaugPath | None = None):
+    """CG on H p = -g from p = 0 to a residual of ``tol`` ||g||, or ``cap``
+    iterations.  On d^T H d <= 0 it returns -g at the first iteration and p
+    after it.  Given a ``path``, it records each iteration's
+    (z_j, d_j, ||z_{j+1}||) there, with an infinite norm where d_j has
+    nonpositive curvature, stops at the first that reaches ``path.radius``,
+    and sets ``path.end`` to the iterate of an interior stop."""
     g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros_like(g)
+    gnorm = math.sqrt(float(g @ g))
     p = np.zeros_like(g)
     r = -g
     d = r.copy()
     rs = float(r @ r)
-    for j in range(cap):
+    for j in range(0 if gnorm == 0.0 else cap):
         Hd = np.asarray(hessp(d))
         kappa = float(d @ Hd)
         if kappa <= 0.0:
-            if radius is None:
+            if path is None:
                 return -g if j == 0 else p
-            return p + _boundary_tau(p, d, radius) * d
+            path.steps.append((p, d, math.inf))
+            return p
         alpha = rs / kappa
         p_new = p + alpha * d
-        if radius is not None and np.linalg.norm(p_new) >= radius:
-            return p + _boundary_tau(p, d, radius) * d
+        if path is not None:
+            norm = math.sqrt(float(p_new @ p_new))
+            path.steps.append((p, d, norm))
+            if norm >= path.radius:
+                return p
         p = p_new
         r = r - alpha * Hd
         rs_new = float(r @ r)
@@ -187,6 +194,8 @@ def _cg(hessp, g, cap: int, tol: float, radius: float | None = None):
             break
         d = r + (rs_new / rs) * d
         rs = rs_new
+    if path is not None:
+        path.end = p
     return p
 
 
@@ -306,6 +315,30 @@ def _boundary_tau(z, d, radius: float) -> float:
     return (-zd + math.sqrt(max(disc, 0.0))) / dd
 
 
+class _SteihaugPath:
+    """The CG path of one Steihaug solve, which answers smaller radii too.
+
+    The CG iterates z_j do not depend on the radius, and their norms grow
+    monotonically (Steihaug 1983).  So the Steihaug step for a radius is the
+    first recorded crossing of it, z_j + tau d_j with ||z_j + tau d_j|| equal
+    to the radius, or the interior end if the path never reaches it.  A
+    path answers every radius up to the ``radius`` it was recorded for.
+    """
+
+    def __init__(self, hessp, g, radius: float, cap: int, tol: float):
+        self.radius = radius
+        self.steps: list = []  # (z_j, d_j, ||z_{j+1}||), inf on d_j^T H d_j <= 0
+        self.end = None  # the iterate an interior stop returned
+        _cg(hessp, g, cap, tol, self)
+
+    def step(self, radius: float) -> np.ndarray:
+        """The Steihaug step for a radius of at most ``self.radius``."""
+        for z, d, norm in self.steps:
+            if norm >= radius:
+                return z + _boundary_tau(z, d, radius) * d
+        return self.end
+
+
 def cg_steihaug(hessp, g, radius: float, cap: int = 100,
                 tol: float = 1e-8) -> np.ndarray:
     """Steihaug-Toint CG for min g^T p + 0.5 p^T H p subject to ||p|| <= radius.
@@ -316,7 +349,7 @@ def cg_steihaug(hessp, g, radius: float, cap: int = 100,
     """
     if radius <= 0.0:
         raise ValueError("cg_steihaug: radius must be positive")
-    return _cg(hessp, g, cap, tol, radius)
+    return _SteihaugPath(hessp, g, radius, cap, tol).step(radius)
 
 
 def model_reduction_ratio(actual: float, predicted: float,
@@ -381,7 +414,10 @@ def _iteration_seed(root: np.random.SeedSequence, k: int):
 
 
 class _Run:
-    """One solver run: the current iterate plus what a step rule needs."""
+    """One solver run: the current iterate plus what a step rule needs.
+
+    The Hessian operator at the iterate and, in trust region, the Steihaug
+    path on it are built on first use and dropped by ``move``."""
 
     def __init__(self, problem: FiniteSumProblem, config: OptConfig,
                  algorithm: str, charge_objective: bool):
@@ -395,7 +431,7 @@ class _Run:
         self.g = grad(problem, self.x, meter=self.meter)
         self._root = np.random.SeedSequence(config.seed)
         self._cache: dict = {}
-        self._hp = None
+        self._hp = self.path = None
 
     def hessp(self, k: int):
         """The Hessian operator at the current iterate, built on first use
@@ -408,7 +444,7 @@ class _Run:
 
     def move(self, x, F: float, g) -> None:
         self.x, self.F, self.g = x, F, g
-        self._hp = None
+        self._hp = self.path = None
 
     def record(self, k: int, step_or_radius: float, accepted: bool) -> None:
         self.trace.record(k, self.meter.function_evals, self.F,
@@ -533,8 +569,13 @@ def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
 
     Ratio rho = (F(x+p) - F(x)) / m(p) against threshold tr_eta; accepted
     steps grow the radius by tr_gamma and rebuild the Hessian sketch at the
-    new iterate, rejections shrink the radius and reuse the sketch.  A radius
-    below 1e-16 terminates with status "radius_underflow".
+    new iterate, rejections shrink the radius and reuse the sketch.  The CG
+    path of the Steihaug solve on an operator holds the step for every
+    smaller radius, so a rejection replays it without a CG product: it
+    costs one objective evaluation and the one product of the model value.
+    The iterates are those of a fresh solve per step and only the meter
+    reads lower, so a run that ``max_oracle_calls`` stops gets further.  A
+    radius below 1e-16 terminates with status "radius_underflow".
     """
     delta = config.tr_delta0
 
@@ -544,8 +585,10 @@ def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
             run.trace.flags.append(f"radius_underflow_iter_{k}")
             return "radius_underflow"
         hp = run.hessp(k)
-        p = cg_steihaug(hp, run.g, delta, cap=config.inner_cap,
-                        tol=config.inner_tol)
+        if run.path is None or delta > run.path.radius:
+            run.path = _SteihaugPath(hp, run.g, delta, config.inner_cap,
+                                     config.inner_tol)
+        p = run.path.step(delta)
         m = float(run.g @ p + 0.5 * p @ np.asarray(hp(p)))
         F_new = value(problem, run.x + p, meter=run.meter)
         p_norm = float(np.linalg.norm(p))

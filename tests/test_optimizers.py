@@ -10,7 +10,9 @@ import scipy.optimize
 from sketchopt.hessian_oracle import (
     FiniteSumProblem,
     convex_ridge_lambda,
+    grad,
     make_loss,
+    value,
 )
 from sketchopt import optimizers as optimizers_mod
 from sketchopt.optimizers import (
@@ -238,6 +240,87 @@ def test_steihaug_feasible_with_nonpositive_model_value():
         assert m >= model_value(H, g, exact) - 1e-9
 
 
+def steihaug_reference(H, g, radius, cap, tol):
+    """Steihaug-Toint CG written out directly, as one fresh solve.  Returns
+    the step, how the solve ended and the norms of its CG iterates."""
+    p, norms = np.zeros_like(g), []
+    if np.linalg.norm(g) == 0.0:
+        return p, "zero gradient", norms
+    r, d = -g, -g
+    rs = float(r @ r)
+    for j in range(cap):
+        Hd = H @ d
+        kappa = float(d @ Hd)
+        if kappa <= 0.0:
+            end = "negative curvature" + (" first" if j == 0 else "")
+            return p + optimizers_mod._boundary_tau(p, d, radius) * d, end, \
+                norms
+        alpha = rs / kappa
+        p_new = p + alpha * d
+        norms.append(np.linalg.norm(p_new))
+        if norms[-1] >= radius:
+            return p + optimizers_mod._boundary_tau(p, d, radius) * d, \
+                "crossing", norms
+        p = p_new
+        r = r - alpha * Hd
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= tol * np.linalg.norm(g):
+            return p, "interior by tol", norms
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    return p, "interior at cap", norms
+
+
+def counting(H):
+    calls = []
+
+    def hessp(v):
+        calls.append(1)
+        return H @ v
+    return hessp, calls
+
+
+def steihaug_cases():
+    rng = np.random.default_rng(64)
+    for trial in range(20):
+        M = rng.standard_normal((8, 8))
+        g = rng.standard_normal(8)
+        for H in (M @ M.T + 0.1 * np.eye(8), 0.5 * (M + M.T)):
+            # a radius the solve crosses, and one it stays inside
+            newton = np.linalg.norm(np.linalg.solve(H, g))
+            for radius in (0.5 * newton, 10.0 * newton):
+                yield H, g, radius, 100, 1e-10
+    yield np.diag([-1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]), 5.0, 10, 1e-10
+    H, g = np.diag(np.arange(1.0, 9.0)), np.ones(8)
+    yield H, g, 100.0, 100, 1e-10  # interior by tol
+    yield H, g, 100.0, 2, 1e-10  # interior at cap
+
+
+def test_steihaug_path_replays_every_smaller_radius():
+    ends = set()
+    for H, g, radius, cap, tol in steihaug_cases():
+        hessp, calls = counting(H)
+        path = optimizers_mod._SteihaugPath(hessp, g, radius, cap, tol)
+        fresh, end, norms = steihaug_reference(H, g, radius, cap, tol)
+        ends.add(end)
+        assert len(calls) == len(path.steps)
+        assert np.array_equal(path.step(radius), fresh), end
+        assert np.array_equal(cg_steihaug(matvec(H), g, radius, cap, tol),
+                              fresh), end
+        # every smaller radius, among them each CG iterate's norm inside
+        # the ball, without a product
+        for r in [n for n in norms if n < radius] \
+                + list(radius * np.geomspace(1.0, 1e-4, 9)):
+            assert np.array_equal(path.step(r), steihaug_reference(
+                H, g, r, cap, tol)[0]), (end, r)
+            assert np.array_equal(path.step(r), cg_steihaug(
+                matvec(H), g, r, cap, tol)), (end, r)
+        assert len(calls) == len(path.steps)
+    assert ends == {"crossing", "negative curvature",
+                    "negative curvature first", "interior by tol",
+                    "interior at cap"}
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -408,6 +491,41 @@ def test_trust_region_rejections_keep_objective_and_shrink_radius():
     assert all(b <= a + 1e-15 for a, b in zip(F, F[1:]))
 
 
+@pytest.mark.parametrize("scheme, product_units", [("full", 2),
+                                                   ("uniform", 1)])
+def test_trust_region_rejection_replays_its_path(scheme, product_units,
+                                                 monkeypatch):
+    # On an unchanged operator a step costs one objective evaluation and
+    # the model value's one product: the CG path is replayed, not re-run.
+    rng = np.random.default_rng(70)
+    problem = nlls_problem(rng, n=200, d=4)
+    problem.labels[:40] = 1.0 - problem.labels[:40]
+    cfg = OptConfig(scheme=scheme, sample_size=8, grad_tol=0.0,
+                    max_outer=60, tr_gamma=10.0, seed=1)
+    products, marks = [], []
+    make_hessp = optimizers_mod._make_hessp
+
+    def counting_make_hessp(*args):
+        hp = make_hessp(*args)
+        return lambda v: products.append(1) or hp(v)
+
+    def marking_value(*args, **kwargs):
+        marks.append(len(products))  # one evaluation per iteration
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers_mod, "_make_hessp", counting_make_hessp)
+    monkeypatch.setattr(optimizers_mod, "value", marking_value)
+    trace = trust_region(problem, cfg)
+    assert len(marks) == len(trace.iteration)
+    after_rejection = [k for k in range(2, len(trace.accepted))
+                       if not trace.accepted[k - 1] and not trace.accepted[k]]
+    assert len(after_rejection) >= 3
+    for k in after_rejection:
+        assert marks[k] - marks[k - 1] == 1
+        assert trace.oracle_calls[k] - trace.oracle_calls[k - 1] \
+            == 1 + product_units
+
+
 def test_trust_region_radius_underflow_after_rejections():
     rng = np.random.default_rng(70)
     problem = nlls_problem(rng, n=200, d=4, lam=0.0)
@@ -445,6 +563,21 @@ def test_oracle_calls_strictly_increasing():
                                grad_tol=1e-6, max_outer=20, seed=5):
         calls = trace.oracle_calls
         assert all(b > a for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "rn", "ls-det"])
+@pytest.mark.parametrize("algo", [newton_cg, newton_mr, trust_region])
+def test_last_record_matches_fresh_oracles_at_x_final(algo, scheme):
+    # the recorded objective and gradient norm are those the public
+    # oracles compute from x_final alone
+    rng = np.random.default_rng(78)
+    problem = nlls_problem(rng, n=300, d=5, lam=0.01)
+    cfg = OptConfig(scheme=scheme, sample_size=60, grad_tol=1e-10,
+                    max_outer=12, seed=4)
+    trace = algo(problem, cfg)
+    assert len(trace.iteration) > 2
+    assert trace.objective[-1] == value(problem, trace.x_final)
+    assert trace.grad_norm[-1] == np.linalg.norm(grad(problem, trace.x_final))
 
 
 def test_budget_cutoff_overshoots_at_most_one_iteration():

@@ -751,9 +751,9 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     """
     p = check_p(p, "sketch_and_solve: p")
     if t is not None:
-        t = check_int(t, "sketch_and_solve: t")
+        t = check_int(t, "sketch_and_solve: t", 1)
     if s is not None:
-        s = check_int(s, "sketch_and_solve: s")
+        s = check_int(s, "sketch_and_solve: s", 1)
     lifted = lift_instance(A, b)
     n = lifted.bp.size // 2
     heavy, light = np.arange(n), np.empty(0, dtype=int)

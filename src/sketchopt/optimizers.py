@@ -352,21 +352,6 @@ def cg_steihaug(hessp, g, radius: float, cap: int = 100,
     return _SteihaugPath(hessp, g, radius, cap, tol).step(radius)
 
 
-def model_reduction_ratio(actual: float, predicted: float,
-                          step_norm: float) -> tuple[float, bool]:
-    """Trust-region ratio rho = actual/predicted with the degenerate rule.
-
-    A zero-predicted-decrease, zero-step subproblem output counts as a
-    degenerate success (rho = 1, flagged) so the radius can grow past the
-    stall; zero predicted decrease with movement is an automatic reject.
-    """
-    if predicted == 0.0:
-        if step_norm == 0.0 and actual == 0.0:
-            return 1.0, True
-        return -math.inf, False
-    return actual / predicted, False
-
-
 # ---------------------------------------------------------------------------
 # scheme -> Hessian-operator factory
 # ---------------------------------------------------------------------------
@@ -416,8 +401,8 @@ def _iteration_seed(root: np.random.SeedSequence, k: int):
 class _Run:
     """One solver run: the current iterate plus what a step rule needs.
 
-    The Hessian operator at the iterate and, in trust region, the Steihaug
-    path on it are built on first use and dropped by ``move``."""
+    The Hessian operator at the iterate is built on first use and dropped
+    by ``move``."""
 
     def __init__(self, problem: FiniteSumProblem, config: OptConfig,
                  algorithm: str, charge_objective: bool):
@@ -431,7 +416,7 @@ class _Run:
         self.g = grad(problem, self.x, meter=self.meter)
         self._root = np.random.SeedSequence(config.seed)
         self._cache: dict = {}
-        self._hp = self.path = None
+        self._hp = None
 
     def hessp(self, k: int):
         """The Hessian operator at the current iterate, built on first use
@@ -444,7 +429,7 @@ class _Run:
 
     def move(self, x, F: float, g) -> None:
         self.x, self.F, self.g = x, F, g
-        self._hp = self.path = None
+        self._hp = None
 
     def record(self, k: int, step_or_radius: float, accepted: bool) -> None:
         self.trace.record(k, self.meter.function_evals, self.F,
@@ -567,38 +552,37 @@ def newton_mr(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
 def trust_region(problem: FiniteSumProblem, config: OptConfig) -> OptTrace:
     """Trust region with CG-Steihaug steps and geometric radius updates.
 
-    Ratio rho = (F(x+p) - F(x)) / m(p) against threshold tr_eta; accepted
-    steps grow the radius by tr_gamma and rebuild the Hessian sketch at the
-    new iterate, rejections shrink the radius and reuse the sketch.  The CG
-    path of the Steihaug solve on an operator holds the step for every
-    smaller radius, so a rejection replays it without a CG product: it
-    costs one objective evaluation and the one product of the model value.
-    The iterates are those of a fresh solve per step and only the meter
-    reads lower, so a run that ``max_oracle_calls`` stops gets further.  A
-    radius below 1e-16 terminates with status "radius_underflow".
+    A step is accepted when m(p) != 0 and rho = (F(x+p) - F(x)) / m(p) >=
+    tr_eta.  Zero predicted decrease rejects, and since m(0) = 0 an accepted
+    step is nonzero, so it always moves the iterate.  Acceptances grow the
+    radius by tr_gamma and rebuild the Hessian sketch at the new iterate;
+    rejections shrink the radius and reuse the sketch and the CG path of its
+    Steihaug solve, which holds the step for every smaller radius.  So a
+    rejection costs no CG product, only one objective evaluation and the one
+    product of the model value.  The iterates are those of a fresh solve per
+    step and only the meter reads lower, so a run that ``max_oracle_calls``
+    stops gets further.  A radius below 1e-16 terminates with status
+    "radius_underflow".
     """
     delta = config.tr_delta0
+    path = None  # the Steihaug path on the current iterate's operator
 
     def step(run, k):
-        nonlocal delta
+        nonlocal delta, path
         if delta < _RADIUS_FLOOR:
             run.trace.flags.append(f"radius_underflow_iter_{k}")
             return "radius_underflow"
         hp = run.hessp(k)
-        if run.path is None or delta > run.path.radius:
-            run.path = _SteihaugPath(hp, run.g, delta, config.inner_cap,
-                                     config.inner_tol)
-        p = run.path.step(delta)
+        if path is None:
+            path = _SteihaugPath(hp, run.g, delta, config.inner_cap,
+                                 config.inner_tol)
+        p = path.step(delta)
         m = float(run.g @ p + 0.5 * p @ np.asarray(hp(p)))
         F_new = value(problem, run.x + p, meter=run.meter)
-        p_norm = float(np.linalg.norm(p))
-        rho, degenerate = model_reduction_ratio(F_new - run.F, m, p_norm)
-        if degenerate:
-            run.trace.flags.append(f"degenerate_model_iter_{k}")
-        if rho >= config.tr_eta:
-            if p_norm > 0.0:
-                x = run.x + p
-                run.move(x, F_new, grad(problem, x, meter=run.meter))
+        if m != 0.0 and (F_new - run.F) / m >= config.tr_eta:
+            x = run.x + p
+            run.move(x, F_new, grad(problem, x, meter=run.meter))
+            path = None
             delta *= config.tr_gamma
             return delta, True
         delta /= config.tr_gamma

@@ -195,7 +195,7 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
         raise ValueError("estimate: query lengths must match column counts")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("estimate: u and v must be finite (found NaN or Inf)")
-    k = check_int(k, "estimate: k")
+    k = check_int(k, "estimate: k", 1)
     reps = check_int(reps, "estimate: reps", 1)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)  # built once, not once per rep

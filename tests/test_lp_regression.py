@@ -351,6 +351,31 @@ def test_small_lp_p3_matches_smooth_reference():
     assert sol.objective ** 3 <= ref.fun * (1 + 1e-6) + 1e-12
 
 
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0, np.inf))
+def test_small_lp_repeated_column_falls_back_to_lstsq(p, monkeypatch):
+    # A repeated column makes every Newton Hessian singular, so Cholesky
+    # fails and the step comes from lstsq; the optimum is the one without
+    # the copy, whose columns span the same space.
+    failures = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        try:
+            return cho_factor(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    rng = np.random.default_rng(95)
+    M = rng.standard_normal((30, 3))
+    c = rng.standard_normal(30)
+    ref = small_lp_solve(M, c, p)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    sol = small_lp_solve(np.hstack([M, M[:, :1]]), c, p)
+    assert failures
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
 def test_grouped_p2_equals_plain_least_squares():
     rng = np.random.default_rng(94)
     M = rng.standard_normal((20, 3))
@@ -506,6 +531,17 @@ def test_sketch_objective_tracks_true_optimum_p1():
         if abs(val - opt) <= 0.2 * opt:
             ok += 1
     assert ok >= 36
+
+
+@pytest.mark.parametrize("p", (1.0, 3.0))
+def test_sketch_and_solve_default_t(p):
+    # one complex column lifts to d = 2: t = max(8, ceil(4 * 2 ln 4 / 0.25))
+    rng = np.random.default_rng(102)
+    A = complex_matrix(rng, 20, 1)
+    b = complex_vector(rng, 20)
+    default = sketch_and_solve(A, b, p, seed=3)
+    assert np.array_equal(default.xhat, sketch_and_solve(A, b, p, t=45,
+                                                         seed=3).xhat)
 
 
 def test_sketch_and_solve_classification_path_runs():

@@ -21,7 +21,6 @@ from sketchopt.optimizers import (
     cg_solve,
     cg_steihaug,
     minnorm_lsq,
-    model_reduction_ratio,
     newton_cg,
     newton_mr,
     trust_region,
@@ -353,15 +352,6 @@ def test_config_validation():
     assert OptConfig(scheme=" LS_MX ", sample_size=10).scheme == "ls-mx"
 
 
-def test_model_reduction_ratio_degenerate_rule():
-    rho, degenerate = model_reduction_ratio(actual=0.0, predicted=0.0,
-                                            step_norm=0.0)
-    assert rho == 1.0 and degenerate
-    rho, degenerate = model_reduction_ratio(actual=-0.5, predicted=-1.0,
-                                            step_norm=1.0)
-    assert rho == pytest.approx(0.5) and not degenerate
-
-
 # ---------------------------------------------------------------------------
 # newton_cg
 # ---------------------------------------------------------------------------
@@ -524,6 +514,29 @@ def test_trust_region_rejection_replays_its_path(scheme, product_units,
         assert marks[k] - marks[k - 1] == 1
         assert trace.oracle_calls[k] - trace.oracle_calls[k - 1] \
             == 1 + product_units
+
+
+@pytest.mark.parametrize("loss", ["tukey_biweight", "nlls_classification"])
+@pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "ls-det"])
+def test_trust_region_never_accepts_a_zero_step(loss, scheme):
+    # Acceptance needs rho >= tr_eta > 0 with m(p) != 0, and m(0) = 0, so
+    # every accepted step moves the iterate and changes the objective.
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((300, 5))
+    w_star = rng.standard_normal(5)
+    if loss == "tukey_biweight":
+        labels = A @ w_star + rng.standard_normal(300)
+        labels[:30] += 20.0
+    else:
+        labels = (A @ w_star >= 0).astype(float)
+        labels[:30] = 1.0 - labels[:30]
+    problem = FiniteSumProblem(A=A, labels=labels, loss=make_loss(loss))
+    trace = trust_region(problem, OptConfig(
+        scheme=scheme, sample_size=20, grad_tol=0.0, max_outer=300, seed=3))
+    moves = [k for k in range(1, len(trace.accepted)) if trace.accepted[k]]
+    assert moves and len(moves) < len(trace.accepted) - 1
+    for k in moves:
+        assert trace.objective[k] != trace.objective[k - 1]
 
 
 def test_trust_region_radius_underflow_after_rejections():

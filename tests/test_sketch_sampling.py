@@ -352,9 +352,9 @@ def _size_cases():
     C, u = rand_cmat(rng, 5, 3), rand_cmat(rng, 1, 3)[0]
     cases = {
         "sketch_and_solve: t": (lambda v: sketch_and_solve(A, b, 1.0, t=v),
-                                0, "build_sketch_finite_p: t must be >= 1"),
+                                0, "sketch_and_solve: t must be >= 1"),
         "sketch_and_solve: s": (lambda v: sketch_and_solve(A, b, np.inf, s=v),
-                                0, "build_sketch_inf: s must be >= 1"),
+                                0, "sketch_and_solve: s must be >= 1"),
         "build_sketch_finite_p: t":
             (lambda v: build_sketch_finite_p(2, [0], v, 1.0), 0,
              "build_sketch_finite_p: t must be >= 1"),
@@ -400,7 +400,7 @@ def _size_cases():
             (lambda v: ts_new(4).tables(v), -1,
              "TensorSketchState.tables: d must be >= 0"),
         "estimate: k": (lambda v: estimate(C, C, u, u, v), 0,
-                        "ts_new: k must be >= 1"),
+                        "estimate: k must be >= 1"),
         "estimate: reps": (lambda v: estimate(C, C, u, u, 4, reps=v), 0,
                            "estimate: reps must be >= 1"),
         "OptConfig: max_outer": (lambda v: OptConfig(max_outer=v), 0,

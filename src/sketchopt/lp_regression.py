@@ -12,12 +12,13 @@ compressed coordinates reproduces the pair's Euclidean norm; for
 Every solve, dense or sketched, starts from the same least-squares fit and
 reports the objective of the iterate it returns.  At ``p = 2``, or when the
 start's objective is at most 1e-14 of the data scale, the start is the
-answer.  Every other solve takes damped Newton steps under a halving temperature ``mu``: on
-``sum_g (||r_g||^2 + mu^2)^(p/2)`` at finite ``p``, on a smoothed max at
-``p = infinity``.  ``converged`` is a certificate: the bound on how far the
-smoothing lifts the minimum plus the Newton decrement, which together bound
-the objective's excess over the optimum, are at most ``tol`` times the
-objective (its p-th power at finite ``p``); every solver raises
+answer.  Every other solve takes damped Newton steps under a halving
+temperature ``mu``: on ``sum_g (||r_g||^2 + mu^2)^(p/2)`` at finite ``p``,
+on a smoothed max at ``p = infinity``.  ``converged`` is a stopping test,
+not a certificate: the bound on how far the smoothing lifts the minimum
+plus the Newton decrement, an estimate of how far the smoothed objective
+lies above its minimum, are within ``tol`` times the objective (its p-th
+power at finite ``p``); every solver raises
 ``ValueError`` unless ``tol`` is finite and >= 0 and ``p >= 1`` or
 ``p = infinity``.  ``sketch_and_solve`` never
 assembles the compressed matrix.  At every ``p`` each compressed row is a
@@ -137,7 +138,7 @@ class BlockSketch:
 
 @dataclass
 class LpSolution:
-    """Solver output: minimizer, certified objective, and convergence flag."""
+    """Solver output: minimizer, its objective, and convergence flag."""
 
     y: np.ndarray
     objective: float
@@ -354,8 +355,9 @@ class _Groups:
         """Row g: ``sum_k u_k M_k`` over the rows ``k`` of group ``g``."""
         if self.width is None:
             return np.add.reduceat(u[:, None] * M, self.starts, axis=0)
-        return (u.reshape(-1, 1, self.width)
-                @ M.reshape(-1, self.width, M.shape[1]))[:, 0]
+        groups = self.sizes.size  # given: NumPy cannot infer it at 0 columns
+        return (u.reshape(groups, 1, self.width)
+                @ M.reshape(groups, self.width, M.shape[1]))[:, 0]
 
     def norms(self, r, l1=False):
         """Each group's norm of the row values ``r``: l1 when ``l1``, else
@@ -407,7 +409,7 @@ class _PairBlockRows:
 
     def __init__(self, Ap, bp, factors):
         self.A_rows = Ap
-        self.A = Ap.reshape(-1, 2, Ap.shape[1])  # (pairs, 2, d)
+        self.A = Ap.reshape(len(factors), 2, Ap.shape[1])  # (pairs, 2, d)
         self.b = bp.reshape(-1, 2)  # (pairs, 2)
         self.pair_rows = _Groups(np.array([f.shape[0] for f in factors],
                                           dtype=int))
@@ -451,8 +453,8 @@ class _PairBlockRows:
         live = C.any(axis=(1, 2))  # pairs whose C_i is 0 add nothing
         if not live.all():
             C, A = C[live], A[live]
-        return (A.reshape(-1, A.shape[2]).T
-                @ (C @ A).reshape(-1, A.shape[2]))
+        rows = (2 * A.shape[0], A.shape[2])
+        return A.reshape(rows).T @ (C @ A).reshape(rows)
 
     def rmatvec(self, v):
         """``M^T v`` for the unassembled rows ``M``."""
@@ -485,9 +487,9 @@ def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
     decrement is below its bound ``mu`` halves, or shrinks by ``fast_cut``
     when the level's first decrement was already a tenth of that bound (the
     iterate barely moves as ``mu`` falls).  The fit is converged once
-    the smoothing bound plus the decrement (an estimate of ``F - min F``),
-    which together bound the objective's excess over the optimum, are at
-    most ``tol`` times the best objective seen (and at least ``floor``).
+    the smoothing bound plus the decrement (an estimate of ``F - min F``)
+    are at most ``tol`` times the best objective seen (and at least
+    ``floor``): a stopping test, not a bound on the objective's excess.
     Returns that best iterate, the flag and the number of accepted steps.
     """
     best_y, best_obj = y, obj
@@ -747,7 +749,8 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     uses the sign-enumeration route and requires ``s`` (any ``s >= 1``); its
     pair blocks are the ``G_i``, whose ``s`` rows are pair ``i``'s l1 group,
     never the ``n 2^s`` signed rows.  Neither route assembles its rows.
-    Returns its complex solution together with its certified objective.
+    Returns its complex solution together with its objective on the
+    compressed problem.
     """
     p = check_p(p, "sketch_and_solve: p")
     if t is not None:

@@ -17,11 +17,10 @@ its step-and-accept rule:
   r = -g - H p, on a Lanczos breakdown, or when the Krylov subproblem is
   numerically singular.
 - ``trust_region``: a CG-Steihaug step with ratio-based accept/reject and
-  geometric radius updates.  A rejected step keeps the iterate and so its
-  operator, and the acceptance ratio compares like with like.  The first
-  solve on an operator records its CG path, which holds the step for every
-  smaller radius, so a rejection replays it: one objective evaluation plus
-  the one product of the model value, and no CG product.
+  geometric radius updates.  A rejection keeps the iterate and operator, so
+  the ratio compares like with like, and replays the CG path of the
+  operator's first solve, which holds the step for every smaller radius: it
+  costs one objective evaluation and one product, for the model value.
 
 All oracle work is charged to an OracleMeter in function-evaluation units;
 traces record the cumulative meter alongside objective and gradient-norm
@@ -159,44 +158,34 @@ class OptTrace:
 # ---------------------------------------------------------------------------
 
 
-def _cg(hessp, g, cap: int, tol: float, path: _SteihaugPath | None = None):
-    """CG on H p = -g from p = 0 to a residual of ``tol`` ||g||, or ``cap``
-    iterations.  On d^T H d <= 0 it returns -g at the first iteration and p
-    after it.  Given a ``path``, it records each iteration's
-    (z_j, d_j, ||z_{j+1}||) there, with an infinite norm where d_j has
-    nonpositive curvature, stops at the first that reaches ``path.radius``,
-    and sets ``path.end`` to the iterate of an interior stop."""
+def _cg(hessp, g, cap: int, tol: float):
+    """CG on H p = -g from p = 0, one (p_j, d_j, p_{j+1}) per iteration.
+
+    p_{j+1} is None where d_j^T H d_j <= 0, and the iterations stop there,
+    at a residual of ``tol`` ||g||, or after ``cap`` (none when g = 0).
+    Each takes its one product with H before its yield."""
     g = np.asarray(g, dtype=float)
     gnorm = math.sqrt(float(g @ g))
     p = np.zeros_like(g)
     r = -g
     d = r.copy()
     rs = float(r @ r)
-    for j in range(0 if gnorm == 0.0 else cap):
+    for _ in range(0 if gnorm == 0.0 else cap):
         Hd = np.asarray(hessp(d))
         kappa = float(d @ Hd)
         if kappa <= 0.0:
-            if path is None:
-                return -g if j == 0 else p
-            path.steps.append((p, d, math.inf))
-            return p
+            yield p, d, None
+            return
         alpha = rs / kappa
         p_new = p + alpha * d
-        if path is not None:
-            norm = math.sqrt(float(p_new @ p_new))
-            path.steps.append((p, d, norm))
-            if norm >= path.radius:
-                return p
+        yield p, d, p_new
         p = p_new
         r = r - alpha * Hd
         rs_new = float(r @ r)
         if math.sqrt(rs_new) <= tol * gnorm:
-            break
+            return
         d = r + (rs_new / rs) * d
         rs = rs_new
-    if path is not None:
-        path.end = p
-    return p
 
 
 def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
@@ -205,7 +194,13 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     Returns the current iterate when d^T H d <= 0 appears mid-run, and the
     steepest-descent direction -g when it appears on the first iteration.
     """
-    return _cg(hessp, g, cap, tol)
+    g = np.asarray(g, dtype=float)
+    p = np.zeros_like(g)
+    for j, (z, _, z_next) in enumerate(_cg(hessp, g, cap, tol)):
+        if z_next is None:
+            return -g if j == 0 else z
+        p = z_next
+    return p
 
 
 def _reflect(a: float, b: float):
@@ -319,20 +314,25 @@ class _SteihaugPath:
     """The CG path of one Steihaug solve, which answers smaller radii too.
 
     The CG iterates z_j do not depend on the radius, and their norms grow
-    monotonically (Steihaug 1983).  So the Steihaug step for a radius is the
-    first recorded crossing of it, z_j + tau d_j with ||z_j + tau d_j|| equal
-    to the radius, or the interior end if the path never reaches it.  A
-    path answers every radius up to the ``radius`` it was recorded for.
+    monotonically (Steihaug 1983).  The path records them up to the first
+    that reaches its build radius, so the step for any radius up to that is
+    the first recorded crossing, z_j + tau d_j of norm equal to the radius,
+    or the last interior iterate ``end`` if no recorded norm reaches it.
     """
 
     def __init__(self, hessp, g, radius: float, cap: int, tol: float):
-        self.radius = radius
         self.steps: list = []  # (z_j, d_j, ||z_{j+1}||), inf on d_j^T H d_j <= 0
-        self.end = None  # the iterate an interior stop returned
-        _cg(hessp, g, cap, tol, self)
+        self.end = np.zeros_like(np.asarray(g, dtype=float))  # last interior z
+        for z, d, z_next in _cg(hessp, g, cap, tol):
+            norm = (math.inf if z_next is None
+                    else math.sqrt(float(z_next @ z_next)))
+            self.steps.append((z, d, norm))
+            if norm >= radius:
+                break
+            self.end = z_next
 
     def step(self, radius: float) -> np.ndarray:
-        """The Steihaug step for a radius of at most ``self.radius``."""
+        """The Steihaug step for a radius of at most the build radius."""
         for z, d, norm in self.steps:
             if norm >= radius:
                 return z + _boundary_tau(z, d, radius) * d

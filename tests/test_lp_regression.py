@@ -1191,3 +1191,38 @@ def test_lp_leverage_scores_rejects_nonfinite_input():
     for p in (1.0, 2.0):
         with pytest.raises(ValueError, match="finite"):
             lp_leverage_scores(M, p)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_lp_solvers_fit_a_design_with_no_columns(p):
+    # nothing to fit: each solver returns an empty solution and the
+    # objective of the data itself
+    rng = np.random.default_rng(95)
+    b, c = complex_vector(rng, 6), rng.standard_normal(6)
+    sol = complex_lp_solve(np.empty((6, 0), dtype=complex), b, p)
+    assert sol.x.shape == (0,) and sol.converged
+    assert sol.objective == mixed_norm(phi(b), p)
+    sol = small_lp_solve(np.empty((6, 0)), c, p)
+    assert sol.y.shape == (0,)
+    assert sol.objective == pytest.approx(lp_norm(c, p), rel=1e-14)
+    for groups in ([[0, 3], [1, 4], [2, 5]], [[0, 3], [1, 4, 5], [2]]):
+        sol = grouped_lp_solve(np.empty((6, 0)), c, groups, p)
+        assert sol.y.shape == (0,)
+        assert sol.objective == pytest.approx(lp_norm(
+            np.array([np.linalg.norm(c[g]) for g in groups]), p), rel=1e-14)
+    kw = {"s": 2} if np.isinf(p) else {"t": 2}
+    empty = sketch_and_solve(np.empty((6, 0), dtype=complex), b, p, **kw)
+    zero = sketch_and_solve(np.zeros((6, 1), dtype=complex), b, p, **kw)
+    assert empty.xhat.shape == (0,)
+    assert empty.sketched_objective == zero.sketched_objective
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_small_lp_solve_reads_a_vector_as_one_column(p):
+    rng = np.random.default_rng(96)
+    m = rng.standard_normal(20)
+    c = 2.0 * m + rng.standard_normal(20)
+    vec, col = small_lp_solve(m, c, p), small_lp_solve(m[:, None], c, p)
+    assert vec.y.shape == (1,)
+    np.testing.assert_array_equal(vec.y, col.y)
+    assert vec.objective == col.objective

@@ -632,6 +632,31 @@ def test_ls_det_scheme_runs_end_to_end():
     assert F[-1] < F[0]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_zero_curvature_schemes_fall_back_to_uniform(seed):
+    # f'' = 0 everywhere: the ls and rn scores are all zero, so those
+    # schemes sample uniformly; ls-mx and rn-mx keep the row terms of A
+    from sketchopt.hessian_oracle import LossFamily
+
+    linear = LossFamily("linear", lambda t, b: t - b,
+                        lambda t, b: np.ones_like(t),
+                        lambda t, b: np.zeros_like(t))
+    rng = np.random.default_rng(76)
+    problem = FiniteSumProblem(A=rng.standard_normal((50, 3)),
+                               labels=rng.standard_normal(50),
+                               loss=linear, ridge_lambda=0.5)
+    cfg = OptConfig(scheme="uniform", sample_size=10, seed=seed)
+    uniform = newton_cg(problem, cfg)
+    for scheme in ("ls", "rn"):
+        with pytest.warns(RuntimeWarning, match="falling back to uniform"):
+            trace = newton_cg(problem, replace(cfg, scheme=scheme))
+        assert trace.flags and set(trace.flags) == {
+            f"scheme_{scheme}_fell_back_to_uniform"}
+        assert trace.objective == uniform.objective
+    for scheme in ("ls-mx", "rn-mx", "uniform"):
+        assert newton_cg(problem, replace(cfg, scheme=scheme)).flags == []
+
+
 @pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "ls-det"])
 def test_iterate_operator_matches_per_product_oracles(scheme):
     from sketchopt.hessian_oracle import OracleMeter, d_diag, hessp_full, \

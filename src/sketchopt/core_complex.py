@@ -192,6 +192,8 @@ def min_eig_hermitian(M, tol: float = DEFAULT_RTOL):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("min_eig_hermitian: expected a square matrix")
     _check_finite(M, "min_eig_hermitian")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("min_eig_hermitian: tol must be finite and >= 0")
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.conj().T).max() > tol * scale:
         raise ValueError("min_eig_hermitian: input is not Hermitian within tolerance")

@@ -52,15 +52,11 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
-                 remainder_mode: str, seed, caller: str) -> HybridPlan:
+                 remainder_mode: str, seed) -> HybridPlan:
     """The plan keeping the ascending rows ``deterministic`` at weight 1 and
     drawing ``sample_count`` picks from the rest, uniformly or by their
     leverage scores (uniformly when those are all zero).  The picks are
     drawn over the remainder and returned as rows of B."""
-    if remainder_mode not in REMAINDER_MODES:
-        raise ValueError(
-            f"{caller}: remainder_mode must be one of {REMAINDER_MODES}"
-        )
     n = B.shape[0]
     keep = np.ones(n, dtype=bool)
     keep[deterministic] = False
@@ -106,6 +102,9 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
                          f"got {threshold!r}")
     check_int(sample_count, "ls_det_sample: sample_count", 1)
     cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap", 1)
+    if remainder_mode not in REMAINDER_MODES:
+        raise ValueError(
+            f"ls_det_sample: remainder_mode must be one of {REMAINDER_MODES}")
 
     taken = np.zeros(n, dtype=bool)
     for _ in range(rounds):
@@ -119,7 +118,7 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
         top = _top_k_rows(scores[eligible], min(cap, eligible.size))
         taken[remaining[eligible[top]]] = True
     return _hybrid_plan(B, np.flatnonzero(taken), sample_count, remainder_mode,
-                        seed, "ls_det_sample")
+                        seed)
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
@@ -137,13 +136,15 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     check_int(budget, "ls_det_fraction_plan: budget", 1)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("ls_det_fraction_plan: fraction must be in [0, 1]")
+    if remainder_mode not in REMAINDER_MODES:
+        raise ValueError("ls_det_fraction_plan: remainder_mode must be one of "
+                         f"{REMAINDER_MODES}")
     k = min(int(round(fraction * budget)), n)
     if k > 0:
         deterministic = _top_k_rows(exact_leverage_scores(B), k)
     else:
         deterministic = np.zeros(0, dtype=np.int64)
-    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, seed,
-                        "ls_det_fraction_plan")
+    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, seed)
 
 
 def hybrid_gram(plan: HybridPlan, B) -> np.ndarray:

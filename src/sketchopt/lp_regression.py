@@ -245,6 +245,8 @@ def classify_pairs(scores, d, p):
     scores = np.asarray(scores, dtype=float).ravel()
     if scores.size % 2:
         raise ValueError("classify_pairs: scores must cover whole row pairs")
+    if not np.isfinite(scores).all():
+        raise ValueError("classify_pairs: scores must be finite")
     d = check_int(d, "classify_pairs: d", 1)
     p = check_p(p, "classify_pairs: p")
     inv_q = 1.0 - 1.0 / p  # 1/q with q = p/(p-1); zero at p = 1

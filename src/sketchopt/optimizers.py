@@ -1,11 +1,11 @@
 """Newton-type optimizers driven by full or sketched Hessian-vector products.
 
 One outer-loop driver, ``_drive``, runs the three solvers under one
-configuration type and one trace type.  It owns the oracle meter, the
-trace, the per-iteration seeds, the grad_tol and budget stops and the final
-status, and builds the Hessian operator at the current iterate, from the
-configured scheme, when a step first asks for it.  Each solver supplies only
-its step-and-accept rule:
+configuration type and one trace type.  It owns the grad_tol and budget
+stops and the final status; its run, ``_Run``, owns the oracle meter, the
+trace and the per-iteration seeds, and builds the Hessian operator at the
+current iterate, from the configured scheme, when a step first asks for it.
+Each solver supplies only its step-and-accept rule:
 
 - ``newton_cg``: a conjugate-gradient Newton step with Armijo backtracking
   on the objective.
@@ -25,6 +25,8 @@ its step-and-accept rule:
 All oracle work is charged to an OracleMeter in function-evaluation units;
 traces record the cumulative meter alongside objective and gradient-norm
 values.
+The public inner solvers raise ValueError unless ``cap`` is an integer
+>= 1 and ``tol`` is finite and >= 0.
 """
 
 from __future__ import annotations
@@ -158,6 +160,14 @@ class OptTrace:
 # ---------------------------------------------------------------------------
 
 
+def _check_inner(name: str, cap: int, tol: float) -> None:
+    """Reject an inner solve's ``cap`` unless an integer >= 1, and its
+    ``tol`` unless finite and >= 0."""
+    check_int(cap, f"{name}: cap", 1)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name}: tol must be finite and >= 0")
+
+
 def _cg(hessp, g, cap: int, tol: float):
     """CG on H p = -g from p = 0, one (p_j, d_j, p_{j+1}) per iteration.
 
@@ -194,6 +204,7 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     Returns the current iterate when d^T H d <= 0 appears mid-run, and the
     steepest-descent direction -g when it appears on the first iteration.
     """
+    _check_inner("cg_solve", cap, tol)
     g = np.asarray(g, dtype=float)
     p = np.zeros_like(g)
     for j, (z, _, z_next) in enumerate(_cg(hessp, g, cap, tol)):
@@ -235,6 +246,7 @@ def minnorm_lsq(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     the kernel until T_k turns singular, and a solve that the tol test
     stops first returns that component.
     """
+    _check_inner("minnorm_lsq", cap, tol)
     g = np.asarray(g, dtype=float)
     beta1 = math.sqrt(float(g @ g))
     p_done = np.zeros_like(g)  # the part of p_k that later steps keep
@@ -349,48 +361,8 @@ def cg_steihaug(hessp, g, radius: float, cap: int = 100,
     """
     if radius <= 0.0:
         raise ValueError("cg_steihaug: radius must be positive")
+    _check_inner("cg_steihaug", cap, tol)
     return _SteihaugPath(hessp, g, radius, cap, tol).step(radius)
-
-
-# ---------------------------------------------------------------------------
-# scheme -> Hessian-operator factory
-# ---------------------------------------------------------------------------
-
-
-def _make_hessp(problem: FiniteSumProblem, x, config: OptConfig, seed,
-                meter: OracleMeter, cache: dict, trace: OptTrace):
-    """Closure v -> H_sketched v at iterate x, charged to the meter."""
-    if config.scheme == "full":
-        dvec = problem.loss.f2(problem.A @ x, problem.labels)
-        return lambda v: hessp_full(problem, x, v, meter=meter, dvec=dvec)
-    if config.scheme == "ls-det":
-        dvec = hessian_oracle.d_diag(problem, x, meter=meter)
-        B = np.sqrt(np.abs(dvec))[:, None] * problem.A
-        plan = ls_det_fraction_plan(
-            B, budget=config.sample_size, fraction=config.ls_det_fraction,
-            remainder_mode="leverage", seed=seed,
-        )
-        # d units per leverage computation made: top rows, sampled remainder
-        meter.add(problem.d * ((plan.deterministic_rows.size > 0)
-                               + (len(plan.sampled) > 0)))
-        op = sketched_hessian(problem, x, plan, dvec=dvec)
-        return lambda v: hessp_sketched(op, v, meter=meter)
-    result = scheme_probabilities(problem, x, config.scheme, meter=meter,
-                                  cache=cache)
-    if result.fell_back:
-        trace.flags.append(f"scheme_{config.scheme}_fell_back_to_uniform")
-    sketch = build_sampling_sketch(result.probs, config.sample_size, seed=seed)
-    op = sketched_hessian(problem, x, sketch)
-    return lambda v: hessp_sketched(op, v, meter=meter)
-
-
-def _iteration_seed(root: np.random.SeedSequence, k: int):
-    """The seed of outer iteration k, equal to ``root.spawn(max_outer)[k-1]``.
-
-    Derived from the index: trust region draws a seed only when it rebuilds
-    the sketch, and the skipped indices must not shift the later children.
-    """
-    return child_seed(root, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +373,8 @@ def _iteration_seed(root: np.random.SeedSequence, k: int):
 class _Run:
     """One solver run: the current iterate plus what a step rule needs.
 
-    The Hessian operator at the iterate is built on first use and dropped
-    by ``move``."""
+    The run builds the Hessian operator at the iterate from the configured
+    scheme on first use, and ``move`` drops it."""
 
     def __init__(self, problem: FiniteSumProblem, config: OptConfig,
                  algorithm: str, charge_objective: bool):
@@ -420,12 +392,43 @@ class _Run:
 
     def hessp(self, k: int):
         """The Hessian operator at the current iterate, built on first use
-        with the seed of iteration k."""
+        with the seed of iteration k, ``root.spawn(max_outer)[k-1]``.
+
+        The seed is derived from the index: trust region builds only after
+        an accept, and the skipped indices must not shift the later seeds.
+        """
         if self._hp is None:
-            self._hp = _make_hessp(self.problem, self.x, self.config,
-                                   _iteration_seed(self._root, k), self.meter,
-                                   self._cache, self.trace)
+            self._hp = self._operator(child_seed(self._root, k - 1))
         return self._hp
+
+    def _operator(self, seed):
+        """Closure v -> H_sketched v at the iterate, charged to the meter."""
+        problem, config, meter = self.problem, self.config, self.meter
+        x = self.x
+        if config.scheme == "full":
+            dvec = problem.loss.f2(problem.A @ x, problem.labels)
+            return lambda v: hessp_full(problem, x, v, meter=meter, dvec=dvec)
+        if config.scheme == "ls-det":
+            dvec = hessian_oracle.d_diag(problem, x, meter=meter)
+            sketch = ls_det_fraction_plan(
+                np.sqrt(np.abs(dvec))[:, None] * problem.A,
+                budget=config.sample_size, fraction=config.ls_det_fraction,
+                remainder_mode="leverage", seed=seed,
+            )
+            # d units per leverage computation made: top rows, sampled remainder
+            meter.add(problem.d * ((sketch.deterministic_rows.size > 0)
+                                   + (len(sketch.sampled) > 0)))
+        else:
+            dvec = None
+            result = scheme_probabilities(problem, x, config.scheme,
+                                          meter=meter, cache=self._cache)
+            if result.fell_back:
+                self.trace.flags.append(
+                    f"scheme_{config.scheme}_fell_back_to_uniform")
+            sketch = build_sampling_sketch(result.probs, config.sample_size,
+                                           seed=seed)
+        op = sketched_hessian(problem, x, sketch, dvec=dvec)
+        return lambda v: hessp_sketched(op, v, meter=meter)
 
     def move(self, x, F: float, g) -> None:
         self.x, self.F, self.g = x, F, g

@@ -250,6 +250,17 @@ def test_min_eig_hermitian_rejects_non_hermitian():
         min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+def test_min_eig_hermitian_rejects_bad_tol(tol):
+    # a NaN tol used to turn the Hermitian test off, and a negative one
+    # rejected even an exactly Hermitian matrix as not Hermitian
+    for M in ([[1.0, 5.0], [0.0, 1.0]], np.eye(2)):
+        with pytest.raises(ValueError, match="^min_eig_hermitian: tol must "
+                                             "be finite and >= 0$"):
+            min_eig_hermitian(np.array(M), tol=tol)
+    assert min_eig_hermitian(np.eye(2), tol=0.0) == 1.0
+
+
 def test_child_seed_equals_spawned_child_and_leaves_root_alone():
     for root in (np.random.SeedSequence(21),
                  np.random.SeedSequence(21).spawn(3)[2]):

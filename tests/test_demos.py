@@ -1,7 +1,9 @@
-"""Smoke test: every script under ``demos/`` runs to completion."""
+"""Smoke tests: every script under ``demos/`` and the README's Python
+examples run to completion."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_are_found():
@@ -23,3 +26,13 @@ def test_demo_exits_cleanly(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run_in_order():
+    # later blocks use the names (rng, A, Ac) that earlier ones define
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        flags=re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

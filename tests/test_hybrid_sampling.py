@@ -158,6 +158,28 @@ def test_parameter_validation():
                       remainder_mode="bogus")
 
 
+@pytest.mark.parametrize("caller, plan", [
+    ("ls_det_sample",
+     lambda B: ls_det_sample(B, rounds=3, threshold=0.01, sample_count=4,
+                             remainder_mode="bogus")),
+    ("ls_det_fraction_plan",
+     lambda B: ls_det_fraction_plan(B, 10, 0.5, remainder_mode="bogus")),
+], ids=["ls_det_sample", "ls_det_fraction_plan"])
+def test_bad_remainder_mode_raises_before_leverage_work(caller, plan,
+                                                        monkeypatch):
+    from sketchopt import hybrid_sampling
+
+    calls = []
+    original = hybrid_sampling.exact_leverage_scores
+    monkeypatch.setattr(hybrid_sampling, "exact_leverage_scores",
+                        lambda B: calls.append(1) or original(B))
+    B = np.random.default_rng(30).standard_normal((40, 3))
+    with pytest.raises(ValueError, match=f"^{caller}: remainder_mode must be "
+                                         r"one of \('uniform', 'leverage'\)$"):
+        plan(B)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # hybrid_gram
 # ---------------------------------------------------------------------------

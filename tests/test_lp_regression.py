@@ -222,6 +222,14 @@ def test_classification_gamma_p1_is_inverse_d():
     assert light.tolist() == [1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classification_rejects_non_finite_scores(bad):
+    # a NaN score used to leave its pair in neither list
+    with pytest.raises(ValueError,
+                       match="^classify_pairs: scores must be finite$"):
+        classify_pairs([bad, 0.1, 0.9, 0.2], 2, 1.0)
+
+
 def test_classification_all_rows_equal():
     scores = np.full(10, 0.2)
     heavy, light = classify_pairs(scores, 4, 1.0)  # gamma = 0.25 > 0.2

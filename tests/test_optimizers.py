@@ -320,6 +320,24 @@ def test_steihaug_path_replays_every_smaller_radius():
                     "interior at cap"}
 
 
+@pytest.mark.parametrize("name, solve", [
+    ("cg_solve", cg_solve),
+    ("minnorm_lsq", minnorm_lsq),
+    ("cg_steihaug", lambda hp, g, **kw: cg_steihaug(hp, g, 1.0, **kw)),
+], ids=["cg_solve", "minnorm_lsq", "cg_steihaug"])
+def test_inner_solvers_reject_bad_cap_and_tol(name, solve):
+    hp, g = matvec(np.diag([1.0, 2.0, 3.0])), np.ones(3)
+    for cap in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match=f"^{name}: cap must be"):
+            solve(hp, g, cap=cap)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(ValueError,
+                           match=f"^{name}: tol must be finite and >= 0$"):
+            solve(hp, g, tol=tol)
+    # the floor values stay legal
+    assert np.all(np.isfinite(solve(hp, g, cap=1, tol=0.0)))
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -493,17 +511,17 @@ def test_trust_region_rejection_replays_its_path(scheme, product_units,
     cfg = OptConfig(scheme=scheme, sample_size=8, grad_tol=0.0,
                     max_outer=60, tr_gamma=10.0, seed=1)
     products, marks = [], []
-    make_hessp = optimizers_mod._make_hessp
+    operator = optimizers_mod._Run._operator
 
-    def counting_make_hessp(*args):
-        hp = make_hessp(*args)
+    def counting_operator(run, seed):
+        hp = operator(run, seed)
         return lambda v: products.append(1) or hp(v)
 
     def marking_value(*args, **kwargs):
         marks.append(len(products))  # one evaluation per iteration
         return value(*args, **kwargs)
 
-    monkeypatch.setattr(optimizers_mod, "_make_hessp", counting_make_hessp)
+    monkeypatch.setattr(optimizers_mod._Run, "_operator", counting_operator)
     monkeypatch.setattr(optimizers_mod, "value", marking_value)
     trace = trust_region(problem, cfg)
     assert len(marks) == len(trace.iteration)
@@ -659,7 +677,7 @@ def test_zero_curvature_schemes_fall_back_to_uniform(seed):
 
 @pytest.mark.parametrize("scheme", ["full", "uniform", "ls", "ls-det"])
 def test_iterate_operator_matches_per_product_oracles(scheme):
-    from sketchopt.hessian_oracle import OracleMeter, d_diag, hessp_full, \
+    from sketchopt.hessian_oracle import d_diag, hessp_full, \
         hessp_sketched, sketched_hessian
 
     rng = np.random.default_rng(75)
@@ -667,9 +685,9 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
     x = 0.5 * rng.standard_normal(4)
     cfg = OptConfig(scheme=scheme, sample_size=30, ls_det_fraction=0.5)
     seed = np.random.SeedSequence(3)
-    meter = OracleMeter()
-    hp = optimizers_mod._make_hessp(problem, x, cfg, seed, meter, {},
-                                    OptTrace("test"))
+    run = optimizers_mod._Run(problem, cfg, "test", charge_objective=True)
+    run.x = x
+    hp = run._operator(seed)
     # the sketch the operator was built from, drawn again from the same seed
     if scheme == "full":
         def reference(v):
@@ -693,12 +711,12 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
 
         def reference(v):
             return hessp_sketched(sketched_hessian(problem, x, sketch), v)
-    built = meter.function_evals
+    built = run.meter.function_evals
     per_product = 2 if scheme == "full" else 1
     for j in range(1, 4):
         v = rng.standard_normal(4)
         assert np.array_equal(hp(v), reference(v))
-        assert meter.function_evals == built + j * per_product
+        assert run.meter.function_evals == built + j * per_product
 
 
 @pytest.mark.parametrize("budget, fraction",
@@ -706,7 +724,6 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
 def test_ls_det_charges_the_leverage_work_it_does(budget, fraction,
                                                   monkeypatch):
     from sketchopt import hybrid_sampling
-    from sketchopt.hessian_oracle import OracleMeter
 
     calls = []
     original = hybrid_sampling.exact_leverage_scores
@@ -716,34 +733,18 @@ def test_ls_det_charges_the_leverage_work_it_does(budget, fraction,
     problem = nlls_problem(rng, n=50, d=4)
     cfg = OptConfig(scheme="ls-det", sample_size=budget,
                     ls_det_fraction=fraction)
-    meter = OracleMeter()
-    optimizers_mod._make_hessp(problem, 0.1 * rng.standard_normal(4), cfg,
-                               np.random.SeedSequence(5), meter, {},
-                               OptTrace("test"))
+    run = optimizers_mod._Run(problem, cfg, "test", charge_objective=True)
+    run.x = 0.1 * rng.standard_normal(4)
+    before = run.meter.function_evals  # the start's value and grad
+    run._operator(np.random.SeedSequence(5))
     assert calls
     # d_diag (1 unit) plus d units per leverage computation
-    assert meter.function_evals == 1 + problem.d * len(calls)
+    assert run.meter.function_evals - before == 1 + problem.d * len(calls)
 
 
 # ---------------------------------------------------------------------------
 # per-iteration seeds
 # ---------------------------------------------------------------------------
-
-
-def test_iteration_seed_equals_eager_spawn():
-    max_outer = 300
-    for seed in (0, 9, 2**40):
-        root = np.random.SeedSequence(seed)
-        children = np.random.SeedSequence(seed).spawn(max_outer)
-        for k in range(1, max_outer + 1):
-            lazy = optimizers_mod._iteration_seed(root, k)
-            child = children[k - 1]
-            assert lazy.entropy == child.entropy
-            assert lazy.spawn_key == child.spawn_key
-            assert lazy.pool_size == child.pool_size
-            assert np.array_equal(lazy.generate_state(4),
-                                  child.generate_state(4))
-        assert root.n_children_spawned == 0
 
 
 def _trace_bytes(trace):
@@ -764,8 +765,8 @@ def test_budget_stopped_trace_independent_of_max_outer(algo, budget,
     # reference: the seeds spawned eagerly, max_outer of them up front
     cfg = OptConfig(max_outer=200, **kw)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.max_outer)
-    monkeypatch.setattr(optimizers_mod, "_iteration_seed",
-                        lambda root, k: children[k - 1])
+    monkeypatch.setattr(optimizers_mod, "child_seed",
+                        lambda root, i: children[i])
     eager = algo(problem, cfg)
     assert lazy.status == "budget"
     assert _trace_bytes(lazy) == _trace_bytes(eager)

@@ -41,14 +41,19 @@ def test_every_hook_target_resolves(tracing):
         assert hooks.absent == []
 
 
+_SKETCHED = {"hessian_oracle.d_diag", "hessian_oracle.hessp_sketched"}
+
+
 @pytest.mark.parametrize("scheme, extra", [
-    ("ls", set()),
-    ("ls-det", {"hybrid_sampling.ls_det_fraction_plan",
-                "sketch_sampling.exact_leverage_scores",
-                "sketch_sampling.build_sampling_sketch"}),
+    ("ls", _SKETCHED),
+    ("ls-det", _SKETCHED | {"hybrid_sampling.ls_det_fraction_plan",
+                            "sketch_sampling.exact_leverage_scores",
+                            "sketch_sampling.build_sampling_sketch"}),
+    ("full", {"hessian_oracle.hessp_full"}),
 ])
 def test_newton_cg_oracle_calls_pass_through_their_hooks(tracing, scheme,
                                                          extra):
+    # the run's operator reaches the hooked oracles of every scheme
     rng = np.random.default_rng(95)
     A = rng.standard_normal((200, 4))
     labels = (A @ rng.standard_normal(4) >= 0).astype(float)
@@ -62,8 +67,8 @@ def test_newton_cg_oracle_calls_pass_through_their_hooks(tracing, scheme,
         trace = sketchopt.newton_cg(problem, config)
     assert len(trace.iteration) > 1
     names = {span.name for span in tracer.spans}
-    assert {"optimizers.outer", "hessian_oracle.d_diag",
-            "hessian_oracle.hessp_sketched"} | extra <= names
+    assert {"optimizers.outer", "hessian_oracle.value",
+            "hessian_oracle.grad"} | extra <= names
 
 
 @pytest.mark.parametrize("solve, spans", [

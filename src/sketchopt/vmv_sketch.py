@@ -20,6 +20,12 @@ d x d gather, ``sum_jl s1[j] u[j] q[(h1[j] + h2[l]) % k] s2[l] v[l]``, which
 equals ``estimate_vmv``'s pairing with the query sketch.  Only the streaming
 path runs FFTs.
 
+A state's four hash and sign tables come from one counter-based Philox
+stream keyed by its seed (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC 2011), four raw 64-bit draws per coordinate; the layout is
+on ``TensorSketchState``.  ``estimate`` draws one stream per repetition,
+keyed by the seed ``ts_new`` gets on the streaming path.
+
 All inner products are bilinear (no conjugation): the target itself uses the
 plain transpose throughout, so complex inputs are supported by linearity.
 """
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_complex import check_int, child_seed, seeded_generator
+from .core_complex import check_int, child_seed
 
 __all__ = [
     "TensorSketchState",
@@ -49,14 +55,17 @@ __all__ = [
 class TensorSketchState:
     """Bucket count, seeded hash/sign tables, and the complex accumulator.
 
-    Hash tables are materialized lazily: the table entry for coordinate ``i``
-    is the ``i``-th draw of a fixed per-table stream, so growing to a larger
-    dimension extends the tables without changing existing entries.
+    All four tables come from one Philox stream keyed by the state's seed:
+    coordinate ``i`` takes the raw 64-bit draws ``4i .. 4i+3``, ``h1`` and
+    ``h2`` as the first two mod ``k`` (bias at most ``k / 2**64``) and ``s1``
+    and ``s2`` as ``+-1`` from the top bits of the other two.  Tables are
+    materialized lazily; growing to a larger dimension draws further along
+    the same stream, so existing entries keep their values.
     """
 
     k: int
     q: np.ndarray
-    _streams: list = field(repr=False, default_factory=list)
+    _seed: np.random.SeedSequence = field(repr=False)
     _h1: np.ndarray = field(repr=False, default=None)
     _h2: np.ndarray = field(repr=False, default=None)
     _s1: np.ndarray = field(repr=False, default=None)
@@ -66,11 +75,9 @@ class TensorSketchState:
     def _ensure(self, d: int) -> None:
         if self._h1 is not None and d <= self._dim:
             return
-        gens = [seeded_generator(s) for s in self._streams]
-        self._h1 = gens[0].integers(0, self.k, size=d)
-        self._h2 = gens[1].integers(0, self.k, size=d)
-        self._s1 = gens[2].integers(0, 2, size=d) * 2.0 - 1.0
-        self._s2 = gens[3].integers(0, 2, size=d) * 2.0 - 1.0
+        raw = np.random.Philox(self._seed).random_raw(4 * d).reshape(d, 4).T
+        self._h1, self._h2 = (raw[:2] % np.uint64(self.k)).astype(np.intp)
+        self._s1, self._s2 = (raw[2:] >> np.uint64(63)) * 2.0 - 1.0
         self._dim = d
 
     def tables(self, d: int):
@@ -82,10 +89,15 @@ class TensorSketchState:
 
 
 def ts_new(k, seed=0) -> TensorSketchState:
-    """Fresh sketch state with ``k`` buckets and seed-fixed hash functions."""
+    """Fresh sketch state with ``k`` buckets and seed-fixed hash functions.
+
+    ``seed`` is an int or a ``SeedSequence`` (read, never spawned from); one
+    that ``SeedSequence`` rejects raises here, not at the first table draw.
+    """
     k = check_int(k, "ts_new: k", 1)
-    return TensorSketchState(k=k, q=np.zeros(k, dtype=complex),
-                             _streams=[child_seed(seed, j) for j in range(4)])
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return TensorSketchState(k=k, q=np.zeros(k, dtype=complex), _seed=seed)
 
 
 def _count_sketch(x, h, s, k):
@@ -99,10 +111,14 @@ def ts_pair(state: TensorSketchState, a, b) -> np.ndarray:
 
     Computed as the circular convolution (via FFT) of the two per-factor
     count sketches; identical to count-sketching ``a (x) b`` directly under
-    the derived hash ``(h1 + h2 mod k, s1 s2)``.
+    the derived hash ``(h1 + h2 mod k, s1 s2)``.  ``a`` and ``b`` are one
+    row each: an input with more than one dimension raises ``ValueError``.
     """
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim > 1 or b.ndim > 1:
+        raise ValueError("ts_pair: a and b must be one-dimensional rows")
+    a, b = a.ravel(), b.ravel()
     if a.size != b.size:
         raise ValueError("ts_pair: a and b lengths differ")
     state._ensure(a.size)

@@ -79,6 +79,42 @@ def test_ts_new_validation():
         ts_new(0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, np.random.default_rng(1)])
+def test_ts_new_rejects_a_bad_seed_at_construction(seed):
+    with pytest.raises((TypeError, ValueError)):
+        ts_new(4, seed)
+
+
+def raw_draw_tables(seed, k, d):
+    """The table rule: coordinate i reads raw Philox draws 4i .. 4i+3."""
+    raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(4 * d)
+    h1, h2, t1, t2 = (raw[j::4] for j in range(4))
+    return (h1 % np.uint64(k), h2 % np.uint64(k),
+            np.where(t1 >> np.uint64(63), 1.0, -1.0),
+            np.where(t2 >> np.uint64(63), 1.0, -1.0))
+
+
+@pytest.mark.parametrize("k", [1, 7, 64])
+@pytest.mark.parametrize("as_sequence", [False, True])
+def test_tables_are_the_raw_philox_draws(k, as_sequence):
+    seed = np.random.SeedSequence(12) if as_sequence else 12
+    for got, want in zip(ts_new(k, seed).tables(33),
+                         raw_draw_tables(12, k, 33)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_tables_balance_buckets_and_signs():
+    d, k = 20_000, 7
+    h1, h2, s1, s2 = ts_new(k, seed=3).tables(d)
+    for h in (h1, h2):
+        counts = np.bincount(h, minlength=k)
+        assert counts.size == k
+        assert np.all(np.abs(counts - d / k) <= 0.05 * d / k)
+    for s in (s1, s2):
+        assert set(np.unique(s)) == {-1.0, 1.0}
+        assert abs(s.mean()) <= 0.03
+
+
 @pytest.mark.parametrize("k", [2.5, 4.0, True, "4"])
 def test_ts_new_rejects_a_non_integer_width(k):
     with pytest.raises(ValueError, match="k must be an integer"):
@@ -133,6 +169,16 @@ def test_ts_pair_length_mismatch_raises():
     state = ts_new(4, seed=0)
     with pytest.raises(ValueError):
         ts_pair(state, np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("call", [ts_pair, ingest, query_vec, estimate_vmv])
+def test_ts_pair_rejects_matrices(call):
+    state = ts_new(8, seed=1)
+    for a, b in ((np.ones((3, 2)), np.ones((3, 2))),
+                 (np.ones(6), np.ones((6, 1)))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            call(state, a, b)
+    np.testing.assert_array_equal(state.q, np.zeros(8, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ __all__ = ["BenchError", "ExperimentConfig", "parse_config"]
 
 SUBCOMMANDS = ("optimize", "lpreg", "vmv", "scores")
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
+_BOOLS = dict.fromkeys(("true", "1", "yes", "on"), True) \
+    | dict.fromkeys(("false", "0", "no", "off"), False)
 
 
 class BenchError(Exception):
@@ -45,7 +45,7 @@ class ExperimentConfig:
     Typed accessors validate on demand and raise ``BenchError`` with code
     CONFIG_INVALID on malformed values, so every config mistake surfaces as a
     clean CLI error rather than a traceback.  ``minimum`` is the floor of a
-    count.  The accessors record every key they read, so
+    count or a real value.  The accessors record every key they read, so
     ``check_all_read`` can reject a key no run uses, such as a misspelling.
     """
 
@@ -71,43 +71,33 @@ class ExperimentConfig:
             raise BenchError("CONFIG_INVALID", f"missing required key {key!r}")
         return default
 
-    def get_int(self, key, default=None, minimum=None):
+    def _typed(self, key, default, parse, expected, minimum=None):
+        """``parse`` of the value of ``key``, or ``default`` when unset; a
+        value ``parse`` rejects, a non-finite float or one below ``minimum``
+        is CONFIG_INVALID."""
         raw = self.get_str(key)
         if raw is None:
             return default
         try:
-            value = int(raw)
-        except ValueError:
+            value = parse(raw)
+        except (KeyError, ValueError):
             raise BenchError("CONFIG_INVALID",
-                             f"key {key!r}: expected an integer, got {raw!r}")
+                             f"key {key!r}: expected {expected}, got {raw!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BenchError("CONFIG_INVALID",
+                             f"key {key!r}: must be finite, got {raw!r}")
         _check_floor(key, value, minimum)
         return value
 
-    def get_float(self, key, default=None):
-        raw = self.get_str(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise BenchError("CONFIG_INVALID",
-                             f"key {key!r}: expected a number, got {raw!r}")
-        if not math.isfinite(value):
-            raise BenchError("CONFIG_INVALID",
-                             f"key {key!r}: must be finite, got {raw!r}")
-        return value
+    def get_int(self, key, default=None, minimum=None):
+        return self._typed(key, default, int, "an integer", minimum)
+
+    def get_float(self, key, default=None, minimum=None):
+        return self._typed(key, default, float, "a number", minimum)
 
     def get_bool(self, key, default=False):
-        raw = self.get_str(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise BenchError("CONFIG_INVALID",
-                         f"key {key!r}: expected true/false, got {raw!r}")
+        return self._typed(key, default, lambda raw: _BOOLS[raw.lower()],
+                           "true/false")
 
     def get_list(self, key, default=None, required=False):
         raw = self.get_str(key, None, required)

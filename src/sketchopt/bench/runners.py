@@ -104,10 +104,7 @@ def _run_cells(worker, cells, n_workers, master_seed):
 def _parse_p(config):
     if config.get_str("p", "2").lower() in ("inf", "infinity"):
         return math.inf
-    p = config.get_float("p", 2.0)
-    if p < 1:
-        raise BenchError("CONFIG_INVALID", "key 'p': must be >= 1")
-    return p
+    return config.get_float("p", 2.0, minimum=1)
 
 
 def _sweep_medians(rows, sweep):
@@ -151,13 +148,9 @@ def _sanitize(token):
 def _resolve_ridge(config, A, labels, loss):
     policy = config.lambda_policy
     if policy == "manual":
-        lam = config.get_float("ridge_lambda", 0.0)
-        if lam < 0:
-            raise BenchError("CONFIG_INVALID",
-                             "key 'ridge_lambda': must be >= 0")
-        return lam
+        return config.get_float("ridge_lambda", 0.0, minimum=0)
     trial = FiniteSumProblem(A, labels, loss, ridge_lambda=0.0)
-    scale = config.get_float("lambda_scale", 1.0)
+    scale = config.get_float("lambda_scale", 1.0, minimum=0)
     return convex_ridge_lambda(trial) * scale
 
 

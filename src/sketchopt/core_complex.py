@@ -11,6 +11,9 @@ chosen so that lift_scalar(y) @ phi(x) = phi(y * x) with no conjugation, and
 consequently lift_matrix(A) @ phi(x) = phi(A @ x).  Residual norms transfer
 through the mixed (p,2)-norm: the lp norm of the per-pair Euclidean norms of a
 real vector of even length equals the complex lp norm before lifting.
+
+Arguments are checked by one rule per kind: ``check_int`` for counts,
+``check_real`` for real parameters in a range, ``check_p`` for exponents.
 """
 
 from __future__ import annotations
@@ -38,6 +41,27 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def check_real(value, name: str, minimum: float, maximum: float | None = None,
+               strict: bool = False) -> float:
+    """``value`` as a finite ``float`` at or above ``minimum`` and at or
+    below ``maximum`` (strictly between them if ``strict``); a bool, a
+    non-real or any other value raises ``ValueError``."""
+    # float first: the numbers.Real test is slow for the common case
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{name} must be a real number")
+    value = float(value)
+    top = math.inf if maximum is None else maximum
+    if not (math.isfinite(value) and (minimum < value < top if strict
+                                      else minimum <= value <= top)):
+        if maximum is None:
+            rule = f"finite and {'>' if strict else '>='} {minimum}"
+        else:
+            ends = "()" if strict else "[]"
+            rule = f"in {ends[0]}{minimum}, {maximum}{ends[1]}"
+        raise ValueError(f"{name} must be {rule}")
+    return value
 
 
 def check_p(value, name: str, finite: bool = False) -> float:
@@ -192,8 +216,7 @@ def min_eig_hermitian(M, tol: float = DEFAULT_RTOL):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("min_eig_hermitian: expected a square matrix")
     _check_finite(M, "min_eig_hermitian")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("min_eig_hermitian: tol must be finite and >= 0")
+    check_real(tol, "min_eig_hermitian: tol", 0)
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.conj().T).max() > tol * scale:
         raise ValueError("min_eig_hermitian: input is not Hermitian within tolerance")

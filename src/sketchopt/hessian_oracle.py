@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core_complex import spectral_norm
+from .core_complex import check_real, spectral_norm
 
 _SIGMOID_CLAMP = 36.0
 
@@ -156,9 +156,7 @@ class FiniteSumProblem:
         if not (np.isfinite(self.A).all() and np.isfinite(self.labels).all()):
             raise ValueError("FiniteSumProblem: A and labels must be finite "
                              "(found NaN or Inf)")
-        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
-            raise ValueError("FiniteSumProblem: ridge_lambda must be finite "
-                             "and >= 0")
+        check_real(self.ridge_lambda, "FiniteSumProblem: ridge_lambda", 0)
 
     @property
     def n(self) -> int:
@@ -287,9 +285,10 @@ def hessp_sketched(op: SketchedHessian, v,
 def convex_ridge_lambda(problem: FiniteSumProblem, h: float | None = None) -> float:
     """The ridge weight 4 ||A||^2 h that convexifies the finite sum.
 
-    h must bound sup_t |f''(t; b)|; when omitted it is taken from
-    curvature_bound for the problem's loss family.
+    h must bound sup_t |f''(t; b)|, so it is finite and >= 0; when omitted
+    it is taken from curvature_bound for the problem's loss family.
     """
     if h is None:
         h = curvature_bound(problem.loss)
+    check_real(h, "convex_ridge_lambda: h", 0)
     return 4.0 * spectral_norm(problem.A) ** 2 * h

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import check_int
+from .core_complex import check_int, check_real
 from .sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -134,8 +134,7 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     B = np.asarray(B)
     n, _ = B.shape
     check_int(budget, "ls_det_fraction_plan: budget", 1)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("ls_det_fraction_plan: fraction must be in [0, 1]")
+    check_real(fraction, "ls_det_fraction_plan: fraction", 0, 1)
     if remainder_mode not in REMAINDER_MODES:
         raise ValueError("ls_det_fraction_plan: remainder_mode must be one of "
                          f"{REMAINDER_MODES}")

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import (check_int, check_p, child_seed, lift_matrix,
-                           lp_of_norms, phi, seeded_generator, unphi)
+from .core_complex import (check_int, check_p, check_real, child_seed,
+                           lift_matrix, lp_of_norms, phi, seeded_generator,
+                           unphi)
 from .sketch_sampling import (_embedded_factor, exact_leverage_scores,
                               span_basis)
 
@@ -690,8 +691,7 @@ def _solve_rows(rows, sizes, p, l1, tol):
     smoothed solver returns.
     """
     p = check_p(p, "lp solve: p")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("lp solve: tol must be finite and >= 0")
+    check_real(tol, "lp solve: tol", 0)
     groups = _Groups(sizes)
     l1 = l1 and math.isinf(p)
     y = rows.lstsq()

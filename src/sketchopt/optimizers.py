@@ -26,7 +26,8 @@ All oracle work is charged to an OracleMeter in function-evaluation units;
 traces record the cumulative meter alongside objective and gradient-norm
 values.
 The public inner solvers raise ValueError unless ``cap`` is an integer
->= 1 and ``tol`` is finite and >= 0.
+>= 1 and ``tol`` is finite and >= 0, and ``cg_steihaug`` unless its
+``radius`` is finite and > 0.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hessian_oracle
-from .core_complex import check_int, child_seed
+from .core_complex import check_int, check_real, child_seed
 from .hessian_oracle import (
     FiniteSumProblem,
     OracleMeter,
@@ -102,18 +103,12 @@ class OptConfig:
             raise ValueError(
                 f"OptConfig: scheme {scheme!r} requires sample_size >= 1"
             )
-        if not 0.0 < self.tr_eta < 1.0:
-            raise ValueError("OptConfig: tr_eta must be in (0, 1)")
-        if not (math.isfinite(self.tr_gamma) and self.tr_gamma > 1.0):
-            raise ValueError("OptConfig: tr_gamma must be finite and > 1")
-        if not (math.isfinite(self.tr_delta0) and self.tr_delta0 > 0.0):
-            raise ValueError("OptConfig: tr_delta0 must be finite and > 0")
+        check_real(self.tr_eta, "OptConfig: tr_eta", 0, 1, strict=True)
+        check_real(self.tr_gamma, "OptConfig: tr_gamma", 1, strict=True)
+        check_real(self.tr_delta0, "OptConfig: tr_delta0", 0, strict=True)
         for name in ("inner_tol", "grad_tol"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol >= 0.0):
-                raise ValueError(f"OptConfig: {name} must be finite and >= 0")
-        if not 0.0 <= self.ls_det_fraction <= 1.0:
-            raise ValueError("OptConfig: ls_det_fraction must be in [0, 1]")
+            check_real(getattr(self, name), f"OptConfig: {name}", 0)
+        check_real(self.ls_det_fraction, "OptConfig: ls_det_fraction", 0, 1)
 
 
 @dataclass
@@ -160,14 +155,6 @@ class OptTrace:
 # ---------------------------------------------------------------------------
 
 
-def _check_inner(name: str, cap: int, tol: float) -> None:
-    """Reject an inner solve's ``cap`` unless an integer >= 1, and its
-    ``tol`` unless finite and >= 0."""
-    check_int(cap, f"{name}: cap", 1)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name}: tol must be finite and >= 0")
-
-
 def _cg(hessp, g, cap: int, tol: float):
     """CG on H p = -g from p = 0, one (p_j, d_j, p_{j+1}) per iteration.
 
@@ -204,7 +191,8 @@ def cg_solve(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     Returns the current iterate when d^T H d <= 0 appears mid-run, and the
     steepest-descent direction -g when it appears on the first iteration.
     """
-    _check_inner("cg_solve", cap, tol)
+    check_int(cap, "cg_solve: cap", 1)
+    check_real(tol, "cg_solve: tol", 0)
     g = np.asarray(g, dtype=float)
     p = np.zeros_like(g)
     for j, (z, _, z_next) in enumerate(_cg(hessp, g, cap, tol)):
@@ -246,7 +234,8 @@ def minnorm_lsq(hessp, g, cap: int = 100, tol: float = 1e-8) -> np.ndarray:
     the kernel until T_k turns singular, and a solve that the tol test
     stops first returns that component.
     """
-    _check_inner("minnorm_lsq", cap, tol)
+    check_int(cap, "minnorm_lsq: cap", 1)
+    check_real(tol, "minnorm_lsq: tol", 0)
     g = np.asarray(g, dtype=float)
     beta1 = math.sqrt(float(g @ g))
     p_done = np.zeros_like(g)  # the part of p_k that later steps keep
@@ -359,9 +348,9 @@ def cg_steihaug(hessp, g, radius: float, cap: int = 100,
     iterate exits the ball; the returned step always has nonpositive model
     value and norm at most radius (+1e-12 rounding slack).
     """
-    if radius <= 0.0:
-        raise ValueError("cg_steihaug: radius must be positive")
-    _check_inner("cg_steihaug", cap, tol)
+    check_real(radius, "cg_steihaug: radius", 0, strict=True)
+    check_int(cap, "cg_steihaug: cap", 1)
+    check_real(tol, "cg_steihaug: tol", 0)
     return _SteihaugPath(hessp, g, radius, cap, tol).step(radius)
 
 

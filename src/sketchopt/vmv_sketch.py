@@ -194,11 +194,14 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     paired with the query by one gather rather than by ``query_vec``'s FFTs:
     the result equals ``estimate_vmv`` on those buckets up to rounding.
 
-    Finiteness is checked on ``u``, ``v`` and the Gram: a NaN or Inf in
-    ``A`` or ``B`` reaches it, and so does a Gram that overflows although
-    ``A`` and ``B`` are finite.  Both raise ``ValueError``, as does a
-    repetition whose buckets or pairing overflow.
+    ``u`` or ``v`` with more than one dimension raises ``ValueError``, as
+    in ``ts_pair``.  Finiteness is checked on ``u``, ``v`` and the Gram: a
+    NaN or Inf in ``A`` or ``B`` reaches it, and so does a Gram that
+    overflows although ``A`` and ``B`` are finite.  Both raise
+    ``ValueError``, as does a repetition whose buckets or pairing overflow.
     """
+    if np.ndim(u) > 1 or np.ndim(v) > 1:
+        raise ValueError("estimate: u and v must be one-dimensional vectors")
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     u = np.asarray(u, dtype=complex).ravel()

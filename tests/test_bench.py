@@ -109,8 +109,11 @@ schemes = full, ls
 
     def test_count_floors_name_the_key(self):
         cfg = ExperimentConfig("vmv", {"k_values": "4,0", "workers": "-3",
-                                       "reps": "0", "seeds": "0"})
+                                       "reps": "0", "seeds": "0",
+                                       "scale": "-0.5"})
         for call, message in (
+                (lambda: cfg.get_float("scale", minimum=0),
+                 "key 'scale': must be >= 0"),
                 (lambda: cfg.get_int_list("k_values", minimum=1),
                  "key 'k_values': must be >= 1"),
                 (lambda: cfg.get_int("reps", 1, minimum=1),
@@ -121,6 +124,27 @@ schemes = full, ls
                 call()
             assert err.value.code == "CONFIG_INVALID"
             assert str(err.value) == message
+
+    def test_typed_accessors_report_the_raw_value(self):
+        cfg = ExperimentConfig("vmv", {"n": "2.5", "x": "abc", "y": "1e999",
+                                       "z": "-0.5", "flag": "maybe",
+                                       "on": "YES"})
+        for call, message in (
+                (lambda: cfg.get_int("n"),
+                 "key 'n': expected an integer, got '2.5'"),
+                (lambda: cfg.get_float("x"),
+                 "key 'x': expected a number, got 'abc'"),
+                (lambda: cfg.get_float("y"),
+                 "key 'y': must be finite, got '1e999'"),
+                (lambda: cfg.get_bool("flag"),
+                 "key 'flag': expected true/false, got 'maybe'")):
+            with pytest.raises(BenchError) as err:
+                call()
+            assert err.value.code == "CONFIG_INVALID"
+            assert str(err.value) == message
+        assert cfg.get_float("z", minimum=-0.5) == -0.5
+        assert cfg.get_bool("on") is True
+        assert cfg.get_float("absent", 1.5, minimum=2) == 1.5
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(BenchError):
@@ -671,6 +695,7 @@ class TestCli:
         ("lpreg", "p = nan"),
         ("optimize", "lambda_policy = manual\nridge_lambda = nan"),
         ("optimize", "lambda_policy = convex_auto\nlambda_scale = inf"),
+        ("optimize", "lambda_policy = convex_auto\nlambda_scale = -1"),
         ("lpreg", "zero_residual = false\nnoise_scale = inf"),
         ("vmv", "instance = cancellation\ncancel_scale = inf"),
         ("scores", "dataset = synth:n=50,d=3,heavy_rows=2,heavy_scale=inf"),
@@ -685,7 +710,8 @@ class TestCli:
         ("vmv", "reps = 2.5"),
         ("scores", "dataset = synth:n=50,d=3,heavy_row=5,heavy_scal=100"),
         ("optimize", "dataset = synth:n=50,d=3,n=60"),
-    ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf", "noise_scale-inf",
+    ], ids=["p-nan", "ridge_lambda-nan", "lambda_scale-inf",
+            "lambda_scale-neg", "noise_scale-inf",
             "cancel_scale-inf", "heavy_scale-inf", "rows-neg", "cols-0", "d-0",
             "n-0", "n-le-d", "cancellation-odd-rows", "workers-neg",
             "k_values-0", "reps-float", "synth-unknown-keys",
@@ -753,8 +779,14 @@ class TestCli:
          "key 'embed_rows': must be >= 1"),
         ("scores", "dataset = synth:n=50,d=3\nembed_rows = 2", [],
          "key 'embed_rows': must be >= 3, the dataset's column count"),
+        ("lpreg", "p = 0.5", [], "key 'p': must be >= 1"),
+        ("optimize", "lambda_policy = manual\nridge_lambda = -1", [],
+         "key 'ridge_lambda': must be >= 0"),
+        ("optimize", "lambda_policy = convex_auto\nlambda_scale = -1", [],
+         "key 'lambda_scale': must be >= 0"),
     ], ids=["seed-key", "seed-flag", "jl_cols-0", "embed_rows-neg",
-            "embed_rows-below-cols"])
+            "embed_rows-below-cols", "p-below-1", "ridge_lambda-neg",
+            "lambda_scale-neg"])
     def test_counts_below_their_floor_are_config_errors(
             self, tmp_path, capsys, sub, extra, flags, message):
         cfgp = _write(tmp_path / "e.cfg", self._BASE[sub] + extra + "\n")

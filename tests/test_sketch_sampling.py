@@ -14,13 +14,13 @@ from sketchopt import sketch_sampling
 from sketchopt.bench.datasets import synth_planted
 from sketchopt.core_complex import (lift_matrix, min_eig_hermitian,
                                     seeded_generator, spectral_norm)
-from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter, d_diag,
-                                      make_loss)
+from sketchopt.hessian_oracle import (FiniteSumProblem, OracleMeter,
+                                      convex_ridge_lambda, d_diag, make_loss)
 from sketchopt.hybrid_sampling import ls_det_fraction_plan, ls_det_sample
 from sketchopt.lp_regression import (build_sketch_finite_p, build_sketch_inf,
                                      classify_pairs, lp_leverage_scores,
-                                     sketch_and_solve)
-from sketchopt.optimizers import OptConfig
+                                     sketch_and_solve, small_lp_solve)
+from sketchopt.optimizers import OptConfig, cg_solve, cg_steihaug
 from sketchopt.sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -429,6 +429,74 @@ def test_sizes_reject_non_integers(name, call, below, message):
     with pytest.raises(ValueError) as err:
         call(np.int64(below))
     assert str(err.value) == message
+
+
+def _real_cases():
+    """Each real argument: a call taking it, a value in its range, a value
+    just outside it, and the message NaN, +-inf and that value raise."""
+    rng = np.random.default_rng(33)
+    B, M, c = (rng.standard_normal((40, 3)), rng.standard_normal((30, 4)),
+               rng.standard_normal(30))
+    problem = FiniteSumProblem(B, np.ones(40), make_loss("quadratic"))
+    # indefinite, so a radius is all that bounds the Steihaug step
+    hp = lambda x: np.array([1.0, -2.0, 3.0]) * x  # noqa: E731
+    below_zero, above_one = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+    cases = {
+        "OptConfig: tr_eta": (lambda v: OptConfig(tr_eta=v), 0.5, 1.0,
+                              "OptConfig: tr_eta must be in (0, 1)"),
+        "OptConfig: tr_gamma": (lambda v: OptConfig(tr_gamma=v), 1.5, 1.0,
+                                "OptConfig: tr_gamma must be finite and > 1"),
+        "OptConfig: tr_delta0":
+            (lambda v: OptConfig(tr_delta0=v), 1.0, 0.0,
+             "OptConfig: tr_delta0 must be finite and > 0"),
+        "OptConfig: inner_tol":
+            (lambda v: OptConfig(inner_tol=v), 1e-8, below_zero,
+             "OptConfig: inner_tol must be finite and >= 0"),
+        "OptConfig: grad_tol":
+            (lambda v: OptConfig(grad_tol=v), 1e-8, below_zero,
+             "OptConfig: grad_tol must be finite and >= 0"),
+        "OptConfig: ls_det_fraction":
+            (lambda v: OptConfig(ls_det_fraction=v), 0.5, above_one,
+             "OptConfig: ls_det_fraction must be in [0, 1]"),
+        "cg_solve: tol": (lambda v: cg_solve(hp, np.ones(3), tol=v), 1e-8,
+                          below_zero, "cg_solve: tol must be finite and >= 0"),
+        "cg_steihaug: radius":
+            (lambda v: cg_steihaug(hp, np.ones(3), v), 1.0, 0.0,
+             "cg_steihaug: radius must be finite and > 0"),
+        "FiniteSumProblem: ridge_lambda":
+            (lambda v: FiniteSumProblem(B, np.ones(40), make_loss("quadratic"),
+                                        ridge_lambda=v), 0.1, below_zero,
+             "FiniteSumProblem: ridge_lambda must be finite and >= 0"),
+        "convex_ridge_lambda: h":
+            (lambda v: convex_ridge_lambda(problem, h=v), 1.0, -1.0,
+             "convex_ridge_lambda: h must be finite and >= 0"),
+        "lp solve: tol": (lambda v: small_lp_solve(M, c, 1.0, tol=v), 1e-8,
+                          below_zero, "lp solve: tol must be finite and >= 0"),
+        "min_eig_hermitian: tol":
+            (lambda v: min_eig_hermitian(np.eye(2), tol=v), 1.0, below_zero,
+             "min_eig_hermitian: tol must be finite and >= 0"),
+        "ls_det_fraction_plan: fraction":
+            (lambda v: ls_det_fraction_plan(B, 4, v), 0.5, above_one,
+             "ls_det_fraction_plan: fraction must be in [0, 1]"),
+    }
+    return [pytest.param(name, *case,
+                         id=name.replace(": ", "-").replace(" ", "_"))
+            for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("name, call, inside, outside, message",
+                         _real_cases())
+def test_reals_reject_non_reals_and_values_out_of_range(name, call, inside,
+                                                         outside, message):
+    call(np.float64(inside))
+    for bad in (True, str(inside)):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a real number$"):
+            call(bad)
+    for bad in (np.nan, np.inf, -np.inf, outside):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == message
 
 
 def test_sketch_reproducible():

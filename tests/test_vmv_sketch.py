@@ -346,6 +346,17 @@ def test_estimate_validation():
         estimate(A, B, np.ones(2, dtype=complex), u, k=4)
 
 
+def test_estimate_rejects_matrix_queries():
+    A, ones = np.ones((4, 3)), np.ones(3)
+    for u, v in ((np.ones((3, 1)), np.ones((1, 3))), (ones, np.ones((1, 3))),
+                 (np.ones((3, 1)), ones)):
+        with pytest.raises(ValueError, match="^estimate: u and v must be "
+                                             "one-dimensional vectors$"):
+            estimate(A, A, u, v, k=8, seed=1)
+    assert estimate(A, A, ones, ones, k=8, seed=1) == estimate(
+        A, A, list(ones), ones.tolist(), k=8, seed=1)
+
+
 @pytest.mark.parametrize("size", [{"k": 8.7}, {"k": True}, {"reps": 2.9},
                                   {"reps": True}, {"reps": 2.0}])
 def test_estimate_rejects_non_integer_sizes(size):

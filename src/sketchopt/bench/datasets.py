@@ -108,7 +108,7 @@ def synth_planted(n, d, heavy_rows, heavy_scale, seed):
     if not 0 <= heavy_rows <= n:
         raise BenchError("CONFIG_INVALID",
                          f"heavy_rows must lie in [0, n]; got {heavy_rows}")
-    rng = seeded_generator(seed)
+    rng = seeded_generator(seed, "synth_planted: seed")
     A = rng.standard_normal((n, d))
     if heavy_rows:
         picked = rng.choice(n, size=heavy_rows, replace=False)

@@ -12,8 +12,8 @@ consequently lift_matrix(A) @ phi(x) = phi(A @ x).  Residual norms transfer
 through the mixed (p,2)-norm: the lp norm of the per-pair Euclidean norms of a
 real vector of even length equals the complex lp norm before lifting.
 
-Arguments are checked by one rule per kind: ``check_int`` for counts,
-``check_real`` for real parameters in a range, ``check_p`` for exponents.
+One rule per kind checks arguments: ``check_int`` counts, ``check_real`` real
+parameters in a range, ``check_p`` exponents and ``check_seed`` seeds.
 """
 
 from __future__ import annotations
@@ -77,28 +77,37 @@ def check_p(value, name: str, finite: bool = False) -> float:
     return float(value)
 
 
-def seeded_generator(seed) -> np.random.Generator:
-    """Philox generator for an int or ``SeedSequence`` seed.
+def check_seed(seed, name: str) -> np.random.SeedSequence:
+    """``seed`` as a ``SeedSequence``: one is returned as it is, an integer
+    >= 0 is wrapped in a new one, and anything else, ``None`` too, raises."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0 or a SeedSequence")
+    return np.random.SeedSequence(int(seed))
 
-    A ``Generator`` is returned as it is, so callers can share one stream.
-    """
+
+def seeded_generator(seed, name: str = "seeded_generator: seed"):
+    """Philox generator for a seed that ``check_seed`` accepts; a
+    ``Generator`` is returned as it is, so callers can share one stream."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(check_seed(seed, name)))
 
 
 def child_seed(seed, i: int) -> np.random.SeedSequence:
-    """Child ``i`` of an int or ``SeedSequence`` seed.
+    """Child ``i >= 0`` of a seed that ``check_seed`` accepts.
 
     Equal to ``SeedSequence(seed).spawn(i + 1)[i]`` for an int, and to the
     same child of a fresh copy of a ``SeedSequence``, but derived from the
     index rather than by a stateful ``spawn``: the caller's object is never
     mutated, and skipped indices do not shift later children.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
+    root = check_seed(seed, "child_seed: seed")
+    i = check_int(i, "child_seed: i", 0)
     return np.random.SeedSequence(root.entropy,
-                                  spawn_key=root.spawn_key + (int(i),),
+                                  spawn_key=root.spawn_key + (i,),
                                   pool_size=root.pool_size)
 
 

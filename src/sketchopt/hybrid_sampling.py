@@ -10,11 +10,12 @@ carry most of the spectral mass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import check_int, check_real
+from .core_complex import check_int, check_real, seeded_generator
 from .sketch_sampling import (
     SamplingSketch,
     apply_sketch,
@@ -52,7 +53,7 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
-                 remainder_mode: str, seed) -> HybridPlan:
+                 remainder_mode: str, rng) -> HybridPlan:
     """The plan keeping the ascending rows ``deterministic`` at weight 1 and
     drawing ``sample_count`` picks from the rest, uniformly or by their
     leverage scores (uniformly when those are all zero).  The picks are
@@ -70,7 +71,7 @@ def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
             total = scores.sum()
             if total > 0.0:
                 probs = scores / total
-        local = build_sampling_sketch(probs, sample_count, seed=seed)
+        local = build_sampling_sketch(probs, sample_count, seed=rng)
         rows, weights = remainder[local.rows], local.weights
     return HybridPlan(deterministic, SamplingSketch(n, rows, weights))
 
@@ -90,14 +91,16 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
     rows of B.
 
     A ``threshold`` above 1, ``inf`` included, selects nothing (no leverage
-    score exceeds 1) and the plan degenerates to pure sampling; a NaN
-    ``threshold`` raises like a non-positive one.  An empty remainder yields a
-    plan with no picks, whose Gram estimate is exact.
+    score exceeds 1) and the plan degenerates to pure sampling; a NaN, bool
+    or non-number ``threshold`` raises like a non-positive one.  An empty
+    remainder yields a plan with no picks, whose Gram estimate is exact.
     """
+    rng = seeded_generator(seed, "ls_det_sample: seed")
     B = np.asarray(B)
     n, d = B.shape
     check_int(rounds, "ls_det_sample: rounds", 1)
-    if not threshold > 0.0:
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) \
+            or not threshold > 0.0:
         raise ValueError("ls_det_sample: threshold must be positive, "
                          f"got {threshold!r}")
     check_int(sample_count, "ls_det_sample: sample_count", 1)
@@ -118,7 +121,7 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
         top = _top_k_rows(scores[eligible], min(cap, eligible.size))
         taken[remaining[eligible[top]]] = True
     return _hybrid_plan(B, np.flatnonzero(taken), sample_count, remainder_mode,
-                        seed)
+                        rng)
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
@@ -131,6 +134,7 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     ``fraction=1`` keeps only the top-``budget`` rows and drops the remainder
     entirely (a deliberately biased estimate, useful as a baseline).
     """
+    rng = seeded_generator(seed, "ls_det_fraction_plan: seed")
     B = np.asarray(B)
     n, _ = B.shape
     check_int(budget, "ls_det_fraction_plan: budget", 1)
@@ -143,7 +147,7 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
         deterministic = _top_k_rows(exact_leverage_scores(B), k)
     else:
         deterministic = np.zeros(0, dtype=np.int64)
-    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, seed)
+    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, rng)
 
 
 def hybrid_gram(plan: HybridPlan, B) -> np.ndarray:

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_complex import (check_int, check_p, check_real, child_seed,
-                           lift_matrix, lp_of_norms, phi, seeded_generator,
-                           unphi)
+from .core_complex import (check_int, check_p, check_real, check_seed,
+                           child_seed, lift_matrix, lp_of_norms, phi,
+                           seeded_generator, unphi)
 from .sketch_sampling import (_embedded_factor, exact_leverage_scores,
                               span_basis)
 
@@ -225,13 +225,14 @@ def lp_leverage_scores(M, p, embed_rows=None, seed=0) -> np.ndarray:
     max(embed_rows, cols) * eps times the largest), ``U`` is the orthonormal
     ``span_basis`` of M from the SVD instead.
     """
+    rng = seeded_generator(seed, "lp_leverage_scores: seed")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("lp_leverage_scores: M must be a matrix")
     p = check_p(p, "lp_leverage_scores: p", finite=True)
     if p == 2.0:
         return exact_leverage_scores(M)
-    R, _ = _embedded_factor(M, embed_rows, seed, "lp_leverage_scores")
+    R = _embedded_factor(M, embed_rows, rng, "lp_leverage_scores")
     U = span_basis(M) if R is None else np.linalg.solve(R.T, M.T).T
     return np.sum(np.abs(U) ** p, axis=1)
 
@@ -264,10 +265,8 @@ def classify_pairs(scores, d, p):
 
 
 def _block_sketch(n_pairs, p, seed, draw) -> BlockSketch:
-    """Factors ``draw(i, rng)``, each from pair ``i``'s own child of
-    ``seed``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)  # built once, not once per pair
+    """Factors ``draw(i, rng)``, each from pair ``i``'s own child of the
+    ``SeedSequence`` ``seed``."""
     factors = [draw(i, seeded_generator(child_seed(seed, i)))
                for i in range(n_pairs)]
     return BlockSketch(factors=factors, p=p)
@@ -280,6 +279,7 @@ def build_sketch_finite_p(n_pairs, heavy, t, p, seed=0) -> BlockSketch:
     Entries have std ``gaussian_moment_scale(p)``; heavy blocks are scaled by
     ``t^(-1/p)`` so heavy and light contributions estimate the same pair norm.
     """
+    seed = check_seed(seed, "build_sketch_finite_p: seed")
     n_pairs = check_int(n_pairs, "build_sketch_finite_p: n_pairs", 0)
     p = check_p(p, "build_sketch_finite_p: p", finite=True)
     t = check_int(t, "build_sketch_finite_p: t", 1)
@@ -308,6 +308,7 @@ def build_sketch_inf(n_pairs, s, seed=0) -> BlockSketch:
     its width capped) only when the blocks are read, so any ``s >= 1`` is
     accepted.
     """
+    seed = check_seed(seed, "build_sketch_inf: seed")
     n_pairs = check_int(n_pairs, "build_sketch_inf: n_pairs", 0)
     s = check_int(s, "build_sketch_inf: s", 1)
     scale = math.sqrt(math.pi / 2.0) / s
@@ -751,9 +752,10 @@ def sketch_and_solve(A, b, p, *, t=None, s=None, all_heavy=True, seed=0,
     uses the sign-enumeration route and requires ``s`` (any ``s >= 1``); its
     pair blocks are the ``G_i``, whose ``s`` rows are pair ``i``'s l1 group,
     never the ``n 2^s`` signed rows.  Neither route assembles its rows.
-    Returns its complex solution together with its objective on the
-    compressed problem.
+    ``seed``, an integer >= 0 or a ``SeedSequence``, keys the blocks and the
+    scores.  Returns its solution with its compressed-problem objective.
     """
+    seed = check_seed(seed, "sketch_and_solve: seed")
     p = check_p(p, "sketch_and_solve: p")
     if t is not None:
         t = check_int(t, "sketch_and_solve: t", 1)

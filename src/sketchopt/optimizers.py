@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hessian_oracle
-from .core_complex import check_int, check_real, child_seed
+from .core_complex import check_int, check_real, check_seed, child_seed
 from .hessian_oracle import (
     FiniteSumProblem,
     OracleMeter,
@@ -375,7 +375,7 @@ class _Run:
         self.F = value(problem, self.x,
                        meter=self.meter if charge_objective else None)
         self.g = grad(problem, self.x, meter=self.meter)
-        self._root = np.random.SeedSequence(config.seed)
+        self._root = check_seed(config.seed, "OptConfig: seed")
         self._cache: dict = {}
         self._hp = None
 

@@ -104,15 +104,15 @@ def _gram_cholesky(B) -> np.ndarray | None:
     return L if np.linalg.cond(L) <= CHOLESKY_QR_MAX_COND else None
 
 
-def _embedded_factor(M, embed_rows, seed, caller):
-    """R factor of the Gaussian embedding S M, and the stream S came from.
+def _embedded_factor(M, embed_rows, rng, caller):
+    """R factor of the Gaussian embedding S M.
 
     S is ``embed_rows`` x n (default 4 cols) with N(0, 1/embed_rows) entries,
-    the first draw of ``seeded_generator(seed)``; callers draw on from the
-    returned generator.  R comes from ``np.linalg.qr(S @ M, mode="r")``, so
-    no Q is formed.  R is None when it fails the rank test: its smallest
-    diagonal magnitude is at most max(embed_rows, cols) * eps times its
-    largest, the cutoff for the size of the matrix factored.
+    drawn from ``rng``; callers draw on from the same generator.  R comes
+    from ``np.linalg.qr(S @ M, mode="r")``, so no Q is formed.  R is None
+    when it fails the rank test: its smallest diagonal magnitude is at most
+    max(embed_rows, cols) * eps times its largest, the cutoff for the size of
+    the matrix factored.
     """
     n, d = M.shape
     s = 4 * d if embed_rows is None else check_int(embed_rows,
@@ -120,15 +120,14 @@ def _embedded_factor(M, embed_rows, seed, caller):
     if s < d:
         raise ValueError(f"{caller}: embed_rows must be >= cols")
     _check_finite(M, caller)
-    rng = seeded_generator(seed)
     S = rng.standard_normal((s, n)) / np.sqrt(s)
     R = np.linalg.qr(S @ M, mode="r")
     diag = np.abs(np.diag(R))
     tol = max(s, d) * np.finfo(np.float64).eps
     # written so that a NaN diagonal (S M overflowed) fails the test too
     if diag.size == 0 or not diag.min() > tol * diag.max():
-        return None, rng
-    return R, rng
+        return None
+    return R
 
 
 def approx_leverage_scores(B, embed_rows: int | None = None,
@@ -139,7 +138,7 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     rows) compresses B; the R factor of QR(S B) whitens it; a JL projection G
     (d x ``jl_cols`` Gaussian, scaled 1/sqrt(jl_cols), default
     ceil(8 ln n) columns) reduces the row-norm computation.  S and then G
-    come from one Philox stream seeded by ``seed``.  Returns
+    come from one Philox stream: ``seeded_generator(seed)``.  Returns
     ||e_i^T B R^{-1} G||^2, a (1 +- O(eps)) estimate of the exact scores with
     high probability.  NumPy only, as in ``exact_leverage_scores``: R is
     taken by ``np.linalg.qr(mode="r")`` and R^{-1} G by ``np.linalg.solve``.
@@ -148,13 +147,14 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
     diagonal magnitude at most max(embed_rows, d) * eps times the largest:
     rank-deficient B); use exact_leverage_scores in that case.
     """
+    rng = seeded_generator(seed, "approx_leverage_scores: seed")
     B = np.asarray(B)
     n, d = B.shape
     if jl_cols is None:
         r = int(np.ceil(8 * np.log(max(n, 2))))
     else:
         r = check_int(jl_cols, "approx_leverage_scores: jl_cols", 1)
-    R, rng = _embedded_factor(B, embed_rows, seed, "approx_leverage_scores")
+    R = _embedded_factor(B, embed_rows, rng, "approx_leverage_scores")
     if R is None:
         raise ValueError(
             "approx_leverage_scores: rank-deficient input (singular R factor); "
@@ -169,10 +169,12 @@ def approx_leverage_scores(B, embed_rows: int | None = None,
 def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
     """Draw t rows i.i.d. with replacement from probs; weight = 1/sqrt(t p_i).
 
-    The rows are the ones ``Generator.choice(probs.size, t, p=probs/total)``
-    draws, found by the inverse-CDF search ``choice`` runs after its own
+    The rows are the ones ``seeded_generator(seed).choice(probs.size, t,
+    p=probs/total)`` draws (``seed`` an integer >= 0, a ``SeedSequence`` or
+    a ``Generator``), by the inverse-CDF search ``choice`` runs after its own
     input checks, which the checks here already cover.
     """
+    rng = seeded_generator(seed, "build_sampling_sketch: seed")
     probs = np.asarray(probs, dtype=float)
     t = check_int(t, "build_sampling_sketch: t", 1)
     if probs.ndim != 1:
@@ -186,7 +188,7 @@ def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
         )
     cdf = np.cumsum(probs / total)
     cdf /= cdf[-1]
-    rows = cdf.searchsorted(seeded_generator(seed).random(t), side="right")
+    rows = cdf.searchsorted(rng.random(t), side="right")
     weights = 1.0 / np.sqrt(t * probs[rows])
     return SamplingSketch(source_rows=int(probs.size), rows=rows, weights=weights)
 

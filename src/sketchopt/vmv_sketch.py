@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_complex import check_int, child_seed
+from .core_complex import check_int, check_seed, child_seed
 
 __all__ = [
     "TensorSketchState",
@@ -91,12 +91,12 @@ class TensorSketchState:
 def ts_new(k, seed=0) -> TensorSketchState:
     """Fresh sketch state with ``k`` buckets and seed-fixed hash functions.
 
-    ``seed`` is an int or a ``SeedSequence`` (read, never spawned from); one
-    that ``SeedSequence`` rejects raises here, not at the first table draw.
+    ``seed`` is an integer >= 0 or a ``SeedSequence`` (read, never spawned
+    from); any other seed raises ``ValueError`` here, not at the first table
+    draw.
     """
+    seed = check_seed(seed, "ts_new: seed")
     k = check_int(k, "ts_new: k", 1)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     return TensorSketchState(k=k, q=np.zeros(k, dtype=complex), _seed=seed)
 
 
@@ -186,7 +186,8 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     """Sketch all row pairs of ``A, B`` and estimate ``u^T (A^T B) v``.
 
     Runs ``reps`` independent states, state ``r`` seeded with
-    ``child_seed(seed, r)``; for ``reps > 1`` the estimates are grouped into
+    ``child_seed(seed, r)`` (``seed`` an integer >= 0 or a ``SeedSequence``);
+    for ``reps > 1`` the estimates are grouped into
     chunks of ``ceil(reps/3)`` and combined by the median of the group
     means, taken separately on real and imaginary parts.  Each state's
     buckets are the ones ``ingest`` of every row pair would build (up to
@@ -200,6 +201,7 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
     overflows although ``A`` and ``B`` are finite.  Both raise
     ``ValueError``, as does a repetition whose buckets or pairing overflow.
     """
+    seed = check_seed(seed, "estimate: seed")
     if np.ndim(u) > 1 or np.ndim(v) > 1:
         raise ValueError("estimate: u and v must be one-dimensional vectors")
     A = np.asarray(A, dtype=complex)
@@ -216,8 +218,6 @@ def estimate(A, B, u, v, k, reps=1, seed=0) -> complex:
         raise ValueError("estimate: u and v must be finite (found NaN or Inf)")
     k = check_int(k, "estimate: k", 1)
     reps = check_int(reps, "estimate: reps", 1)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)  # built once, not once per rep
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ B
         if not np.isfinite(G).all():

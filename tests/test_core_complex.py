@@ -9,6 +9,7 @@ import pytest
 
 from sketchopt.core_complex import (
     check_p,
+    check_seed,
     child_seed,
     lift_matrix,
     lift_scalar,
@@ -16,10 +17,17 @@ from sketchopt.core_complex import (
     mixed_norm,
     phi,
     qr,
+    seeded_generator,
     spectral_norm,
     svd,
     unphi,
 )
+from sketchopt.hybrid_sampling import ls_det_fraction_plan, ls_det_sample
+from sketchopt.lp_regression import (build_sketch_finite_p, build_sketch_inf,
+                                     lp_leverage_scores, sketch_and_solve)
+from sketchopt.sketch_sampling import (approx_leverage_scores,
+                                       build_sampling_sketch)
+from sketchopt.vmv_sketch import estimate, ts_new
 
 
 def rand_cmat(rng, n, d):
@@ -275,3 +283,122 @@ def test_child_seed_equals_spawned_child_and_leaves_root_alone():
     np.testing.assert_array_equal(
         child_seed(21, 3).generate_state(4),
         np.random.SeedSequence(21).spawn(4)[3].generate_state(4))
+
+
+# ---------------------------------------------------------------------------
+# the seed rule
+
+
+#: seeds outside the rule; NumPy would seed from OS entropy for ``None``,
+#: read a bool as 1 and raise ``TypeError`` for a float or a string
+BAD_SEEDS = [None, True, np.True_, 1.5, "3", -1, [1, 2]]
+
+
+def _plan(plan):
+    return (plan.deterministic_rows, plan.sampled.rows, plan.sampled.weights)
+
+
+def _seed_cases():
+    """Each seeded entry point: a call taking a seed and returning what it
+    drew, and whether it takes a ``Generator`` too.  The shortcut rows draw
+    nothing, so only the seed check can reject their seed."""
+    rng = np.random.default_rng(34)
+    B = rng.standard_normal((40, 3))
+    B[0] *= 1e3  # one row that LS-Det keeps deterministically
+    A, b = rand_cmat(rng, 12, 2), rand_cvec(rng, 12)
+    C, u = rand_cmat(rng, 6, 3), rand_cvec(rng, 3)
+    probs = np.full(10, 0.1)
+    cases = {
+        "check_seed": (lambda s: check_seed(s, "check_seed: seed")
+                       .generate_state(4), False),
+        "child_seed": (lambda s: child_seed(s, 2).generate_state(4), False),
+        "seeded_generator": (lambda s: seeded_generator(s).random(4), True),
+        "approx_leverage_scores":
+            (lambda s: approx_leverage_scores(B, seed=s), True),
+        "build_sampling_sketch":
+            (lambda s: build_sampling_sketch(probs, 5, seed=s).rows, True),
+        "ls_det_sample":
+            (lambda s: _plan(ls_det_sample(B, sample_count=4, seed=s)), True),
+        "ls_det_sample, nothing sampled":
+            (lambda s: _plan(ls_det_sample(np.eye(3), sample_count=2,
+                                           seed=s)), True),
+        "ls_det_fraction_plan":
+            (lambda s: _plan(ls_det_fraction_plan(B, 6, 0.5, seed=s)), True),
+        "ls_det_fraction_plan, nothing sampled":
+            (lambda s: _plan(ls_det_fraction_plan(B, 4, 1.0, seed=s)), True),
+        "lp_leverage_scores":
+            (lambda s: lp_leverage_scores(B, 1.5, seed=s), True),
+        "lp_leverage_scores, p = 2":
+            (lambda s: lp_leverage_scores(B, 2, seed=s), True),
+        "build_sketch_finite_p":
+            (lambda s: build_sketch_finite_p(3, [1], 2, 1.5, seed=s).factors,
+             False),
+        "build_sketch_finite_p, no pairs":
+            (lambda s: build_sketch_finite_p(0, [], 2, 1.5, seed=s).factors,
+             False),
+        "build_sketch_inf":
+            (lambda s: build_sketch_inf(3, 2, seed=s).factors, False),
+        "build_sketch_inf, no pairs":
+            (lambda s: build_sketch_inf(0, 2, seed=s).factors, False),
+        "sketch_and_solve":
+            (lambda s: sketch_and_solve(A, b, 1.5, t=2, all_heavy=False,
+                                        seed=s).xhat, False),
+        "ts_new": (lambda s: ts_new(8, seed=s).tables(5), False),
+        "estimate": (lambda s: estimate(C, C, u, u, 8, reps=3, seed=s),
+                     False),
+    }
+    return [pytest.param(name.split(",")[0], call, takes_generator, id=name)
+            for name, (call, takes_generator) in cases.items()]
+
+
+def _assert_same_draws(got, want):
+    """Bitwise equality of nested tuples/lists of arrays and scalars."""
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_draws(g, w)
+    else:
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("name, call, takes_generator", _seed_cases())
+def test_seeds_outside_the_rule_raise_naming_the_function(name, call,
+                                                          takes_generator):
+    message = f"^{name}: seed must be an integer >= 0 or a SeedSequence$"
+    bad_seeds = BAD_SEEDS if takes_generator \
+        else BAD_SEEDS + [np.random.default_rng(1)]
+    for seed in bad_seeds:
+        with pytest.raises(ValueError, match=message):
+            call(seed)
+
+
+@pytest.mark.parametrize("name, call, takes_generator", _seed_cases())
+def test_int_and_sequence_seeds_draw_alike_and_repeat(name, call,
+                                                      takes_generator):
+    # an int seed is read as SeedSequence(seed), and the caller's
+    # SeedSequence is read, never spawned from
+    want = call(7)
+    sequence = np.random.SeedSequence(7)
+    for seed in (7, np.int64(7), np.uint8(7), sequence, sequence):
+        _assert_same_draws(call(seed), want)
+    assert sequence.n_children_spawned == 0
+    if takes_generator:  # the functions that draw from one stream
+        stream = np.random.Generator(np.random.Philox(7))
+        _assert_same_draws(call(stream), want)
+
+
+def test_sketch_and_solve_checks_its_seed_before_it_lifts():
+    A, b = np.ones((3, 2)), np.ones(4)  # b does not match A: lifting raises
+    with pytest.raises(ValueError, match="^sketch_and_solve: seed must be"):
+        sketch_and_solve(A, b, 1.0, t=2, seed=None)
+    with pytest.raises(ValueError, match="^lift_instance"):
+        sketch_and_solve(A, b, 1.0, t=2, seed=0)
+
+
+@pytest.mark.parametrize("index", [1.7, True, np.True_, "1", None])
+def test_child_seed_index_is_an_integer(index):
+    # int() would truncate 1.7 to child 1
+    with pytest.raises(ValueError, match="^child_seed: i must be an integer$"):
+        child_seed(0, index)
+    with pytest.raises(ValueError, match="^child_seed: i must be >= 0$"):
+        child_seed(0, -1)

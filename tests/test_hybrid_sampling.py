@@ -138,8 +138,10 @@ def test_nan_threshold_raises_and_inf_selects_nothing():
     B[0] *= 1e3
     assert 0 in ls_det_sample(B, threshold=0.5, sample_count=4,
                               seed=1).deterministic_rows.tolist()
-    with pytest.raises(ValueError, match="threshold must be positive"):
-        ls_det_sample(B, threshold=float("nan"), sample_count=4, seed=1)
+    # unchecked, a bool would compare as 1 and a string raise TypeError
+    for threshold in (float("nan"), True, np.True_, "0.5"):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            ls_det_sample(B, threshold=threshold, sample_count=4, seed=1)
     plan = ls_det_sample(B, threshold=float("inf"), sample_count=4, seed=1)
     assert plan.deterministic_rows.size == 0
     assert len(plan.sampled) == 4

@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core_complex import lp_of_norms, seeded_generator
+from ..core_complex import check_int, lp_of_norms, seeded_generator
 from ..hessian_oracle import (FiniteSumProblem, convex_ridge_lambda, d_diag,
                               make_loss)
 from ..lp_regression import complex_lp_solve, sketch_and_solve
@@ -57,7 +57,8 @@ _STREAM_CELL = 2
 
 
 def _derived_seed(master_seed, stream, index=0):
-    ss = np.random.SeedSequence([int(master_seed), int(stream), int(index)])
+    master_seed = check_int(master_seed, "master seed", 0)
+    ss = np.random.SeedSequence([master_seed, int(stream), int(index)])
     return int(ss.generate_state(1)[0])
 
 

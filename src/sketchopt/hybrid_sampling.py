@@ -17,7 +17,11 @@ import numpy as np
 
 from .core_complex import check_int, check_real, seeded_generator
 from .sketch_sampling import (
+    CHOLESKY_QR_MAX_COND,
     SamplingSketch,
+    _cholesky_inverse,
+    _row_energies,
+    _whitened_scores,
     apply_sketch,
     build_sampling_sketch,
     exact_leverage_scores,
@@ -52,13 +56,13 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(top)
 
 
-def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
-                 remainder_mode: str, rng) -> HybridPlan:
-    """The plan keeping the ascending rows ``deterministic`` at weight 1 and
-    drawing ``sample_count`` picks from the rest, uniformly or by their
-    leverage scores (uniformly when those are all zero).  The picks are
-    drawn over the remainder and returned as rows of B."""
-    n = B.shape[0]
+def _hybrid_plan(n: int, deterministic: np.ndarray, sample_count: int,
+                 remainder_scores, rng) -> HybridPlan:
+    """The plan over n rows keeping the ascending rows ``deterministic`` at
+    weight 1 and drawing ``sample_count`` picks from the rest: uniformly
+    when ``remainder_scores`` is None, else by the scores it returns for the
+    ascending remainder rows (uniformly when those are all zero).  The picks
+    are drawn over the remainder and returned as rows of the source."""
     keep = np.ones(n, dtype=bool)
     keep[deterministic] = False
     remainder = np.flatnonzero(keep)
@@ -66,8 +70,8 @@ def _hybrid_plan(B, deterministic: np.ndarray, sample_count: int,
     rows, weights = np.zeros(0, dtype=np.int64), np.zeros(0)
     if sample_count > 0 and m > 0:
         probs = np.full(m, 1.0 / m)
-        if remainder_mode == "leverage":
-            scores = exact_leverage_scores(B[remainder])
+        if remainder_scores is not None:
+            scores = remainder_scores(remainder)
             total = scores.sum()
             if total > 0.0:
                 probs = scores / total
@@ -120,8 +124,11 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
             break
         top = _top_k_rows(scores[eligible], min(cap, eligible.size))
         taken[remaining[eligible[top]]] = True
-    return _hybrid_plan(B, np.flatnonzero(taken), sample_count, remainder_mode,
-                        rng)
+
+    def scores(remainder):
+        return exact_leverage_scores(B[remainder])
+    return _hybrid_plan(n, np.flatnonzero(taken), sample_count,
+                        scores if remainder_mode == "leverage" else None, rng)
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
@@ -133,6 +140,19 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     rows per ``remainder_mode``.  ``fraction=0`` is pure sampling;
     ``fraction=1`` keeps only the top-``budget`` rows and drops the remainder
     entirely (a deliberately biased estimate, useful as a baseline).
+
+    B is whitened once, as by ``exact_leverage_scores``: with L the Cholesky
+    factor of B^T B, the top rows have the largest row energies
+    ||b_i L^{-T}||^2.  The remainder's Gram is L M M^T L^T, where
+    M = chol(I - U^T U) for the k x d block U = B_top L^{-T}, so the
+    remainder's leverage scores are the row energies of B under
+    L^{-T} M^{-T}: no second Gram and no copy of the remainder rows.  Those
+    scores err by about (cond(L) cond(M))^2 * eps, and the downdate is taken
+    only while cond(L) cond(M) <= ``CHOLESKY_QR_MAX_COND``.  When that test
+    or the factorization of I - U^T U fails, or B is not whitened (see
+    ``exact_leverage_scores``), the remainder's scores are
+    ``exact_leverage_scores`` of its rows.  At ``fraction=0`` the remainder
+    is B, scored by ``exact_leverage_scores(B)``.
     """
     rng = seeded_generator(seed, "ls_det_fraction_plan: seed")
     B = np.asarray(B)
@@ -143,11 +163,32 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
         raise ValueError("ls_det_fraction_plan: remainder_mode must be one of "
                          f"{REMAINDER_MODES}")
     k = min(int(round(fraction * budget)), n)
-    if k > 0:
-        deterministic = _top_k_rows(exact_leverage_scores(B), k)
-    else:
-        deterministic = np.zeros(0, dtype=np.int64)
-    return _hybrid_plan(B, deterministic, budget - k, remainder_mode, rng)
+    deterministic, scores = _top_leverage_rows(B, k)
+    return _hybrid_plan(n, deterministic, budget - k,
+                        scores if remainder_mode == "leverage" else None, rng)
+
+
+def _top_leverage_rows(B, k: int):
+    """The k rows of B with the largest leverage scores, as ``_top_k_rows``
+    picks them, and a function from the other rows, ascending, to their own
+    leverage scores, by the downdate of ``ls_det_fraction_plan``."""
+    if k == 0:  # the remainder is B
+        return (np.zeros(0, dtype=np.int64),
+                lambda remainder: exact_leverage_scores(B))
+    scores, whitening = _whitened_scores(B)
+    top = _top_k_rows(scores, k)
+    if whitening is None:
+        return top, lambda remainder: exact_leverage_scores(B[remainder])
+    Li, cond = whitening
+
+    def remainder_scores(remainder):
+        U = B[top] @ Li.T
+        downdate = _cholesky_inverse(np.eye(B.shape[1]) - U.T @ U,
+                                     CHOLESKY_QR_MAX_COND / cond)
+        if downdate is None:
+            return exact_leverage_scores(B[remainder])
+        return _row_energies(B, (downdate[0] @ Li).T)[remainder]
+    return top, remainder_scores
 
 
 def hybrid_gram(plan: HybridPlan, B) -> np.ndarray:

@@ -61,47 +61,81 @@ def span_basis(B) -> np.ndarray:
     return U[:, :int(np.count_nonzero(sigma > cutoff))]
 
 
-#: Largest condition number of the Cholesky factor R that the fast path of
-#: ``exact_leverage_scores`` accepts; scores then err by about cond(R)^2 * eps.
+#: Largest condition number of the Cholesky factor L that the fast path of
+#: ``exact_leverage_scores`` accepts; scores then err by about cond(L)^2 * eps.
+#: ``ls_det_fraction_plan``'s remainder downdate holds cond(L) cond(M) to it.
 CHOLESKY_QR_MAX_COND = 1e4
+
+#: Most entries in one row block of ``_row_energies``: a block's product
+#: (64 KiB) stays small enough for the allocator to reuse, where a fresh
+#: n x d temporary was page-faulted in again at every call.
+_ROW_BLOCK_ENTRIES = 2 ** 13
 
 
 def exact_leverage_scores(B) -> np.ndarray:
     """Row leverage scores l_i = diag(B (B*B)^+ B*)_i.
 
     Entries lie in [0, 1] and sum to rank(B).  A real, tall B is whitened by
-    Cholesky-QR: R is the Cholesky factor of the Gram B^T B, and the scores
-    are the squared row norms of W = B R^{-1}, with R = L^T from
-    ``np.linalg.cholesky``.  That needs cond(R) <= 1e4
-    (``CHOLESKY_QR_MAX_COND``); otherwise (a failed factorization, complex
-    or wide input, or no columns) the scores are the squared row norms of
-    the rank-truncated ``span_basis`` of B.  NumPy only: no ``scipy.linalg``
-    call, whose separate BLAS thread pool would contend with NumPy's.
+    Cholesky-QR: with L the lower Cholesky factor of the Gram B^T B, the
+    scores are the row energies ||b_i L^{-T}||^2, taken over equal row
+    blocks of at most 2^13 entries, so no n x d whitened copy of B is
+    formed.  That needs cond(L) <= 1e4 (``CHOLESKY_QR_MAX_COND``);
+    otherwise (a failed factorization, complex or wide input, or no
+    columns) the scores are the squared row norms of the rank-truncated
+    ``span_basis`` of B.  NumPy only: no ``scipy.linalg`` call, whose
+    separate BLAS thread pool would contend with NumPy's.
     """
+    return _whitened_scores(B)[0]
+
+
+def _whitened_scores(B):
+    """``exact_leverage_scores(B)`` and the whitening they came from:
+    (L^{-1}, cond(L)) for the lower Cholesky factor L of B^T B, or None
+    where the scores are the ``span_basis`` fallback's."""
     B = np.asarray(B)
     n, d = B.shape
     if 0 < d <= n and not np.iscomplexobj(B):
         B = B.astype(float, copy=False)
-        L = _gram_cholesky(B)
-        if L is not None:
-            W = B @ np.linalg.inv(L).T
-            return np.einsum("ij,ij->i", W, W)
-    return np.sum(np.abs(span_basis(B)) ** 2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = B.T @ B
+        whitening = _cholesky_inverse(G)
+        if whitening is not None:
+            return _row_energies(B, whitening[0].T), whitening
+    return np.sum(np.abs(span_basis(B)) ** 2, axis=1), None
 
 
-def _gram_cholesky(B) -> np.ndarray | None:
-    """Lower Cholesky factor L of B^T B (B real and tall), or None when the
-    Gram is not finite, the factorization fails or cond(L) exceeds
-    ``CHOLESKY_QR_MAX_COND``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = B.T @ B
+def _cholesky_inverse(G, max_cond: float = CHOLESKY_QR_MAX_COND):
+    """(L^{-1}, cond(L)) for the lower Cholesky factor L of the symmetric G,
+    or None when G is not finite, the factorization fails or cond(L)
+    exceeds ``max_cond``."""
     if not np.all(np.isfinite(G)):
         return None
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    return L if np.linalg.cond(L) <= CHOLESKY_QR_MAX_COND else None
+    cond = np.linalg.cond(L)
+    if not cond <= max_cond:
+        return None
+    return np.linalg.inv(L), cond
+
+
+def _row_energies(B, T) -> np.ndarray:
+    """Squared row norms of B T, over equal row blocks of at most 2^13
+    entries of the product, whose products are the only temporaries.  Each
+    row's value is the one a single product B @ T gives wherever the BLAS
+    computes a row alike in both (pinned for up to 48 columns); on an
+    AVX-512 OpenBLAS, products of 60 or more columns can differ in the
+    last bit."""
+    n = B.shape[0]
+    cap = max(1, _ROW_BLOCK_ENTRIES // T.shape[1])  # rows
+    blocks = max(1, -(-n // cap))
+    size = max(1, -(-n // blocks))
+    out = np.empty(n)
+    for start in range(0, n, size):
+        W = B[start:start + size] @ T
+        np.einsum("ij,ij->i", W, W, out=out[start:start + size])
+    return out
 
 
 def _embedded_factor(M, embed_rows, rng, caller):

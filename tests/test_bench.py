@@ -592,6 +592,34 @@ class TestRunVmv:
             run_vmv(cfg, 0, tmp_path / "o")
 
 
+_SMALL_RUNS = [
+    (run_vmv, "vmv", {"rows": "10", "cols": "2", "k_values": "4",
+                      "seeds": "2"}),
+    (run_lpreg, "lpreg", {"n": "10", "d": "3", "p": "1", "t_values": "2",
+                          "seeds": "2"}),
+]
+
+
+@pytest.mark.parametrize("runner, sub, options", _SMALL_RUNS,
+                         ids=["vmv", "lpreg"])
+@pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, "1"])
+def test_runners_reject_a_master_seed_that_is_not_an_integer(runner, sub,
+                                                             options, seed,
+                                                             tmp_path):
+    # read with int(), 1.5 and True used to run as master seed 1
+    with pytest.raises(ValueError, match="^master seed must be"):
+        runner(ExperimentConfig(sub, dict(options)), seed, tmp_path / "o")
+
+
+@pytest.mark.parametrize("runner, sub, options", _SMALL_RUNS,
+                         ids=["vmv", "lpreg"])
+def test_numpy_integer_master_seed_runs_as_its_int(runner, sub, options,
+                                                   tmp_path):
+    for seed, out in ((1, "int"), (np.int64(1), "numpy")):
+        runner(ExperimentConfig(sub, dict(options)), seed, tmp_path / out)
+    assert _dir_digest(tmp_path / "int") == _dir_digest(tmp_path / "numpy")
+
+
 class TestRunScores:
     def test_identity_rows_score_exactly_one(self, tmp_path):
         d = 6

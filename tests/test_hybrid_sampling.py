@@ -1,13 +1,16 @@
 """Tests for deterministic-plus-sampled row selection and its Gram estimate."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sketchopt import hybrid_sampling, sketch_sampling
 from sketchopt.hybrid_sampling import (
     HybridPlan,
     _top_k_rows,
+    _top_leverage_rows,
     hybrid_gram,
     ls_det_fraction_plan,
     ls_det_sample,
@@ -119,7 +122,7 @@ def test_picks_are_numbered_by_source_row(remainder_mode):
         ls_det_fraction_plan(B, budget=25, fraction=0.4,
                              remainder_mode=remainder_mode, seed=8),
     ]
-    for plan in plans:
+    for plan, downdated in zip(plans, (False, True)):
         assert plan.deterministic_rows.size > 0
         remainder = np.setdiff1d(np.arange(70), plan.deterministic_rows)
         if remainder_mode == "uniform":
@@ -129,8 +132,91 @@ def test_picks_are_numbered_by_source_row(remainder_mode):
             probs = scores / scores.sum()
         local = build_sampling_sketch(probs, len(plan.sampled), seed=8)
         assert np.array_equal(plan.sampled.rows, remainder[local.rows])
-        assert np.array_equal(plan.sampled.weights, local.weights)
+        if downdated and remainder_mode == "leverage":
+            # the fraction plan's remainder scores come from a downdate of
+            # B's whitening and agree with a fresh pass only to rounding
+            np.testing.assert_allclose(plan.sampled.weights, local.weights,
+                                       rtol=1e-10)
+        else:
+            assert np.array_equal(plan.sampled.weights, local.weights)
         assert plan.sampled.source_rows == 70
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Row counts of the fresh leverage passes a fraction plan falls back
+    to for its remainder."""
+    calls = []
+    original = hybrid_sampling.exact_leverage_scores
+    monkeypatch.setattr(hybrid_sampling, "exact_leverage_scores",
+                        lambda B: calls.append(len(B)) or original(B))
+    return calls
+
+
+def _planted(seed, n, d, heavy):
+    """|D|^{1/2} A for a Gaussian A with ``heavy`` rows scaled by 1e3."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d))
+    A[rng.choice(n, heavy, replace=False)] *= 1e3
+    return np.sqrt(rng.uniform(0.01, 1.0, n))[:, None] * A
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("seed, heavy, downdated", [
+    (0, 60, True), (2, 20, True), (0, 5, False), (1, 20, False),
+])
+def test_downdated_remainder_scores_match_a_fresh_pass(fallback_calls, seed,
+                                                       heavy, downdated,
+                                                       fraction):
+    # more heavy rows than top rows keeps the remainder well conditioned;
+    # removing every heavy row leaves it ill-conditioned, and the plan
+    # falls back to a fresh pass
+    n, d = 3000, 20
+    B = _planted(seed, n, d, heavy)
+    k = round(fraction * 100)
+    top, remainder_scores = _top_leverage_rows(B, k)
+    assert np.array_equal(top, _top_k_rows(exact_leverage_scores(B), k))
+    remainder = np.setdiff1d(np.arange(n), top)
+    fallback_calls.clear()
+    scores = remainder_scores(remainder)
+    assert fallback_calls == ([] if downdated else [remainder.size])
+    fresh = exact_leverage_scores(B[remainder])
+    assert np.max(np.abs(scores - fresh)) <= 1e-10 * fresh.max()
+    assert abs(scores.sum() - d) <= 1e-9
+
+
+def test_remainder_that_loses_rank_takes_a_fresh_pass(fallback_calls):
+    # column 3 is nonzero only on rows 5 and 17, which go deterministic: the
+    # remainder's Gram is singular, and its scores come from a fresh pass
+    # over its rows, bit for bit
+    rng = np.random.default_rng(57)
+    B = rng.standard_normal((300, 4))
+    B[:, 3] = 0.0
+    B[[5, 17], 3] = [40.0, -30.0]
+    plan = ls_det_fraction_plan(B, budget=40, fraction=0.25,
+                                remainder_mode="leverage", seed=9)
+    assert {5, 17} <= set(plan.deterministic_rows.tolist())
+    remainder = np.setdiff1d(np.arange(300), plan.deterministic_rows)
+    assert fallback_calls[-1] == remainder.size
+    scores = exact_leverage_scores(B[remainder])
+    local = build_sampling_sketch(scores / scores.sum(), 30, seed=9)
+    assert np.array_equal(plan.sampled.rows, remainder[local.rows])
+    assert np.array_equal(plan.sampled.weights, local.weights)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+def test_fraction_plan_allocates_no_copy_of_b(fraction):
+    # no whitened B, no B[remainder]: the plan's temporaries are a few
+    # n-vectors and the energy kernel's row blocks
+    B = np.random.default_rng(58).standard_normal((20000, 20))
+    tracemalloc.start()
+    try:
+        ls_det_fraction_plan(B, budget=250, fraction=fraction,
+                             remainder_mode="leverage", seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= B.nbytes / 2
 
 
 def test_nan_threshold_raises_and_inf_selects_nothing():
@@ -169,12 +255,11 @@ def test_parameter_validation():
 ], ids=["ls_det_sample", "ls_det_fraction_plan"])
 def test_bad_remainder_mode_raises_before_leverage_work(caller, plan,
                                                         monkeypatch):
-    from sketchopt import hybrid_sampling
-
     calls = []
-    original = hybrid_sampling.exact_leverage_scores
-    monkeypatch.setattr(hybrid_sampling, "exact_leverage_scores",
-                        lambda B: calls.append(1) or original(B))
+    original = sketch_sampling._row_energies
+    for module in (sketch_sampling, hybrid_sampling):
+        monkeypatch.setattr(module, "_row_energies",
+                            lambda B, T: calls.append(1) or original(B, T))
     B = np.random.default_rng(30).standard_normal((40, 3))
     with pytest.raises(ValueError, match=f"^{caller}: remainder_mode must be "
                                          r"one of \('uniform', 'leverage'\)$"):

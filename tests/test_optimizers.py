@@ -723,12 +723,15 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
                          [(60, 0.9), (60, 1.0), (40, 0.5), (10, 0.0)])
 def test_ls_det_charges_the_leverage_work_it_does(budget, fraction,
                                                   monkeypatch):
-    from sketchopt import hybrid_sampling
+    from sketchopt import hybrid_sampling, sketch_sampling
 
+    # a leverage pass is one run of the row-energy kernel, whether the plan
+    # calls it itself or through exact_leverage_scores
     calls = []
-    original = hybrid_sampling.exact_leverage_scores
-    monkeypatch.setattr(hybrid_sampling, "exact_leverage_scores",
-                        lambda B: calls.append(1) or original(B))
+    original = sketch_sampling._row_energies
+    for module in (sketch_sampling, hybrid_sampling):
+        monkeypatch.setattr(module, "_row_energies",
+                            lambda B, T: calls.append(1) or original(B, T))
     rng = np.random.default_rng(76)
     problem = nlls_problem(rng, n=50, d=4)
     cfg = OptConfig(scheme="ls-det", sample_size=budget,

@@ -47,7 +47,6 @@ _SKETCHED = {"hessian_oracle.d_diag", "hessian_oracle.hessp_sketched"}
 @pytest.mark.parametrize("scheme, extra", [
     ("ls", _SKETCHED),
     ("ls-det", _SKETCHED | {"hybrid_sampling.ls_det_fraction_plan",
-                            "sketch_sampling.exact_leverage_scores",
                             "sketch_sampling.build_sampling_sketch"}),
     ("full", {"hessian_oracle.hessp_full"}),
 ])

@@ -168,6 +168,35 @@ def test_planted_design_scores_skip_svd_and_scipy(svd_calls, scipy_calls,
     assert abs(scores.sum() - 20) <= 1e-10
 
 
+#: (rows, cols) of the row-energy tests: one block, and several equal
+#: blocks with a shorter last one, at cols >= 32 too
+_BLOCK_SHAPES = [(7, 1), (4000, 3), (5000, 20), (20000, 20), (257, 32),
+                 (773, 32), (1001, 33), (2000, 48)]
+
+
+@pytest.mark.parametrize("n, d", _BLOCK_SHAPES)
+def test_blocked_row_energies_equal_one_product(n, d):
+    # each row of a block's product is the row of B @ T, bit for bit
+    rng = np.random.default_rng(n + d)
+    B = rng.standard_normal((n, d))
+    T = np.linalg.inv(np.linalg.cholesky(B.T @ B)).T
+    W = B @ T
+    assert np.array_equal(sketch_sampling._row_energies(B, T),
+                          np.einsum("ij,ij->i", W, W))
+
+
+def test_exact_scores_allocate_no_whitened_copy():
+    # the row blocks, not an n x d whitened B, are the temporaries
+    B = np.random.default_rng(62).standard_normal((20000, 20))
+    tracemalloc.start()
+    try:
+        exact_leverage_scores(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= B.nbytes / 4
+
+
 # ---------------------------------------------------------------------------
 # approx_leverage_scores
 

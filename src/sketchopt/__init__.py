@@ -68,10 +68,8 @@ from .lp_regression import (
     classify_pairs,
     complex_lp_solve,
     gaussian_moment_scale,
-    grouped_lp_solve,
     lift_instance,
     lp_leverage_scores,
-    sign_enumeration_matrix,
     sketch_and_solve,
     small_lp_solve,
 )
@@ -109,8 +107,7 @@ __all__ = [
     "LiftedRegression", "BlockSketch", "LpSolution", "SketchSolveResult",
     "lift_instance", "lp_leverage_scores", "classify_pairs",
     "build_sketch_finite_p", "build_sketch_inf", "sketch_and_solve",
-    "small_lp_solve", "grouped_lp_solve", "complex_lp_solve",
-    "gaussian_moment_scale", "sign_enumeration_matrix",
+    "small_lp_solve", "complex_lp_solve", "gaussian_moment_scale",
     # vmv_sketch
     "TensorSketchState", "ts_new", "ts_pair", "ingest", "query_vec",
     "estimate_vmv", "estimate",

@@ -27,7 +27,8 @@ block row applied to its pair's lifted residual, so the Newton Hessian is
 ``p = infinity`` the block rows are the ``s`` rows of ``G_i``: the smoothed
 max over a pair's ``2^s`` signed rows factors exactly into log-cosh terms of
 its l1 group ``G_i r_i``, so the solve never forms the ``2^s`` rows and
-their cap ``MAX_ENUMERATION_BITS`` does not bound ``s``.
+takes any ``s >= 1``; only ``BlockSketch.apply`` expands them, for ``s`` up
+to 20.
 """
 
 from __future__ import annotations
@@ -53,18 +54,11 @@ __all__ = [
     "classify_pairs",
     "complex_lp_solve",
     "gaussian_moment_scale",
-    "grouped_lp_solve",
     "lift_instance",
     "lp_leverage_scores",
-    "sign_enumeration_matrix",
     "sketch_and_solve",
     "small_lp_solve",
 ]
-
-#: Cap on the sign-enumeration width where the 2^s sign rows are expanded
-#: (``BlockSketch.blocks``); solves on the s x 2 factors never expand them.
-MAX_ENUMERATION_BITS = 20
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -88,53 +82,31 @@ class LiftedRegression:
 class BlockSketch:
     """Block-diagonal compression aligned with residual pairs.
 
-    ``blocks[i]`` multiplies pair ``i``, rows ``2i`` and ``2i+1``; results
-    stack in pair order.  The sketch keeps one draw per pair in ``factors``:
-    at finite ``p`` the factor is the block itself; at ``p = infinity`` it
-    is the ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where ``R``
-    holds the ``2^s`` sign rows, and the blocks are expanded only when read
-    (for ``s`` up to ``MAX_ENUMERATION_BITS``; ``sketch_and_solve`` reads
-    only the factors).  ``apply`` never materializes the assembled matrix; use
-    ``assembled`` only at small sizes.
+    Pair ``i``, rows ``2i`` and ``2i+1``, has one draw in ``factors``: at
+    finite ``p`` the factor is pair ``i``'s block itself; at ``p = infinity``
+    it is the ``s x 2`` Gaussian ``G_i`` of the block ``R @ G_i``, where
+    ``R`` holds the ``2^s`` sign rows.  Solves read only the factors.
     """
 
     factors: list
     p: float
 
-    @property
-    def blocks(self) -> list:
-        if not np.isinf(self.p) or not self.factors:
-            return self.factors
-        R = sign_enumeration_matrix(self.factors[0].shape[0])
-        return [R @ G for G in self.factors]
-
-    @property
-    def total_rows(self) -> int:
-        rows = [f.shape[0] for f in self.factors]
-        if np.isinf(self.p):
-            rows = [2 ** s for s in rows]
-        return int(sum(rows))
-
     def apply(self, M):
         """Multiply the block-diagonal sketch against the rows of ``M``, two
-        rows per pair."""
+        rows per pair; the blocks stack in pair order.  At ``p = infinity``
+        this expands the ``2^s`` sign rows, so ``s`` must be at most 20."""
         # C order: each pair's row slice multiplies as a contiguous copy would
         M = np.ascontiguousarray(M, dtype=float)
         if M.shape[0] != 2 * len(self.factors):
             raise ValueError("BlockSketch.apply: M must have two rows per "
                              "pair")
+        blocks = self.factors
+        if np.isinf(self.p) and blocks:
+            R = _sign_rows(blocks[0].shape[0])
+            blocks = [R @ G for G in blocks]
         return np.concatenate([np.empty((0,) + M.shape[1:])]
                               + [blk @ M[2 * i:2 * i + 2]
-                                 for i, blk in enumerate(self.blocks)])
-
-    def assembled(self) -> np.ndarray:
-        """Dense block-diagonal matrix (small instances only)."""
-        G = np.zeros((self.total_rows, 2 * len(self.factors)))
-        pos = 0
-        for i, blk in enumerate(self.blocks):
-            G[pos:pos + blk.shape[0], 2 * i:2 * i + 2] = blk
-            pos += blk.shape[0]
-        return G
+                                 for i, blk in enumerate(blocks)])
 
 
 @dataclass
@@ -182,7 +154,7 @@ def lift_instance(A, b) -> LiftedRegression:
 
 
 # ---------------------------------------------------------------------------
-# moment calibration and sign enumeration
+# moment calibration and sign rows
 # ---------------------------------------------------------------------------
 
 
@@ -199,12 +171,12 @@ def gaussian_moment_scale(p) -> float:
     return math.exp(log_scale)
 
 
-def sign_enumeration_matrix(s) -> np.ndarray:
-    """All ``2^s`` sign rows in ``{-1,+1}^s``, so ``max |R z| = ||z||_1``."""
-    s = check_int(s, "sign_enumeration_matrix: s")
-    if not 1 <= s <= MAX_ENUMERATION_BITS:
-        raise ValueError("sign_enumeration_matrix: s = %d is outside the "
-                         "2^s-row budget [1, %d]" % (s, MAX_ENUMERATION_BITS))
+def _sign_rows(s) -> np.ndarray:
+    """All ``2^s`` sign rows in ``{-1,+1}^s``, so ``max |R z| = ||z||_1``;
+    ``s`` is capped at 20, a 2^20-row budget."""
+    if s > 20:
+        raise ValueError("BlockSketch.apply: s = %d is outside the 2^s-row "
+                         "budget [1, 20]" % s)
     codes = (np.arange(2 ** s)[:, None] >> np.arange(s)[None, :]) & 1
     return codes.astype(float) * 2.0 - 1.0
 
@@ -304,9 +276,9 @@ def build_sketch_inf(n_pairs, s, seed=0) -> BlockSketch:
     Each of the ``n_pairs`` pairs gets ``R @ G`` where ``G`` is ``s x 2``
     Gaussian with entry std ``sqrt(pi/2)/s`` (so ``E||G y||_1 = ||y||_2``)
     and ``R`` enumerates all ``2^s`` sign rows, turning that l1 estimate
-    into a max.  Only the factors ``G`` are stored; ``R @ G`` is formed (and
-    its width capped) only when the blocks are read, so any ``s >= 1`` is
-    accepted.
+    into a max.  Only the factors ``G`` are stored, and solves never form
+    ``R @ G``, so any ``s >= 1`` is accepted; ``BlockSketch.apply`` expands
+    it only for ``s`` up to 20.
     """
     seed = check_seed(seed, "build_sketch_inf: seed")
     n_pairs = check_int(n_pairs, "build_sketch_inf: n_pairs", 0)
@@ -342,17 +314,17 @@ class _Groups:
     def __init__(self, sizes):
         self.sizes = sizes
         self.starts = np.cumsum(sizes) - sizes
-        uniform = sizes.size and (sizes == sizes[0]).all()
-        self.width = sizes[0] if uniform else None
+        # no groups at all sum as groups of one row
+        self.width = sizes[0] if sizes.size else 1
+        if (sizes != self.width).any():
+            self.width = None  # ragged: only a sketch's pair rows
 
     def spread(self, v):
         """Each group's entry of ``v`` repeated over the group's rows."""
         return np.repeat(v, self.sizes, axis=0)
 
     def sum(self, x):
-        """Row values ``x`` summed within each group."""
-        if self.width is None:
-            return np.add.reduceat(x, self.starts)
+        """Row values ``x`` summed within each group of equal size."""
         return x.reshape(-1, self.width).sum(axis=1)
 
     def rows(self, u, M):
@@ -653,35 +625,6 @@ def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
         y, obj, 0.5 * obj, tol, 1e-15 * rows.data_scale)
 
 
-def _solve_grouped(M, c, groups, p, tol):
-    """Validate and dispatch a solve; ``groups=None``: one group per row.
-
-    The rows are put in group order and empty groups dropped, so both
-    solvers see consecutive groups.  At ``p = infinity`` one-row groups are
-    l1 groups (the row's absolute value) and other groups l2 groups.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    c = np.asarray(c, dtype=float).ravel()
-    m = M.shape[0]
-    if m != c.size:
-        raise ValueError("lp solve: row counts of M and c differ")
-    if not (np.isfinite(M).all() and np.isfinite(c).all()):
-        raise ValueError("lp solve: M and c must be finite")
-    if groups is None:
-        sizes = np.ones(m, dtype=int)
-    else:
-        members = [np.asarray(g, dtype=int).ravel() for g in groups]
-        order = np.concatenate([np.empty(0, dtype=int)] + members)
-        if not np.array_equal(np.sort(order), np.arange(m)):
-            raise ValueError("grouped_lp_solve: every row of M must lie in "
-                             "exactly one group")
-        M, c = M[order], c[order]
-        sizes = np.array([g.size for g in members if g.size], dtype=int)
-    return _solve_rows(_DenseRows(M, c), sizes, p, groups is None, tol)
-
-
 def _solve_rows(rows, sizes, p, l1, tol):
     """Solve on consecutive groups of ``sizes`` rows from the rows' lstsq
     fit; at ``p = infinity`` l1 groups when ``l1``, else l2 groups.
@@ -712,16 +655,20 @@ def _solve_rows(rows, sizes, p, l1, tol):
 
 
 def small_lp_solve(M, c, p, tol=1e-10) -> LpSolution:
-    """Minimize ``||M y - c||_p`` for a small dense instance."""
-    return _solve_grouped(M, c, None, p, tol)
-
-
-def grouped_lp_solve(M, c, groups, p, tol=1e-10) -> LpSolution:
-    """Minimize the p-norm of per-group Euclidean residual norms.
-
-    Every row of ``M`` must lie in exactly one group.
-    """
-    return _solve_grouped(M, c, groups, p, tol)
+    """Minimize ``||M y - c||_p`` for a small dense instance; a vector ``M``
+    is one column."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M[:, None]
+    if M.ndim != 2:
+        raise ValueError("lp solve: M must be a vector or a matrix")
+    c = np.asarray(c, dtype=float).ravel()
+    if M.shape[0] != c.size:
+        raise ValueError("lp solve: row counts of M and c differ")
+    if not (np.isfinite(M).all() and np.isfinite(c).all()):
+        raise ValueError("lp solve: M and c must be finite")
+    return _solve_rows(_DenseRows(M, c), np.ones(c.size, dtype=int), p,
+                       True, tol)
 
 
 def complex_lp_solve(A, b, p, tol=1e-10) -> LpSolution:

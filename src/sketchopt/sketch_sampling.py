@@ -228,13 +228,14 @@ def build_sampling_sketch(probs, t: int, seed=0) -> SamplingSketch:
 
 
 def apply_sketch(S: SamplingSketch, B) -> np.ndarray:
-    """Materialize the sketched matrix C: row j = weights[j] * B[rows[j]]."""
+    """Materialize the sketched matrix C: row j = weights[j] * B[rows[j]];
+    a vector ``B`` gives its t weighted entries."""
     B = np.asarray(B)
     if S.source_rows != B.shape[0]:
         raise ValueError("apply_sketch: sketch built over a different row count")
     if S.rows.size and (S.rows.min() < 0 or S.rows.max() >= B.shape[0]):
         raise ValueError("apply_sketch: row index out of range")
-    return S.weights[:, None] * B[S.rows]
+    return S.weights.reshape((-1,) + (1,) * (B.ndim - 1)) * B[S.rows]
 
 
 def canonical_scheme(scheme: str) -> str:

@@ -1,5 +1,7 @@
 """Tests for complex-to-real p-norm regression reduction and solvers."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,6 @@ import scipy.special
 from sketchopt import lp_regression
 from sketchopt.core_complex import mixed_norm, phi, seeded_generator, unphi
 from sketchopt.lp_regression import (
-    MAX_ENUMERATION_BITS,
     BlockSketch,
     LiftedRegression,
     build_sketch_finite_p,
@@ -17,10 +18,8 @@ from sketchopt.lp_regression import (
     classify_pairs,
     complex_lp_solve,
     gaussian_moment_scale,
-    grouped_lp_solve,
     lift_instance,
     lp_leverage_scores,
-    sign_enumeration_matrix,
     sketch_and_solve,
     small_lp_solve,
 )
@@ -40,6 +39,30 @@ def lp_norm(r, p):
     if np.isinf(p):
         return float(np.max(np.abs(r)))
     return float(np.sum(np.abs(r) ** p) ** (1.0 / p))
+
+
+# a sketch's blocks, with the arithmetic of BlockSketch.apply ---------------
+
+
+def sign_rows(s):
+    """All ``2^s`` sign rows in ``{-1,+1}^s``: row k holds the bits of k."""
+    codes = (np.arange(2 ** s)[:, None] >> np.arange(s)[None, :]) & 1
+    return codes.astype(float) * 2.0 - 1.0
+
+
+def sketch_blocks(sketch):
+    """Pair i's block: its factor, or ``R @ G_i`` at p = inf."""
+    if not np.isinf(sketch.p) or not sketch.factors:
+        return sketch.factors
+    R = sign_rows(sketch.factors[0].shape[0])
+    return [R @ G for G in sketch.factors]
+
+
+def pair_grouped_solve(M, c, p, tol=1e-10):
+    """The solve on consecutive row pairs that ``complex_lp_solve`` runs,
+    on a dense ``M`` of any structure."""
+    return lp_regression._solve_rows(lp_regression._DenseRows(M, c),
+                                     np.full(c.size // 2, 2), p, False, tol)
 
 
 # independent 1-D oracles ----------------------------------------------------
@@ -137,10 +160,17 @@ def test_moment_scale_monte_carlo(p):
 
 
 def test_sign_enumeration_s1_and_s2():
-    R1 = sign_enumeration_matrix(1)
-    assert sorted(R1.ravel().tolist()) == [-1.0, 1.0]
-    R2 = sign_enumeration_matrix(2)
-    assert R2.shape == (4, 2)
+    # apply expands each G_i into its signed rows sigma . G_i
+    for s in (1, 2):
+        sketch = build_sketch_inf(1, s, seed=s)
+        G = sketch.factors[0]
+        block = sketch.apply(np.eye(2))
+        assert block.shape == (2 ** s, 2)
+        np.testing.assert_array_equal(block, sign_rows(s) @ G)
+        assert {tuple(row) for row in block.tolist()} == {
+            tuple(np.array(sigma) @ G)
+            for sigma in itertools.product((-1.0, 1.0), repeat=s)}
+    R2 = sign_rows(2)
     assert {tuple(row) for row in R2.tolist()} == {
         (1, 1), (1, -1), (-1, 1), (-1, -1)}
     rng = np.random.default_rng(83)
@@ -151,17 +181,19 @@ def test_sign_enumeration_s1_and_s2():
 
 
 def test_sign_enumeration_l1_identity_s5():
-    R = sign_enumeration_matrix(5)
+    # max over the 2^s signed rows of |sigma . G y| is ||G y||_1
+    sketch = build_sketch_inf(1, 5, seed=84)
+    G = sketch.factors[0]
     rng = np.random.default_rng(84)
     for _ in range(20):
-        z = rng.standard_normal(5)
-        assert np.max(np.abs(R @ z)) == pytest.approx(np.abs(z).sum(),
-                                                      abs=1e-13)
+        y = rng.standard_normal((2, 1))
+        assert np.max(np.abs(sketch.apply(y))) == pytest.approx(
+            np.abs(G @ y).sum(), abs=1e-13)
 
 
 def test_sign_enumeration_budget_guard():
-    with pytest.raises(ValueError):
-        sign_enumeration_matrix(21)
+    with pytest.raises(ValueError, match="2\\^s-row budget \\[1, 20\\]"):
+        build_sketch_inf(1, 21).apply(np.eye(2))
 
 
 def test_inf_block_unbiased_with_predicted_spread_s6():
@@ -173,7 +205,7 @@ def test_inf_block_unbiased_with_predicted_spread_s6():
     vals = []
     for seed in range(1000):
         sk = build_sketch_inf(1, s=6, seed=seed)
-        vals.append(np.max(np.abs(sk.blocks[0] @ y)))
+        vals.append(np.max(np.abs(sketch_blocks(sk)[0] @ y)))
     vals = np.asarray(vals) / ynorm
     assert abs(vals.mean() - 1.0) <= 0.03
     assert 0.20 <= vals.std() <= 0.45
@@ -265,14 +297,14 @@ def test_classification_invariant_to_right_multiplication(p):
 
 def test_finite_block_shapes_and_determinism():
     sk = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=3)
-    assert [b.shape for b in sk.blocks] == [(1, 2), (8, 2), (1, 2)]
+    assert [b.shape for b in sk.factors] == [(1, 2), (8, 2), (1, 2)]
     sk2 = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=3)
-    for b1, b2 in zip(sk.blocks, sk2.blocks):
+    for b1, b2 in zip(sk.factors, sk2.factors):
         np.testing.assert_array_equal(b1, b2)
     sk3 = build_sketch_finite_p(3, heavy=[1], t=8, p=1.0, seed=4)
     assert any(not np.array_equal(b1, b3)
-               for b1, b3 in zip(sk.blocks, sk3.blocks))
-    G = sk.assembled()
+               for b1, b3 in zip(sk.factors, sk3.factors))
+    G = sk.apply(np.eye(6))
     assert G.shape == (1 + 8 + 1, 6)
     # block-diagonal: no mass outside each pair's two columns
     assert np.all(G[0, 2:] == 0)
@@ -286,7 +318,7 @@ def test_light_block_second_moment_p2():
     vals = []
     for seed in range(20000):
         sk = build_sketch_finite_p(1, heavy=[], t=4, p=2.0, seed=seed)
-        vals.append((sk.blocks[0] @ y)[0] ** 2)
+        vals.append((sk.factors[0] @ y)[0] ** 2)
     assert np.mean(vals) == pytest.approx(np.linalg.norm(y) ** 2, rel=0.03)
 
 
@@ -297,7 +329,7 @@ def test_heavy_block_p1_moment_and_concentration():
     vals = []
     for seed in range(2000):
         sk = build_sketch_finite_p(1, heavy=[0], t=64, p=1.0, seed=seed)
-        vals.append(np.abs(sk.blocks[0] @ y).sum())
+        vals.append(np.abs(sk.factors[0] @ y).sum())
     assert np.mean(vals) == pytest.approx(ynorm, rel=0.02)
     assert np.std(vals) <= 2.0 / np.sqrt(64) * ynorm
 
@@ -388,8 +420,7 @@ def test_grouped_p2_equals_plain_least_squares():
     rng = np.random.default_rng(94)
     M = rng.standard_normal((20, 3))
     c = rng.standard_normal(20)
-    groups = [(2 * i, 2 * i + 1) for i in range(10)]
-    sol = grouped_lp_solve(M, c, groups, 2.0)
+    sol = pair_grouped_solve(M, c, 2.0)
     ref = np.linalg.lstsq(M, c, rcond=None)[0]
     np.testing.assert_allclose(sol.y, ref, atol=1e-8)
 
@@ -406,39 +437,8 @@ def test_grouped_p1_pairs_matches_scalar_oracle():
 
     ref = scipy.optimize.minimize_scalar(obj, method="golden",
                                          options={"xtol": 1e-12})
-    sol = grouped_lp_solve(M, c, groups, 1.0)
+    sol = pair_grouped_solve(M, c, 1.0)
     assert sol.objective <= obj(ref.x) + 1e-6 * max(obj(ref.x), 1.0)
-
-
-def test_grouped_rows_must_lie_in_exactly_one_group():
-    rng = np.random.default_rng(98)
-    M = rng.standard_normal((4, 2))
-    c = rng.standard_normal(4)
-    # a negative row would wrap to the last row; a repeated row would be
-    # claimed by its last group; a row past the end or a missed row is lost
-    for groups in ([(0, 1), (2, -1)], [(0, 1, 2), (2, 3)],
-                   [(0, 1), (2, 4)], [(0, 1), (2,)], []):
-        with pytest.raises(ValueError):
-            grouped_lp_solve(M, c, groups, 1.0)
-    sol = grouped_lp_solve(M, c, [(3, 0), (), (2, 1)], 2.0)
-    ref = np.linalg.lstsq(M, c, rcond=None)[0]
-    np.testing.assert_allclose(sol.y, ref, atol=1e-10)
-
-
-@pytest.mark.parametrize("p", (1.0, 3.0, np.inf))
-def test_grouped_solve_on_unsorted_ragged_groups_equals_group_ordered_rows(p):
-    # an empty group must be dropped, not summed: np.add.reduceat gives an
-    # empty slice the value of the row after it, not 0
-    rng = np.random.default_rng(99)
-    M = rng.standard_normal((9, 3))
-    c = rng.standard_normal(9)
-    groups = [(4, 0, 7), (), (1,), (8, 2), (3, 5, 6)]
-    order = [4, 0, 7, 1, 8, 2, 3, 5, 6]
-    ordered = [(0, 1, 2), (3,), (4, 5), (6, 7, 8)]
-    sol = grouped_lp_solve(M, c, groups, p)
-    ref = grouped_lp_solve(M[order], c[order], ordered, p)
-    np.testing.assert_array_equal(sol.y, ref.y)
-    assert sol.objective == ref.objective
 
 
 def test_small_lp_p1_converges_to_the_lp_optimum_with_certified_value():
@@ -580,13 +580,12 @@ def test_sketch_and_solve_rejects_a_size_its_route_ignores():
 def test_build_sketch_inf_rejects_enumeration_width_out_of_range():
     with pytest.raises(ValueError):
         build_sketch_inf(1, s=0)
-    # past the cap the sketch is built, but its 2^s rows are never expanded
-    wide = build_sketch_inf(1, s=MAX_ENUMERATION_BITS + 1)
-    assert wide.total_rows == 2 ** (MAX_ENUMERATION_BITS + 1)
-    with pytest.raises(ValueError):
-        wide.blocks
-    with pytest.raises(ValueError):
-        sign_enumeration_matrix(MAX_ENUMERATION_BITS + 1)
+    # past apply's 2^20-row cap the sketch is built, but its 2^s rows are
+    # never expanded
+    wide = build_sketch_inf(1, s=21)
+    assert [G.shape for G in wide.factors] == [(21, 2)]
+    with pytest.raises(ValueError, match="budget"):
+        wide.apply(np.eye(2))
 
 
 # seeds of the block sketches ------------------------------------------------
@@ -596,15 +595,15 @@ def test_block_sketch_int_seed_draws_each_pair_from_its_spawned_child():
     children = np.random.SeedSequence(11).spawn(3)
     finite = build_sketch_finite_p(3, heavy=[1], t=5, p=1.5, seed=11)
     scale = gaussian_moment_scale(1.5)
-    for i, (child, blk) in enumerate(zip(children, finite.blocks)):
+    for i, (child, blk) in enumerate(zip(children, finite.factors)):
         rows = 5 if i == 1 else 1
         draw = seeded_generator(child).standard_normal((rows, 2))
         expected = (scale * 5 ** (-1.0 / 1.5)) * draw if i == 1 \
             else scale * draw
         np.testing.assert_array_equal(blk, expected)
     inf = build_sketch_inf(3, s=3, seed=11)
-    R = sign_enumeration_matrix(3)
-    for child, blk in zip(children, inf.blocks):
+    R = sign_rows(3)
+    for child, blk in zip(children, sketch_blocks(inf)):
         G = (np.sqrt(np.pi / 2.0) / 3) \
             * seeded_generator(child).standard_normal((3, 2))
         np.testing.assert_array_equal(blk, R @ G)
@@ -617,13 +616,14 @@ def test_block_sketch_accepts_seed_sequence_without_mutating_it():
                   lambda seed: build_sketch_inf(2, 2, seed=seed)):
         from_seq = build(root)
         assert root.n_children_spawned == 0
-        for b1, b2 in zip(from_seq.blocks, build(12).blocks):
+        for b1, b2 in zip(sketch_blocks(from_seq),
+                          sketch_blocks(build(12))):
             np.testing.assert_array_equal(b1, b2)
     # children derive from the index, not from what the caller spawned
     used = np.random.SeedSequence(12)
     used.spawn(3)
-    for b1, b2 in zip(build_sketch_inf(2, 2, seed=used).blocks,
-                      build_sketch_inf(2, 2, seed=12).blocks):
+    for b1, b2 in zip(sketch_blocks(build_sketch_inf(2, 2, seed=used)),
+                      sketch_blocks(build_sketch_inf(2, 2, seed=12))):
         np.testing.assert_array_equal(b1, b2)
     rng = np.random.default_rng(102)
     A = complex_matrix(rng, 10, 2)
@@ -673,7 +673,7 @@ def test_pair_block_solve_matches_materialized_sketch(monkeypatch, p, kw):
     result, sketch = _recorded_sketch(monkeypatch, A, b, p, **kw)
     if not kw.get("all_heavy", True):
         assert 0 < result.heavy.size < A.shape[0]
-        assert {blk.shape[0] for blk in sketch.blocks} == {1, 6}
+        assert {blk.shape[0] for blk in sketch.factors} == {1, 6}
     lifted = lift_instance(A, b)
     M, c = sketch.apply(lifted.Ap), sketch.apply(lifted.bp)
     ref = small_lp_solve(M, c, p)
@@ -812,7 +812,7 @@ def test_pair_block_gram_skips_pairs_of_weight_zero(kind):
 def test_signed_log_sum_exp_over_sign_rows_factors_into_log_cosh(s):
     # sum_sigma exp(sigma . g / mu) = prod_k 2 cosh(g_k / mu)
     rng = np.random.default_rng(105)
-    R = sign_enumeration_matrix(s)
+    R = sign_rows(s)
     for mu in (1e-3, 0.1, 1.0, 10.0):
         for _ in range(5):
             g = rng.standard_normal(s)
@@ -829,8 +829,8 @@ def test_pinf_sketch_solve_never_expands_the_sign_rows(monkeypatch):
     rng = np.random.default_rng(106)
     A = complex_matrix(rng, 40, 3)
     b = complex_vector(rng, 40)
-    monkeypatch.setattr(lp_regression, "sign_enumeration_matrix", expanded)
-    monkeypatch.setattr(BlockSketch, "blocks", property(expanded))
+    monkeypatch.setattr(lp_regression, "_sign_rows", expanded)
+    monkeypatch.setattr(BlockSketch, "apply", expanded)
     result, sketch = _recorded_sketch(monkeypatch, A, b, np.inf, s=16)
     assert result.converged
     # the objective is max_i ||G_i r_i||_1 = max_i max |R G_i r_i|
@@ -842,15 +842,14 @@ def test_pinf_sketch_solve_never_expands_the_sign_rows(monkeypatch):
 
 
 def test_pinf_sketch_solve_past_the_enumeration_cap(monkeypatch):
-    # s = 24 > MAX_ENUMERATION_BITS: the 2^24 signed rows of a pair are
-    # never formed, so the width caps nothing
+    # s = 24 is past apply's 2^20-row cap: the 2^24 signed rows of a pair
+    # are never formed, so the width caps nothing
     rng = np.random.default_rng(110)
     n, s = 40, 24
     A = complex_matrix(rng, n, 3)
     b = complex_vector(rng, n)
     result, sketch = _recorded_sketch(monkeypatch, A, b, np.inf, s=s)
-    assert s > MAX_ENUMERATION_BITS
-    assert sketch.total_rows == n * 2 ** s
+    assert [G.shape for G in sketch.factors] == [(s, 2)] * n
     assert result.converged
     M, c = _materialized_pair_rows(lift_instance(A, b), sketch)
     dense = lp_regression._DenseRows(M, c)
@@ -1090,11 +1089,9 @@ def test_solvers_reject_a_tol_that_is_not_finite_and_nonnegative(tol):
     rng = np.random.default_rng(0)
     M, c = rng.standard_normal((30, 4)), rng.standard_normal(30)
     A, b = complex_matrix(rng, 15, 2), complex_vector(rng, 15)
-    groups = [[2 * i, 2 * i + 1] for i in range(15)]
     for p in (1.0, 3.0, np.inf):
         kw = {"s": 2} if np.isinf(p) else {"t": 2}
         for solve in (lambda: small_lp_solve(M, c, p, tol=tol),
-                      lambda: grouped_lp_solve(M, c, groups, p, tol=tol),
                       lambda: complex_lp_solve(A, b, p, tol=tol),
                       lambda: sketch_and_solve(A, b, p, tol=tol, **kw)):
             with pytest.raises(ValueError,
@@ -1107,9 +1104,7 @@ def test_solvers_reject_a_p_below_one(p):
     rng = np.random.default_rng(1)
     M, c = rng.standard_normal((30, 4)), rng.standard_normal(30)
     A, b = complex_matrix(rng, 15, 2), complex_vector(rng, 15)
-    groups = [[2 * i, 2 * i + 1] for i in range(15)]
     for solve in (lambda: small_lp_solve(M, c, p),
-                  lambda: grouped_lp_solve(M, c, groups, p),
                   lambda: complex_lp_solve(A, b, p)):
         with pytest.raises(ValueError) as err:
             solve()
@@ -1169,14 +1164,16 @@ def test_block_sketch_apply_takes_two_rows_per_pair():
     for sketch in (build_sketch_finite_p(3, [1], 4, 1.5, seed=1),
                    build_sketch_inf(3, 2, seed=1)):
         M = rng.standard_normal((6, 2))
-        np.testing.assert_allclose(sketch.apply(M), sketch.assembled() @ M,
+        dense = scipy.linalg.block_diag(*sketch_blocks(sketch))
+        np.testing.assert_allclose(sketch.apply(M), dense @ M,
                                    rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(sketch.apply(np.eye(6)), dense)
         for bad in (np.ones((4, 2)), np.ones((7, 2)), np.ones((8, 2)),
                     np.ones(5)):
             with pytest.raises(ValueError, match="two rows per pair"):
                 sketch.apply(bad)
     empty = build_sketch_inf(0, 2)
-    assert empty.assembled().shape == (0, 0)
+    assert empty.apply(np.eye(0)).shape == (0, 0)
     assert empty.apply(np.ones((0, 3))).shape == (0, 3)
 
 
@@ -1213,11 +1210,6 @@ def test_lp_solvers_fit_a_design_with_no_columns(p):
     sol = small_lp_solve(np.empty((6, 0)), c, p)
     assert sol.y.shape == (0,)
     assert sol.objective == pytest.approx(lp_norm(c, p), rel=1e-14)
-    for groups in ([[0, 3], [1, 4], [2, 5]], [[0, 3], [1, 4, 5], [2]]):
-        sol = grouped_lp_solve(np.empty((6, 0)), c, groups, p)
-        assert sol.y.shape == (0,)
-        assert sol.objective == pytest.approx(lp_norm(
-            np.array([np.linalg.norm(c[g]) for g in groups]), p), rel=1e-14)
     kw = {"s": 2} if np.isinf(p) else {"t": 2}
     empty = sketch_and_solve(np.empty((6, 0), dtype=complex), b, p, **kw)
     zero = sketch_and_solve(np.zeros((6, 1), dtype=complex), b, p, **kw)
@@ -1234,3 +1226,25 @@ def test_small_lp_solve_reads_a_vector_as_one_column(p):
     assert vec.y.shape == (1,)
     np.testing.assert_array_equal(vec.y, col.y)
     assert vec.objective == col.objective
+
+
+def test_small_lp_solve_rejects_an_array_of_more_than_two_dimensions():
+    with pytest.raises(ValueError) as err:
+        small_lp_solve(np.ones((4, 2, 2)), np.ones(4), 1.0)
+    assert str(err.value) == "lp solve: M must be a vector or a matrix"
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_lp_solvers_fit_an_instance_with_no_rows(p):
+    # nothing to fit against: every solver returns y = 0 and objective 0
+    sol = small_lp_solve(np.empty((0, 3)), np.empty(0), p)
+    np.testing.assert_array_equal(sol.y, np.zeros(3))
+    assert sol.objective == 0.0 and sol.converged
+    A, b = np.empty((0, 2), dtype=complex), np.empty(0, dtype=complex)
+    sol = complex_lp_solve(A, b, p)
+    np.testing.assert_array_equal(sol.x, np.zeros(2))
+    assert sol.objective == 0.0 and sol.converged
+    kw = {"s": 2} if np.isinf(p) else {"t": 2}
+    result = sketch_and_solve(A, b, p, **kw)
+    np.testing.assert_array_equal(result.xhat, np.zeros(2))
+    assert result.sketched_objective == 0.0 and result.converged

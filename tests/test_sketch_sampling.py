@@ -554,6 +554,22 @@ def test_apply_sketch_gram_composition():
     assert np.allclose(C.T @ C, direct)
 
 
+def test_apply_sketch_weights_only_the_first_axis():
+    # a vector gives its t weighted entries, not a t x t broadcast
+    S = build_sampling_sketch(np.full(4, 0.25), 3, seed=1)
+    v = np.arange(4.0)
+    Cv = apply_sketch(S, v)
+    assert Cv.shape == (3,)
+    np.testing.assert_array_equal(Cv, S.weights * v[S.rows])
+    B = np.random.default_rng(19).standard_normal((4, 2, 3))
+    np.testing.assert_array_equal(apply_sketch(S, B),
+                                  S.weights[:, None, None] * B[S.rows])
+    # a matrix is weighted row by row, bit for bit as before
+    M = B[:, :, 0]
+    np.testing.assert_array_equal(apply_sketch(S, M),
+                                  S.weights[:, None] * M[S.rows])
+
+
 def test_apply_sketch_validates():
     B = np.ones((4, 2))
     with pytest.raises(ValueError):

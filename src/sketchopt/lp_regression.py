@@ -293,18 +293,20 @@ def build_sketch_inf(n_pairs, s, seed=0) -> BlockSketch:
 # ---------------------------------------------------------------------------
 
 
-def _newton_solve(hess, grad):
-    # Cholesky on the Hessian; a least-squares solve of the same system only
-    # for a Hessian too ill-conditioned to factor.
-    import scipy.linalg  # here, so only lp solves pay SciPy's import cost
+def _newton_solve(hess, grad, full_rank):
+    # Cholesky on the Hessian; a least-squares solve of the same system for
+    # a Hessian too ill-conditioned to factor, and at once when the design
+    # is not of full column rank, since then every Hessian is singular.
+    if full_rank:
+        import scipy.linalg  # here, so only lp solves pay SciPy's import cost
 
-    try:
-        chol = scipy.linalg.cho_factor(hess, check_finite=False)
-        step = scipy.linalg.cho_solve(chol, -grad, check_finite=False)
-        if np.all(np.isfinite(step)):
-            return step
-    except scipy.linalg.LinAlgError:
-        pass
+        try:
+            chol = scipy.linalg.cho_factor(hess, check_finite=False)
+            step = scipy.linalg.cho_solve(chol, -grad, check_finite=False)
+            if np.all(np.isfinite(step)):
+                return step
+        except scipy.linalg.LinAlgError:
+            pass
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
@@ -352,7 +354,9 @@ class _DenseRows:
         return self.M @ y - self.c
 
     def lstsq(self):
-        return np.linalg.lstsq(self.M, self.c, rcond=None)[0]
+        """The least-squares fit and the column rank it found."""
+        y, _, rank, _ = np.linalg.lstsq(self.M, self.c, rcond=None)
+        return y, rank
 
     def gram(self, row_weights):
         """``M^T diag(row_weights) M``; rows of weight 0 add nothing."""
@@ -420,8 +424,10 @@ class _PairBlockRows:
         return self._rows((self.A_rows @ y).reshape(self.b.shape) - self.b)
 
     def lstsq(self):
+        """The least-squares fit and the column rank it found."""
         C = self._pair_grams(np.ones(self.b0.size))
-        return np.linalg.lstsq(*self._sqrt_rows(C), rcond=None)[0]
+        y, _, rank, _ = np.linalg.lstsq(*self._sqrt_rows(C), rcond=None)
+        return y, rank
 
     def gram(self, row_weights):
         """``M^T diag(row_weights) M`` for the unassembled rows ``M``."""
@@ -450,7 +456,7 @@ class _PairBlockRows:
 
 
 def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
-                   fast_cut=0.5):
+                   fast_cut=0.5, predict=False):
     """Damped Newton steps on a smoothed objective, temperature / 2.
 
     ``smoothed(y, mu)`` gives the smoothed objective ``F`` at ``y`` and
@@ -462,17 +468,32 @@ def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
     step backtracks to the Armijo condition at 1e-4, and once a level's
     decrement is below its bound ``mu`` halves, or shrinks by ``fast_cut``
     when the level's first decrement was already a tenth of that bound (the
-    iterate barely moves as ``mu`` falls).  The fit is converged once
-    the smoothing bound plus the decrement (an estimate of ``F - min F``)
-    are at most ``tol`` times the best objective seen (and at least
-    ``floor``): a stopping test, not a bound on the objective's excess.
-    Returns that best iterate, the flag and the number of accepted steps.
+    iterate barely moves as ``mu`` falls).  With ``predict``, a level that
+    follows two finished levels, ended at ``(mu0, y0)`` and ``(mu1, y1)``,
+    starts from the secant prediction
+    ``y1 + (mu - mu1) / (mu1 - mu0) (y1 - y0)`` along the smoothing path
+    when its ``F`` at the new ``mu`` is below that of ``y1``: one more
+    evaluation of ``F`` per level, no Newton solve, and not a step.  The
+    fit is converged once the smoothing bound plus the decrement (an
+    estimate of ``F - min F``) are at most ``tol`` times the best objective
+    seen (and at least ``floor``): a stopping test, not a bound on the
+    objective's excess.  Returns that best iterate, the flag and the number
+    of accepted steps.
     """
     best_y, best_obj = y, obj
     iterations = 0
     converged = False
+    ends = []  # (mu, y) at the end of the last two levels
     while True:
         F, _, parts = smoothed(y, mu)
+        if predict and len(ends) == 2:
+            (mu0, y0), (mu1, y1) = ends
+            y_try = y1 + (mu - mu1) / (mu1 - mu0) * (y1 - y0)
+            F_try, obj, parts_try = smoothed(y_try, mu)
+            if F_try < F:
+                y, F, parts = y_try, F_try, parts_try
+                if obj < best_obj:
+                    best_y, best_obj = y, obj
         for calls in range(50):
             step, decrement = newton_step(parts, mu)
             if calls == 0:
@@ -500,11 +521,12 @@ def _newton_levels(smoothed, newton_step, bound, y, obj, mu, tol, floor,
         # cannot help
         if converged or excess + level_end <= target:
             break
+        ends = ends[-1:] + [(mu, y)]
         mu *= fast_cut if first <= 0.1 * level_end else 0.5
     return best_y, converged, iterations
 
 
-def _solve_grouped_finite(rows, groups, y, norms, p, tol):
+def _solve_grouped_finite(rows, groups, y, norms, p, tol, full_rank):
     """Smoothed grouped p-norm fit by damped Newton steps, temperature / 2.
 
     The rows ``M y - c`` of ``rows`` come in the consecutive ``groups``, the
@@ -547,7 +569,7 @@ def _solve_grouped_finite(rows, groups, y, norms, p, tol):
             hess = rows.gram(groups.spread(curv)) \
                 + D.T @ (((p - 2.0) * curv)[:, None] * D)
         grad = rows.rmatvec(groups.spread(curv * h) * u)
-        step = _newton_solve(hess, grad)
+        step = _newton_solve(hess, grad, full_rank)
         return scale * step, -float(grad @ step)
 
     def bound(mu, F):
@@ -565,7 +587,7 @@ def _solve_grouped_finite(rows, groups, y, norms, p, tol):
                           fast_cut=0.25)
 
 
-def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
+def _solve_grouped_inf(rows, groups, y, norms, l1, tol, full_rank):
     """Smoothed max-norm fit by damped Newton steps, temperature / 2.
 
     The rows ``M y - c`` of ``rows`` come in the consecutive ``groups``, the
@@ -580,7 +602,11 @@ def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
     ``2^s`` signed rows ``sigma . G_i r_i``, because
     ``sum_sigma exp(sigma . g / mu) = prod_k 2cosh(g_k / mu)``; those rows
     are never formed.  ``mu`` starts at half the starting objective, and a
-    level ends when the Newton decrement is below ``mu / 10``.  Returns
+    level ends when the Newton decrement is below ``mu / 10``.  From the
+    third level on, a level starts from the secant prediction through the
+    last two level ends, which the path ``y(mu) ~ y* + c mu`` makes far
+    closer to the new level's minimizer than the last end alone; that
+    halves the Newton steps, where at finite ``p`` it added steps.  Returns
     ``_newton_levels``' iterate, flag and step count.
     """
     def smoothed(y, mu):
@@ -614,7 +640,7 @@ def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
         hess = rows.gram(row_w) + Dc.T @ ((soft / mu)[:, None] * Dc)
         if not l1:
             hess -= D.T @ ((soft / h)[:, None] * D)
-        step = _newton_solve(hess, grad)
+        step = _newton_solve(hess, grad, full_rank)
         return step, -float(grad @ step)
 
     obj = float(norms.max())
@@ -622,7 +648,7 @@ def _solve_grouped_inf(rows, groups, y, norms, l1, tol):
         float(groups.sizes.max()) * math.log(2.0) if l1 else 1.0)
     return _newton_levels(
         smoothed, newton_step, lambda mu, F: (mu * gap_per_mu, 0.1 * mu),
-        y, obj, 0.5 * obj, tol, 1e-15 * rows.data_scale)
+        y, obj, 0.5 * obj, tol, 1e-15 * rows.data_scale, predict=True)
 
 
 def _solve_rows(rows, sizes, p, l1, tol):
@@ -632,23 +658,27 @@ def _solve_rows(rows, sizes, p, l1, tol):
     Every solve starts here and is scored here: the start is returned as it
     is at ``p = 2`` or when its objective is at most 1e-14 of the data
     scale, and otherwise the objective reported is that of the iterate the
-    smoothed solver returns.
+    smoothed solver returns.  The column rank the start's lstsq finds is
+    the one rank test of the solve: below the column count, every Newton
+    system goes straight to lstsq, without a Cholesky attempt.
     """
     p = check_p(p, "lp solve: p")
     check_real(tol, "lp solve: tol", 0)
     groups = _Groups(sizes)
     l1 = l1 and math.isinf(p)
-    y = rows.lstsq()
+    y, rank = rows.lstsq()
     norms = groups.norms(rows.residual(y), l1)
     obj = lp_of_norms(norms, p)
     if p == 2.0 or obj <= 1e-14 * rows.data_scale:
         return LpSolution(y=y, objective=obj, converged=True, iterations=0)
+    full_rank = rank == y.size
     if math.isinf(p):
         y, converged, iterations = _solve_grouped_inf(rows, groups, y, norms,
-                                                      l1, tol)
+                                                      l1, tol, full_rank)
     else:
         y, converged, iterations = _solve_grouped_finite(rows, groups, y,
-                                                         norms, p, tol)
+                                                         norms, p, tol,
+                                                         full_rank)
     return LpSolution(y=y, objective=lp_of_norms(
         groups.norms(rows.residual(y), l1), p), converged=converged,
         iterations=iterations)

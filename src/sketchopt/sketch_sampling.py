@@ -231,6 +231,9 @@ def apply_sketch(S: SamplingSketch, B) -> np.ndarray:
     """Materialize the sketched matrix C: row j = weights[j] * B[rows[j]];
     a vector ``B`` gives its t weighted entries."""
     B = np.asarray(B)
+    if B.ndim == 0:
+        raise ValueError("apply_sketch: B must have a row axis, not be a "
+                         "scalar")
     if S.source_rows != B.shape[0]:
         raise ValueError("apply_sketch: sketch built over a different row count")
     if S.rows.size and (S.rows.min() < 0 or S.rows.max() >= B.shape[0]):

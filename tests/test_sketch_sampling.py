@@ -578,6 +578,12 @@ def test_apply_sketch_validates():
         apply_sketch(SamplingSketch(4, np.array([7]), np.array([1.0])), B)
 
 
+def test_apply_sketch_rejects_a_scalar():
+    S = build_sampling_sketch(np.full(4, 0.25), 3, seed=1)
+    with pytest.raises(ValueError, match="apply_sketch: B must have a row"):
+        apply_sketch(S, np.float64(3.0))
+
+
 def test_sketch_monte_carlo_unbiased():
     rng = np.random.default_rng(19)
     B = rand_cmat(rng, 8, 3)

@@ -1,26 +1,13 @@
 """Reproducible benchmark harness: configs, datasets, runners, CLI, SVG."""
 
-from .config import BenchError, ExperimentConfig, parse_config
-from .datasets import (load_dataset, materialize_dataset, parse_dataset_spec,
-                       synth_planted)
-from .runners import run_lpreg, run_optimize, run_scores, run_vmv
-from .svg import polyline_svg
+from . import config, datasets, runners, svg
+from .config import *
+from .datasets import *
+from .runners import *
+from .svg import *
 
-__all__ = [
-    "BenchError",
-    "ExperimentConfig",
-    "parse_config",
-    "load_dataset",
-    "materialize_dataset",
-    "parse_dataset_spec",
-    "synth_planted",
-    "run_optimize",
-    "run_lpreg",
-    "run_vmv",
-    "run_scores",
-    "polyline_svg",
-    "main",
-]
+__all__ = [*config.__all__, *datasets.__all__, *runners.__all__,
+           *svg.__all__, "main"]
 
 
 def __getattr__(name):

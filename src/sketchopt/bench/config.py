@@ -45,8 +45,9 @@ class ExperimentConfig:
     Typed accessors validate on demand and raise ``BenchError`` with code
     CONFIG_INVALID on malformed values, so every config mistake surfaces as a
     clean CLI error rather than a traceback.  ``minimum`` is the floor of a
-    count or a real value.  The accessors record every key they read, so
-    ``check_all_read`` can reject a key no run uses, such as a misspelling.
+    count or a real value, and an integer list may not repeat a value.  The
+    accessors record every key they read, so ``check_all_read`` can reject a
+    key no run uses, such as a misspelling.
     """
 
     subcommand: str
@@ -118,6 +119,10 @@ class ExperimentConfig:
             raise BenchError("CONFIG_INVALID",
                              f"key {key!r}: expected a comma list of integers")
         _check_floor(key, min(values), minimum)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise BenchError("CONFIG_INVALID",
+                                 f"key {key!r}: value {value} repeats")
         return values
 
     def check_all_read(self):
@@ -174,13 +179,6 @@ class ExperimentConfig:
     @property
     def schemes(self) -> list:
         return self.get_list("schemes", default=["full"])
-
-    def to_text(self) -> str:
-        """Serialize back to the flat key=value format (sorted keys)."""
-        lines = [f"subcommand = {self.subcommand}"]
-        for key in sorted(self.options):
-            lines.append(f"{key} = {self.options[key]}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_config(path, subcommand=None) -> ExperimentConfig:

@@ -23,6 +23,9 @@ import numbers
 
 import numpy as np
 
+__all__ = ["svd", "qr", "lift_scalar", "phi", "unphi", "lift_matrix",
+           "mixed_norm", "spectral_norm", "min_eig_hermitian"]
+
 #: default Hermitian tolerance of ``min_eig_hermitian``, relative to the
 #: largest entry magnitude (at least 1)
 DEFAULT_RTOL = 1e-10

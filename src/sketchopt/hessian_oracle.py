@@ -26,6 +26,10 @@ import numpy as np
 
 from .core_complex import check_real, spectral_norm
 
+__all__ = ["FiniteSumProblem", "LossFamily", "OracleMeter", "make_loss",
+           "value", "grad", "d_diag", "hessp_full", "sketched_hessian",
+           "hessp_sketched", "convex_ridge_lambda", "curvature_bound"]
+
 _SIGMOID_CLAMP = 36.0
 
 

@@ -2,10 +2,10 @@
 
 Rows whose leverage score clears a threshold are pulled out deterministically
 (over one or more rounds, with per-round score recomputation), and the
-remaining rows are covered by a weighted random sample.  The resulting Gram
-estimate adds the selected rows' exact contribution to the sampled part's
-unbiased one, which strips the dominant variance term whenever a few rows
-carry most of the spectral mass.
+remaining rows are covered by a random sample drawn by their own leverage
+scores.  The resulting Gram estimate adds the selected rows' exact
+contribution to the sampled part's unbiased one, which strips the dominant
+variance term whenever a few rows carry most of the spectral mass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .sketch_sampling import (
     exact_leverage_scores,
 )
 
-REMAINDER_MODES = ("uniform", "leverage")
+__all__ = ["HybridPlan", "ls_det_sample", "ls_det_fraction_plan",
+           "hybrid_gram"]
 
 
 @dataclass
@@ -59,40 +60,36 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
 def _hybrid_plan(n: int, deterministic: np.ndarray, sample_count: int,
                  remainder_scores, rng) -> HybridPlan:
     """The plan over n rows keeping the ascending rows ``deterministic`` at
-    weight 1 and drawing ``sample_count`` picks from the rest: uniformly
-    when ``remainder_scores`` is None, else by the scores it returns for the
-    ascending remainder rows (uniformly when those are all zero).  The picks
-    are drawn over the remainder and returned as rows of the source."""
+    weight 1 and drawing ``sample_count`` picks from the rest by the scores
+    ``remainder_scores`` returns for the ascending remainder rows (uniformly
+    when those are all zero).  The picks are drawn over the remainder and
+    returned as rows of the source."""
     keep = np.ones(n, dtype=bool)
     keep[deterministic] = False
     remainder = np.flatnonzero(keep)
     m = remainder.size
     rows, weights = np.zeros(0, dtype=np.int64), np.zeros(0)
     if sample_count > 0 and m > 0:
-        probs = np.full(m, 1.0 / m)
-        if remainder_scores is not None:
-            scores = remainder_scores(remainder)
-            total = scores.sum()
-            if total > 0.0:
-                probs = scores / total
+        scores = remainder_scores(remainder)
+        total = scores.sum()
+        probs = scores / total if total > 0.0 else np.full(m, 1.0 / m)
         local = build_sampling_sketch(probs, sample_count, seed=rng)
         rows, weights = remainder[local.rows], local.weights
     return HybridPlan(deterministic, SamplingSketch(n, rows, weights))
 
 
 def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
-                  sample_count: int, remainder_mode: str = "uniform",
-                  seed=0, cap: int | None = None) -> HybridPlan:
+                  sample_count: int, seed=0,
+                  cap: int | None = None) -> HybridPlan:
     """Select heavy-leverage rows deterministically, then sample the rest.
 
     Per round, leverage scores of the still-unselected rows are recomputed
     and every row scoring >= ``threshold`` moves to the deterministic set,
     capped at ``cap`` rows per round (default 2*cols), largest scores first
     (ties to the lowest row).  After ``rounds`` rounds, ``sample_count``
-    rows are drawn i.i.d. from the remainder — uniformly (weights
-    sqrt(n_remaining/sample_count)) or by remainder leverage scores.
-    Deterministic rows always carry weight 1.  Both row sets of the plan are
-    rows of B.
+    rows are drawn i.i.d. from the remainder by the remainder's own leverage
+    scores (uniformly when those are all zero).  Deterministic rows always
+    carry weight 1.  Both row sets of the plan are rows of B.
 
     A ``threshold`` above 1, ``inf`` included, selects nothing (no leverage
     score exceeds 1) and the plan degenerates to pure sampling; a NaN, bool
@@ -109,9 +106,6 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
                          f"got {threshold!r}")
     check_int(sample_count, "ls_det_sample: sample_count", 1)
     cap = 2 * d if cap is None else check_int(cap, "ls_det_sample: cap", 1)
-    if remainder_mode not in REMAINDER_MODES:
-        raise ValueError(
-            f"ls_det_sample: remainder_mode must be one of {REMAINDER_MODES}")
 
     taken = np.zeros(n, dtype=bool)
     for _ in range(rounds):
@@ -125,19 +119,18 @@ def ls_det_sample(B, rounds: int = 1, threshold: float = 0.5, *,
         top = _top_k_rows(scores[eligible], min(cap, eligible.size))
         taken[remaining[eligible[top]]] = True
 
-    def scores(remainder):
-        return exact_leverage_scores(B[remainder])
     return _hybrid_plan(n, np.flatnonzero(taken), sample_count,
-                        scores if remainder_mode == "leverage" else None, rng)
+                        lambda remainder: exact_leverage_scores(B[remainder]),
+                        rng)
 
 
 def ls_det_fraction_plan(B, budget: int, fraction: float, *,
-                         remainder_mode: str = "uniform", seed=0) -> HybridPlan:
+                         seed=0) -> HybridPlan:
     """Split a fixed row budget between top-leverage rows and random picks.
 
     ``round(fraction * budget)`` rows with the largest exact leverage scores
     go deterministic (weight 1); the rest of the budget samples the remaining
-    rows per ``remainder_mode``.  ``fraction=0`` is pure sampling;
+    rows by their own leverage scores.  ``fraction=0`` is pure sampling;
     ``fraction=1`` keeps only the top-``budget`` rows and drops the remainder
     entirely (a deliberately biased estimate, useful as a baseline).
 
@@ -159,13 +152,9 @@ def ls_det_fraction_plan(B, budget: int, fraction: float, *,
     n, _ = B.shape
     check_int(budget, "ls_det_fraction_plan: budget", 1)
     check_real(fraction, "ls_det_fraction_plan: fraction", 0, 1)
-    if remainder_mode not in REMAINDER_MODES:
-        raise ValueError("ls_det_fraction_plan: remainder_mode must be one of "
-                         f"{REMAINDER_MODES}")
     k = min(int(round(fraction * budget)), n)
     deterministic, scores = _top_leverage_rows(B, k)
-    return _hybrid_plan(n, deterministic, budget - k,
-                        scores if remainder_mode == "leverage" else None, rng)
+    return _hybrid_plan(n, deterministic, budget - k, scores, rng)
 
 
 def _top_leverage_rows(B, k: int):

@@ -52,6 +52,9 @@ from .hybrid_sampling import ls_det_fraction_plan
 from .sketch_sampling import (SAMPLING_SCHEMES, build_sampling_sketch,
                               canonical_scheme, scheme_probabilities)
 
+__all__ = ["OptConfig", "OptTrace", "cg_solve", "minnorm_lsq", "cg_steihaug",
+           "newton_cg", "newton_mr", "trust_region"]
+
 _MAX_HALVINGS = 30
 _LINE_SEARCH_RHO = 1e-4  # sufficient-decrease constant of both line searches
 _RADIUS_FLOOR = 1e-16
@@ -402,7 +405,7 @@ class _Run:
             sketch = ls_det_fraction_plan(
                 np.sqrt(np.abs(dvec))[:, None] * problem.A,
                 budget=config.sample_size, fraction=config.ls_det_fraction,
-                remainder_mode="leverage", seed=seed,
+                seed=seed,
             )
             # d units per leverage computation made: top rows, sampled remainder
             meter.add(problem.d * ((sketch.deterministic_rows.size > 0)

@@ -22,6 +22,10 @@ from .core_complex import (_check_finite, check_int, seeded_generator,
                            spectral_norm, svd)
 from .hessian_oracle import _charge
 
+__all__ = ["SamplingSketch", "SchemeResult", "exact_leverage_scores",
+           "approx_leverage_scores", "build_sampling_sketch", "apply_sketch",
+           "scheme_probabilities", "gamma_factor", "embedding_distortion"]
+
 #: The row-sampling schemes of ``scheme_probabilities``, canonically spelled.
 SAMPLING_SCHEMES = ("uniform", "ls", "rn", "ls-mx", "rn-mx")
 

@@ -72,11 +72,11 @@ schemes = full, ls
         assert cfg.schemes == ["full", "ls"]
 
     def test_roundtrip_through_to_text(self, tmp_path):
-        cfg = ExperimentConfig("vmv", {"k_values": "4,8", "seeds": "5"})
-        path = _write(tmp_path / "b.cfg", cfg.to_text())
+        path = _write(tmp_path / "b.cfg",
+                      "subcommand = vmv\nk_values = 4,8\nseeds = 5\n")
         again = parse_config(path)
         assert again.subcommand == "vmv"
-        assert again.options == cfg.options
+        assert again.options == {"k_values": "4,8", "seeds": "5"}
 
     def test_missing_file_is_config_not_found(self, tmp_path):
         with pytest.raises(BenchError) as err:
@@ -618,6 +618,26 @@ def test_numpy_integer_master_seed_runs_as_its_int(runner, sub, options,
     for seed, out in ((1, "int"), (np.int64(1), "numpy")):
         runner(ExperimentConfig(sub, dict(options)), seed, tmp_path / out)
     assert _dir_digest(tmp_path / "int") == _dir_digest(tmp_path / "numpy")
+
+
+@pytest.mark.parametrize("runner, sub, options, message", [
+    (run_lpreg, "lpreg", {"n": "10", "d": "3", "p": "1", "t_values": "2, 2"},
+     "key 't_values': value 2 repeats"),
+    (run_lpreg, "lpreg", {"n": "10", "d": "3", "p": "inf",
+                          "s_values": "3,2,3"},
+     "key 's_values': value 3 repeats"),
+    (run_vmv, "vmv", {"rows": "10", "cols": "2", "k_values": "4,4"},
+     "key 'k_values': value 4 repeats"),
+], ids=["t_values", "s_values", "k_values"])
+def test_sweeps_reject_a_repeated_value(runner, sub, options, message,
+                                        tmp_path):
+    # a repeated value used to write two CSV rows under one key
+    out = tmp_path / "o"
+    with pytest.raises(BenchError) as excinfo:
+        runner(ExperimentConfig(sub, options), 0, out)
+    assert excinfo.value.code == "CONFIG_INVALID"
+    assert str(excinfo.value) == message
+    assert not out.exists()
 
 
 class TestRunScores:

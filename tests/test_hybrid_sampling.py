@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sketchopt import hybrid_sampling, sketch_sampling
+from sketchopt import hybrid_sampling
 from sketchopt.hybrid_sampling import (
     HybridPlan,
     _top_k_rows,
@@ -51,28 +51,14 @@ def test_huge_row_lands_deterministic():
 def test_threshold_above_one_degenerates_to_pure_sampling():
     rng = np.random.default_rng(41)
     B = rng.standard_normal((50, 3))
-    plan = ls_det_sample(
-        B, rounds=1, threshold=1.0 + 1e-6, sample_count=12,
-        remainder_mode="leverage", seed=7,
-    )
+    plan = ls_det_sample(B, rounds=1, threshold=1.0 + 1e-6, sample_count=12,
+                         seed=7)
     assert plan.deterministic_rows.size == 0
     scores = exact_leverage_scores(B)
     ref = build_sampling_sketch(scores / scores.sum(), 12, seed=7)
     assert plan.sampled.rows.tolist() == ref.rows.tolist()
     np.testing.assert_allclose(plan.sampled.weights, ref.weights, rtol=1e-12)
     assert plan.sampled.source_rows == 50
-
-
-def test_uniform_remainder_weights():
-    rng = np.random.default_rng(42)
-    B = rng.standard_normal((40, 3))
-    B[5] *= 50.0
-    plan = ls_det_sample(
-        B, rounds=1, threshold=0.5, sample_count=8, remainder_mode="uniform",
-        seed=3,
-    )
-    n_rem = 40 - plan.deterministic_rows.size
-    np.testing.assert_allclose(plan.sampled.weights, np.sqrt(n_rem / 8.0))
 
 
 def test_rounds_recompute_scores_with_per_round_cap():
@@ -109,30 +95,24 @@ def test_picks_disjoint_from_deterministic_rows():
     assert picked_source.isdisjoint(set(plan.deterministic_rows.tolist()))
 
 
-@pytest.mark.parametrize("remainder_mode", ["uniform", "leverage"])
-def test_picks_are_numbered_by_source_row(remainder_mode):
-    # the picks are the rows of a draw over the remainder alone, mapped back
-    # to rows of B, with that draw's weights
+def test_picks_are_numbered_by_source_row():
+    # the picks are the rows of a draw over the remainder alone by its own
+    # leverage scores, mapped back to rows of B, with that draw's weights
     rng = np.random.default_rng(53)
     B = rng.standard_normal((70, 4))
     B[[6, 40, 41]] *= 25.0
     plans = [
-        ls_det_sample(B, rounds=2, threshold=0.5, sample_count=15,
-                      remainder_mode=remainder_mode, seed=8),
-        ls_det_fraction_plan(B, budget=25, fraction=0.4,
-                             remainder_mode=remainder_mode, seed=8),
+        ls_det_sample(B, rounds=2, threshold=0.5, sample_count=15, seed=8),
+        ls_det_fraction_plan(B, budget=25, fraction=0.4, seed=8),
     ]
     for plan, downdated in zip(plans, (False, True)):
         assert plan.deterministic_rows.size > 0
         remainder = np.setdiff1d(np.arange(70), plan.deterministic_rows)
-        if remainder_mode == "uniform":
-            probs = np.full(remainder.size, 1.0 / remainder.size)
-        else:
-            scores = exact_leverage_scores(B[remainder])
-            probs = scores / scores.sum()
-        local = build_sampling_sketch(probs, len(plan.sampled), seed=8)
+        scores = exact_leverage_scores(B[remainder])
+        local = build_sampling_sketch(scores / scores.sum(),
+                                      len(plan.sampled), seed=8)
         assert np.array_equal(plan.sampled.rows, remainder[local.rows])
-        if downdated and remainder_mode == "leverage":
+        if downdated:
             # the fraction plan's remainder scores come from a downdate of
             # B's whitening and agree with a fresh pass only to rounding
             np.testing.assert_allclose(plan.sampled.weights, local.weights,
@@ -193,8 +173,7 @@ def test_remainder_that_loses_rank_takes_a_fresh_pass(fallback_calls):
     B = rng.standard_normal((300, 4))
     B[:, 3] = 0.0
     B[[5, 17], 3] = [40.0, -30.0]
-    plan = ls_det_fraction_plan(B, budget=40, fraction=0.25,
-                                remainder_mode="leverage", seed=9)
+    plan = ls_det_fraction_plan(B, budget=40, fraction=0.25, seed=9)
     assert {5, 17} <= set(plan.deterministic_rows.tolist())
     remainder = np.setdiff1d(np.arange(300), plan.deterministic_rows)
     assert fallback_calls[-1] == remainder.size
@@ -211,8 +190,7 @@ def test_fraction_plan_allocates_no_copy_of_b(fraction):
     B = np.random.default_rng(58).standard_normal((20000, 20))
     tracemalloc.start()
     try:
-        ls_det_fraction_plan(B, budget=250, fraction=fraction,
-                             remainder_mode="leverage", seed=3)
+        ls_det_fraction_plan(B, budget=250, fraction=fraction, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,30 +219,6 @@ def test_parameter_validation():
         ls_det_sample(B, rounds=1, threshold=0.0, sample_count=2)
     with pytest.raises(ValueError):
         ls_det_sample(B, rounds=1, threshold=0.5, sample_count=0)
-    with pytest.raises(ValueError):
-        ls_det_sample(B, rounds=1, threshold=0.5, sample_count=2,
-                      remainder_mode="bogus")
-
-
-@pytest.mark.parametrize("caller, plan", [
-    ("ls_det_sample",
-     lambda B: ls_det_sample(B, rounds=3, threshold=0.01, sample_count=4,
-                             remainder_mode="bogus")),
-    ("ls_det_fraction_plan",
-     lambda B: ls_det_fraction_plan(B, 10, 0.5, remainder_mode="bogus")),
-], ids=["ls_det_sample", "ls_det_fraction_plan"])
-def test_bad_remainder_mode_raises_before_leverage_work(caller, plan,
-                                                        monkeypatch):
-    calls = []
-    original = sketch_sampling._row_energies
-    for module in (sketch_sampling, hybrid_sampling):
-        monkeypatch.setattr(module, "_row_energies",
-                            lambda B, T: calls.append(1) or original(B, T))
-    B = np.random.default_rng(30).standard_normal((40, 3))
-    with pytest.raises(ValueError, match=f"^{caller}: remainder_mode must be "
-                                         r"one of \('uniform', 'leverage'\)$"):
-        plan(B)
-    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +240,8 @@ def test_exactness_limit_all_rows_deterministic_complex():
 def test_empty_deterministic_equals_plain_sketched_gram():
     rng = np.random.default_rng(46)
     B = rng.standard_normal((50, 3))
-    plan = ls_det_sample(
-        B, rounds=1, threshold=1.0 + 1e-6, sample_count=15,
-        remainder_mode="leverage", seed=11,
-    )
+    plan = ls_det_sample(B, rounds=1, threshold=1.0 + 1e-6, sample_count=15,
+                         seed=11)
     C = apply_sketch(plan.sampled, B)
     np.testing.assert_allclose(hybrid_gram(plan, B), C.T @ C, atol=1e-12)
 
@@ -419,8 +371,7 @@ def test_fraction_splits_budget():
 def test_plan_type_fields():
     rng = np.random.default_rng(52)
     B = rng.standard_normal((30, 3))
-    plan = ls_det_sample(B, rounds=2, threshold=0.5, sample_count=4,
-                         remainder_mode="uniform", seed=0)
+    plan = ls_det_sample(B, rounds=2, threshold=0.5, sample_count=4, seed=0)
     assert isinstance(plan, HybridPlan)
     assert [f.name for f in dataclasses.fields(plan)] == [
         "deterministic_rows", "sampled"]

@@ -696,9 +696,7 @@ def test_iterate_operator_matches_per_product_oracles(scheme):
         from sketchopt.hybrid_sampling import ls_det_fraction_plan
         dvec = d_diag(problem, x)
         plan = ls_det_fraction_plan(np.sqrt(np.abs(dvec))[:, None] * problem.A,
-                                    budget=30, fraction=0.5,
-                                    remainder_mode="leverage",
-                                    seed=seed)
+                                    budget=30, fraction=0.5, seed=seed)
 
         def reference(v):
             return hessp_sketched(sketched_hessian(problem, x, plan,
